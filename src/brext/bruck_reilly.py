@@ -74,6 +74,8 @@ def _check(B: BRSystem, x: Element) -> None:
         return
     if not isinstance(x, BRElem) or x.i < 0 or x.j < 0:
         raise ValueError(f"not an extension element: {x!r}")
+    if x.s not in B.sys.compiled.products:
+        raise ValueError(f"group coordinate {tuple(x.s)} is not an element of T")
 
 
 def brmul(B: BRSystem, x: Element, y: Element) -> Element:

@@ -12,11 +12,16 @@ The structure also carries a family theta of homomorphisms into the top
 group, one per level, which together must form a monoid endomorphism of the
 whole semigroup into its unit group.  theta_pow iterates it; iterates beyond
 the first all happen inside the top group.
+
+A system is compiled on first use into a product table over shared element
+objects plus its list of idempotents, so cmul is a lookup.  The bond-and-
+Cayley product stays as cmul_oracle, and validate_system uses only that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .errors import MissingBond, NotIdempotent
@@ -37,14 +42,6 @@ class ChainSemilattice:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("chain needs at least one level")
-        # meet laws are forced by max; assert them once anyway for small chains
-        rng = range(min(self.size, 16))
-        for a in rng:
-            assert self.meet(a, a) == a
-            for b in rng:
-                assert self.meet(a, b) == self.meet(b, a)
-                for c in rng:
-                    assert self.meet(self.meet(a, b), c) == self.meet(a, self.meet(b, c))
 
     def meet(self, a: int, b: int) -> int:
         if not (0 <= a < self.size and 0 <= b < self.size):
@@ -54,6 +51,18 @@ class ChainSemilattice:
     def below(self, a: int, b: int) -> bool:
         """True iff level a is dominated by level b (a lower or equal)."""
         return a >= b
+
+
+class CompiledSystem(NamedTuple):
+    """A chain of groups flattened for lookup.
+
+    products[a][b] is a * b, one of the shared element objects; the keys of
+    products are exactly the elements of T.  idempotents holds the level
+    identities, top level first.
+    """
+
+    products: dict
+    idempotents: tuple[CliffordElement, ...]
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,8 @@ class CliffordSystem:
     def bond(self, upper: int, lower: int) -> GroupHom:
         """The bonding map from the group at `upper` down to `lower`."""
         if upper == lower:
-            return identity_hom(self.group(upper))
+            self.group(upper)  # raises for a level outside the chain
+            return self._identity_homs[upper]
         if not self.chain.below(lower, upper):
             raise MissingBond(f"no bond upward from level {upper} to {lower}")
         try:
@@ -98,9 +108,48 @@ class CliffordSystem:
             return g.labels[a.elem]
         return str(a.elem)
 
+    @cached_property
+    def _identity_homs(self) -> tuple[GroupHom, ...]:
+        return tuple(identity_hom(g) for g in self.groups)
+
+    @cached_property
+    def compiled(self) -> CompiledSystem:
+        """The product table and idempotents, built on first use.
+
+        Each level pair fills its block of the table from the bond maps and
+        the Cayley table at the meet level.  Only level identities may be
+        idempotent; that is checked here, once.
+        """
+        elems = [
+            tuple(CliffordElement(level, x) for x in range(g.order))
+            for level, g in enumerate(self.groups)
+        ]
+        products = {e: {} for level in elems for e in level}
+        for la, row_elems in enumerate(elems):
+            for lb, col_elems in enumerate(elems):
+                lvl = self.chain.meet(la, lb)
+                down_a, down_b = self.bond(la, lvl).map, self.bond(lb, lvl).map
+                table, out = self.groups[lvl].table, elems[lvl]
+                for a in row_elems:
+                    row, ta = products[a], table[down_a[a.elem]]
+                    for b in col_elems:
+                        row[b] = out[ta[down_b[b.elem]]]
+        idem = tuple(e for e, row in products.items() if row[e] == e)
+        for e in idem:
+            assert e.elem == self.groups[e.level].identity, f"non-identity idempotent {e} in a group"
+        return CompiledSystem(products, idem)
+
 
 def cmul(sys: CliffordSystem, a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    """Product: push both factors to the meet level, multiply there."""
+    """Product, looked up in the compiled table."""
+    try:
+        return sys.compiled.products[a][b]
+    except KeyError:
+        return cmul_oracle(sys, a, b)  # raises the oracle's error for operands outside T
+
+
+def cmul_oracle(sys: CliffordSystem, a: CliffordElement, b: CliffordElement) -> CliffordElement:
+    """Oracle product: push both factors to the meet level, multiply there."""
     lvl = sys.chain.meet(a.level, b.level)
     x = sys.bond(a.level, lvl)(a.elem)
     y = sys.bond(b.level, lvl)(b.elem)
@@ -125,15 +174,9 @@ def theta_pow(sys: CliffordSystem, a: CliffordElement, n: int) -> CliffordElemen
 
 
 def idempotents(sys: CliffordSystem) -> list[CliffordElement]:
-    """Level identities, top level first; verifies nothing else is idempotent."""
-    out = []
-    for level, g in enumerate(sys.groups):
-        for x in range(g.order):
-            e = CliffordElement(level, x)
-            if cmul(sys, e, e) == e:
-                assert x == g.identity, f"non-identity idempotent {e} in a group"
-                out.append(e)
-    return out
+    """Level identities, top level first; the compiled form verified that
+    nothing else is idempotent."""
+    return list(sys.compiled.idempotents)
 
 
 def nat_order_idem(sys: CliffordSystem, e: CliffordElement, f: CliffordElement) -> bool:
@@ -205,7 +248,7 @@ def validate_system(sys: CliffordSystem) -> ValidationReport:
     top = sys.groups[0]
     for a in sys.elements():
         for b in sys.elements():
-            lhs = theta_pow(sys, cmul(sys, a, b), 1)
+            lhs = theta_pow(sys, cmul_oracle(sys, a, b), 1)
             rhs = gmul(top, sys.theta[a.level](a.elem), sys.theta[b.level](b.elem))
             if lhs.elem != rhs:
                 rep.add(f"theta law violated for a={tuple(a)}, b={tuple(b)}")

@@ -114,10 +114,14 @@ def box_solve(a_box: Box, target: Box, side: str) -> frozenset[Box]:
     raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
-def box_solve_brute(a_box: Box, target: Box, side: str, bound: int = 20) -> frozenset[Box]:
-    """Independent route: scan all boxes up to the bound and multiply."""
+def _check_side(side: str) -> None:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+
+
+def box_solve_brute(a_box: Box, target: Box, side: str, bound: int = 20) -> frozenset[Box]:
+    """Independent route: scan all boxes up to the bound and multiply."""
+    _check_side(side)
     a = bicyclic.BicyclicElem(*a_box)
     t = bicyclic.BicyclicElem(*target)
     out = set()
@@ -159,6 +163,7 @@ def continuity_cert_zero(B: BRSystem, a: BRElem, target: BasicZeroNbhd, side: st
     is both sound and exact.  Such a U always exists: the union is finite.
     `fibers` is handed on to verify_certificate.
     """
+    _check_side(side)
     if is_zero(a):
         raise ValueError("the multiplier must be a nonzero element")
     trace = {}
@@ -196,6 +201,7 @@ def verify_certificate(B: BRSystem, cert: ContinuityCertificate, margin: int = 2
     the index is local to this call.  Set operations decide each box, and
     a box's elements are walked only when it fails.
     """
+    _check_side(cert.side)
     fibers = {} if fibers is None else fibers
     a, side = cert.a, cert.side
     found, target = cert.found.excluded, cert.target.excluded

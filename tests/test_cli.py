@@ -65,6 +65,14 @@ def test_order_reports_both_routes(capsys):
     assert json.loads(out)["result"] is False
 
 
+def test_order_rejects_group_coordinate_outside_t(capsys):
+    for cmd in ("order", "mul"):
+        code, out, err = run(capsys, cmd, "--system", C2C2, "--json", "(1,0:7,1)", "(1,0:0,1)")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "(0, 7)" in err
+
+
 def test_validate_ok_matches_golden(capsys):
     code, out, _ = run(capsys, "validate", "--system", C2C2)
     assert code == 0

@@ -8,12 +8,13 @@ from brext.clifford import (
     CliffordSystem,
     cinv,
     cmul,
+    cmul_oracle,
     idempotents,
     nat_order_idem,
     theta_pow,
     validate_system,
 )
-from brext.errors import MissingBond, NotIdempotent
+from brext.errors import IndexOutOfRange, MissingBond, NotIdempotent
 from brext.groups import constant_hom, cyclic_group, hom, identity_hom
 
 
@@ -39,6 +40,30 @@ def make_z4z2():
     )
 
 
+def make_z4():
+    z4 = cyclic_group(4)
+    return CliffordSystem(chain=ChainSemilattice(1), groups=(z4,), bonds={}, theta=(identity_hom(z4),))
+
+
+def make_c12_c6_c3():
+    """C12 > C6 > C3 with reduction bonds and theta x -> 8x into C12."""
+    c12, c6, c3 = cyclic_group(12), cyclic_group(6), cyclic_group(3)
+    return CliffordSystem(
+        chain=ChainSemilattice(3),
+        groups=(c12, c6, c3),
+        bonds={
+            (0, 1): hom(c12, c6, [x % 6 for x in range(12)]),
+            (0, 2): hom(c12, c3, [x % 3 for x in range(12)]),
+            (1, 2): hom(c6, c3, [x % 3 for x in range(6)]),
+        },
+        theta=tuple(hom(g, c12, [8 * x % 12 for x in range(g.order)]) for g in (c12, c6, c3)),
+    )
+
+
+def table_systems(c2c2, trivial):
+    return [make_t2(), make_z4z2(), make_z4(), c2c2.sys, trivial.sys, make_c12_c6_c3()]
+
+
 def test_chain_meet_is_max():
     ch = ChainSemilattice(4)
     assert ch.meet(1, 3) == 3
@@ -56,11 +81,7 @@ def test_t2_validates():
 
 
 def test_single_level_validates():
-    z4 = cyclic_group(4)
-    sys = CliffordSystem(
-        chain=ChainSemilattice(1), groups=(z4,), bonds={}, theta=(identity_hom(z4),)
-    )
-    assert validate_system(sys).ok
+    assert validate_system(make_z4()).ok
 
 
 def test_swapped_bond_is_not_a_hom():
@@ -215,3 +236,46 @@ def test_theta_orbit_stabilizes():
                     break
                 seen[v] = n
             assert cycle_found
+
+
+def test_table_product_matches_oracle(c2c2, trivial):
+    for sys in table_systems(c2c2, trivial):
+        assert validate_system(sys).ok
+        elems = list(sys.elements())
+        for a, b in itertools.product(elems, repeat=2):
+            assert cmul(sys, a, b) == cmul_oracle(sys, a, b)
+
+
+def test_idempotents_match_oracle(c2c2, trivial):
+    for sys in table_systems(c2c2, trivial):
+        expected = [e for e in sys.elements() if cmul_oracle(sys, e, e) == e]
+        assert idempotents(sys) == expected
+        assert idempotents(sys) is not idempotents(sys)
+
+
+def test_invalid_operands_raise_as_the_oracle_does():
+    sys = make_z4z2()
+    one = CliffordElement(0, 0)
+    with pytest.raises(IndexOutOfRange):
+        cmul(sys, CliffordElement(0, 7), one)
+    with pytest.raises(IndexOutOfRange):
+        cmul(sys, one, CliffordElement(0, 7))
+    with pytest.raises(ValueError):
+        cmul(sys, CliffordElement(5, 0), one)
+    with pytest.raises(IndexError):
+        theta_pow(sys, CliffordElement(5, 0), 1)
+
+
+def test_same_level_bond_is_one_shared_identity():
+    sys = make_c12_c6_c3()
+    assert sys.bond(1, 1) is sys.bond(1, 1)
+    assert sys.bond(1, 1).map == tuple(range(6))
+    with pytest.raises(ValueError):
+        sys.bond(3, 3)
+
+
+def test_compiled_once_and_never_by_validation():
+    sys = make_c12_c6_c3()
+    assert validate_system(sys).ok
+    assert "compiled" not in vars(sys)
+    assert sys.compiled is sys.compiled

@@ -54,6 +54,19 @@ def test_box_solve_bad_side():
         box_solve(Box(0, 0), Box(0, 0), "middle")
 
 
+def test_certificates_reject_bad_side_before_any_work(c2c2):
+    a = BRElem(1, CE(0, 0), 2)
+    # the whole space excludes no box, so box_solve is never reached
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        continuity_cert_zero(c2c2, a, WHOLE_SPACE, "middle")
+    cert = continuity_cert_zero(c2c2, a, BasicZeroNbhd.excluding([(2, 2)]), "left")
+    cert.side = "middle"
+    fibers = {}
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        verify_certificate(c2c2, cert, fibers=fibers)
+    assert fibers == {}
+
+
 def test_box_solve_matches_brute_force_small():
     for a1 in range(5):
         for a2 in range(5):

@@ -96,7 +96,7 @@ def oracle_mul(x: Element, y: Element, pad: int = 4) -> Element:
     return BicyclicElem(k, l)
 
 
-_PAIR_RE = re.compile(r"^\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
+_PAIR_RE = re.compile(r"^\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)$")
 
 
 def parse_elem(text: str) -> Element:

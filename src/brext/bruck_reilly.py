@@ -63,9 +63,6 @@ class BRSystem:
     with_zero: bool = False
     name: str = ""
 
-    def unit_elem(self) -> BRElem:
-        return BRElem(0, self.sys.unit(), 0)
-
 
 def _check(B: BRSystem, x: Element) -> None:
     if x is ZERO:
@@ -244,8 +241,6 @@ def zero_divisor_scan(B: BRSystem, n: int, mul=None) -> ZeroDivisorReport:
     """
     if not B.with_zero:
         raise ZeroNotAdjoined("zero divisor scan needs the adjoined zero")
-    if n > MAX_WINDOW:
-        raise WindowTooLarge(f"window {n} exceeds cap {MAX_WINDOW}")
     mul = mul or brmul
     elems = window_elements(B, n)
     bad = []
@@ -256,7 +251,7 @@ def zero_divisor_scan(B: BRSystem, n: int, mul=None) -> ZeroDivisorReport:
     return ZeroDivisorReport(window=n, checked=len(elems) ** 2, counterexamples=bad)
 
 
-_TRIPLE_RE = re.compile(r"^\(\s*(\d+)\s*,\s*(\d+)\s*:\s*(\d+)\s*,\s*(\d+)\s*\)$")
+_TRIPLE_RE = re.compile(r"^\(\s*([0-9]+)\s*,\s*([0-9]+)\s*:\s*([0-9]+)\s*,\s*([0-9]+)\s*\)$")
 
 
 def parse_elem(text: str) -> Element:

@@ -17,16 +17,7 @@ from pathlib import Path
 from . import bicyclic, bruck_reilly
 from .bruck_reilly import BRSystem, brinv, brmul, eta, hclass, idempotents_window, nat_order, nat_order_oracle, simplicity_witness, zero_divisor_scan
 from .config import load_system
-from .errors import (
-    BrextError,
-    MalformedDescriptor,
-    NotIdempotent,
-    ParseError,
-    ValidationFailed,
-    WindowTooLarge,
-    WitnessVerificationFailed,
-    ZeroNotAdjoined,
-)
+from .errors import BrextError, ParseError, ValidationFailed, WitnessVerificationFailed
 from .topology import (
     BasicZeroNbhd,
     Box,
@@ -38,68 +29,51 @@ from .topology import (
 )
 from .verify import run_all
 
-COMMANDS = (
-    "validate",
-    "mul",
-    "inv",
-    "eta",
-    "order",
-    "idempotents",
-    "hclass",
-    "witness",
-    "zeroscan",
-    "continuity",
-    "classify",
-    "pushforward",
-    "verify",
-)
-
 
 def emit(record: dict) -> None:
     sys.stdout.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--system", help="path to a system config (JSON)")
-    common.add_argument("--window", type=int, default=3, help="index window for exhaustive scans (max 16)")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    common.add_argument("--probe-bound", type=int, default=64, dest="probe_bound", help="probe bound for finiteness checks")
-    common.add_argument("--json", action="store_true", help="NDJSON only; implies --quiet")
-    common.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
+    # Each option sits only on the commands that read it: output flags on
+    # all, --system on the ten that load one, --window on the window scans.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true", help="NDJSON only; implies --quiet")
+    output.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
+    system = argparse.ArgumentParser(add_help=False, parents=[output])
+    system.add_argument("--system", help="path to a system config (JSON)")
+    window = argparse.ArgumentParser(add_help=False, parents=[system])
+    window.add_argument("--window", type=int, default=3, help="index window for exhaustive scans (max 16)")
 
     p = argparse.ArgumentParser(prog="brext", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    sub.add_parser("validate", parents=[common], help="structural validation of a config")
-    sp = sub.add_parser("mul", parents=[common], help="multiply two elements")
-    sp.add_argument("x")
-    sp.add_argument("y")
-    sp = sub.add_parser("inv", parents=[common], help="invert an element")
-    sp.add_argument("x")
-    sp = sub.add_parser("eta", parents=[common], help="apply the index map")
-    sp.add_argument("x")
-    sp = sub.add_parser("order", parents=[common], help="natural partial order, both routes")
-    sp.add_argument("x")
-    sp.add_argument("y")
-    sub.add_parser("idempotents", parents=[common], help="idempotent chain on the window")
-    sp = sub.add_parser("hclass", parents=[common], help="maximal subgroup through an element")
-    sp.add_argument("x")
-    sp = sub.add_parser("witness", parents=[common], help="simplicity witness x*a*y = b")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sub.add_parser("zeroscan", parents=[common], help="zero divisor scan on the window")
-    sp = sub.add_parser("continuity", parents=[common], help="zero-neighborhood continuity certificate")
-    sp.add_argument("a")
+    def command(name, func, parent, help, *positionals):
+        sp = sub.add_parser(name, parents=[parent], help=help)
+        for arg in positionals:
+            sp.add_argument(arg)
+        sp.set_defaults(func=func)
+        return sp
+
+    command("validate", _cmd_validate, system, "structural validation of a config")
+    command("mul", _cmd_mul, system, "multiply two elements", "x", "y")
+    command("inv", _cmd_inv, system, "invert an element", "x")
+    command("eta", _cmd_eta, output, "apply the index map", "x")
+    command("order", _cmd_order, system, "natural partial order, both routes", "x", "y")
+    command("idempotents", _cmd_idempotents, window, "idempotent chain on the window")
+    command("hclass", _cmd_hclass, system, "maximal subgroup through an element", "x")
+    command("witness", _cmd_witness, system, "simplicity witness x*a*y = b", "a", "b")
+    command("zeroscan", _cmd_zeroscan, window, "zero divisor scan on the window")
+    sp = command("continuity", _cmd_continuity, system, "zero-neighborhood continuity certificate", "a")
     sp.add_argument("--side", choices=("left", "right"), default="left")
     sp.add_argument("--exclude", action="append", default=[], metavar="I,J", help="excluded box of the target, repeatable")
-    sp = sub.add_parser("classify", parents=[common], help="compactness dichotomy for a descriptor")
-    sp.add_argument("descriptor")
-    sp = sub.add_parser("pushforward", parents=[common], help="image of a descriptor under the index map")
-    sp.add_argument("descriptor")
+    command("classify", _cmd_classify, output, "compactness dichotomy for a descriptor", "descriptor")
+    sp = command("pushforward", _cmd_pushforward, output, "image of a descriptor under the index map", "descriptor")
     sp.add_argument("--exclude", action="append", default=[], metavar="I,J", help="excluded box of a basic to push forward")
-    sp = sub.add_parser("verify", parents=[common], help="run the property suites")
+    sp = command("verify", _cmd_verify, window, "run the property suites")
     sp.add_argument("--all", action="store_true", help="run every applicable suite")
+    sp.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    sp.add_argument("--probe-bound", type=int, default=64, dest="probe_bound", help="probe bound for finiteness checks (at least 2)")
     return p
 
 
@@ -126,13 +100,13 @@ def _parse_descriptor(text: str):
     if s.startswith("{"):
         try:
             return descriptor_from_obj(json.loads(s))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"descriptor: {exc}") from exc
     path = Path(s)
     if path.exists():
         try:
             return descriptor_from_obj(json.loads(path.read_text()))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"descriptor file {s}: {exc}") from exc
     raise ParseError(f"descriptor must be 'isolated', 'excluded_boxes', JSON, or a file: {text!r}")
 
@@ -306,8 +280,10 @@ def _cmd_pushforward(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not getattr(args, "all", False):
+    if not args.all:
         raise ParseError("verify needs --all")
+    if args.probe_bound < 2:
+        raise ParseError("--probe-bound must be at least 2")
     B = _need_system(args)
     results = run_all(B, window=_window(args), seed=args.seed, probe_bound=args.probe_bound)
     failed = 0
@@ -327,23 +303,6 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "mul": _cmd_mul,
-    "inv": _cmd_inv,
-    "eta": _cmd_eta,
-    "order": _cmd_order,
-    "idempotents": _cmd_idempotents,
-    "hclass": _cmd_hclass,
-    "witness": _cmd_witness,
-    "zeroscan": _cmd_zeroscan,
-    "continuity": _cmd_continuity,
-    "classify": _cmd_classify,
-    "pushforward": _cmd_pushforward,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -352,7 +311,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     start = time.perf_counter()
     try:
-        code = _DISPATCH[args.cmd](args)
+        code = args.func(args)
     except ValidationFailed as exc:
         name = Path(args.system).stem if args.system else ""
         emit(
@@ -368,9 +327,6 @@ def main(argv=None) -> int:
     except WitnessVerificationFailed as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (ParseError, MalformedDescriptor, WindowTooLarge, ZeroNotAdjoined, NotIdempotent) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (BrextError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -29,11 +29,11 @@ from pathlib import Path
 from .bruck_reilly import BRSystem
 from .clifford import ChainSemilattice, CliffordSystem, validate_system
 from .errors import MalformedMap, MalformedTable, OrderTooLarge, ParseError, ValidationFailed
-from .groups import GroupHom, GroupTable, hom
+from .groups import GroupHom, GroupTable, hom, is_int
 
 FORMAT_VERSION = "1"
 
-_BOND_KEY = re.compile(r"^(\d+)->(\d+)$")
+_BOND_KEY = re.compile(r"^([0-9]+)->([0-9]+)$")
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -53,7 +53,7 @@ def group_from_obj(obj) -> GroupTable:
         g = GroupTable.from_rows(obj["table"], obj["identity"], obj.get("labels"))
     except (MalformedTable, OrderTooLarge, TypeError) as exc:
         raise ParseError(f"bad group table: {exc}") from exc
-    if g.order != obj["order"]:
+    if not is_int(obj["order"]) or g.order != obj["order"]:
         raise ParseError(f"declared order {obj['order']} but table has {g.order} rows")
     return g
 
@@ -70,8 +70,13 @@ def system_from_obj(obj, name: str = "") -> BRSystem:
         if key not in obj:
             raise ParseError(f"config lacks {key!r}")
     k = obj["chain"]
-    if not isinstance(k, int) or k < 1:
+    if not is_int(k) or k < 1:
         raise ParseError(f"chain must be a positive integer, got {k!r}")
+    if not isinstance(obj["groups"], list):
+        raise ParseError("groups must be a list of group objects")
+    with_zero = obj.get("with_zero", False)
+    if not isinstance(with_zero, bool):
+        raise ParseError(f"with_zero must be true or false, got {with_zero!r}")
     groups = tuple(group_from_obj(g) for g in obj["groups"])
     if len(groups) != k:
         raise ParseError(f"{len(groups)} groups for chain of size {k}")
@@ -110,7 +115,7 @@ def system_from_obj(obj, name: str = "") -> BRSystem:
         raise ValidationFailed(report)
     return BRSystem(
         sys=sys,
-        with_zero=bool(obj.get("with_zero", False)),
+        with_zero=with_zero,
         name=str(obj.get("name", name)),
     )
 
@@ -123,6 +128,6 @@ def load_system(path) -> BRSystem:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     return system_from_obj(obj, name=path.stem)

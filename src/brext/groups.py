@@ -14,6 +14,11 @@ from .errors import IndexOutOfRange, MalformedMap, MalformedTable, OrderTooLarge
 MAX_ORDER = 512
 
 
+def is_int(v) -> bool:
+    """An int that is not a bool, so JSON true/false never pass as 1/0."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class ValidationReport:
     """Accumulates human-readable violation strings; empty means valid."""
@@ -68,10 +73,10 @@ class GroupTable:
             if len(row) != n:
                 raise MalformedTable(f"row {a} has length {len(row)}, expected {n}")
             for b, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
+                if not is_int(v) or not 0 <= v < n:
                     raise MalformedTable(f"entry ({a},{b}) = {v!r} outside 0..{n - 1}")
-        if not 0 <= identity < n:
-            raise MalformedTable(f"identity {identity} outside 0..{n - 1}")
+        if not is_int(identity) or not 0 <= identity < n:
+            raise MalformedTable(f"identity {identity!r} outside 0..{n - 1}")
         inv = []
         for a in range(n):
             found = None
@@ -160,7 +165,7 @@ def hom(domain: GroupTable, codomain: GroupTable, mapping) -> GroupHom:
     if len(m) != domain.order:
         raise MalformedMap(f"map has {len(m)} entries for domain of order {domain.order}")
     for a, v in enumerate(m):
-        if not isinstance(v, int) or not 0 <= v < codomain.order:
+        if not is_int(v) or not 0 <= v < codomain.order:
             raise MalformedMap(f"map[{a}] = {v!r} outside codomain of order {codomain.order}")
     return GroupHom(domain=domain, codomain=codomain, map=m)
 

@@ -15,11 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import bicyclic
-from .bruck_reilly import Box, BRElem, BRSystem, ZERO, box, brmul, is_zero
+from .bruck_reilly import Box, BRElem, BRSystem, box, brmul, is_zero
 from .errors import MalformedDescriptor
 
 ISOLATED = "isolated"
 EXCLUDED_BOXES = "excluded_boxes"
+
+# How far past the largest relevant index verify_certificate re-walks.
+MARGIN = 2
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,7 @@ def _fiber_product_boxes(B: BRSystem, elems, a: BRElem, side: str, i: int, j: in
     return tuple(box(brmul(B, a, x) if side == "left" else brmul(B, x, a)) for x in fiber)
 
 
-def verify_certificate(B: BRSystem, cert: ContinuityCertificate, margin: int = 2, fibers=None) -> list[str]:
+def verify_certificate(B: BRSystem, cert: ContinuityCertificate, fibers=None) -> list[str]:
     """Re-verify a certificate element-wise on a window around its boxes.
 
     Checks both directions: elements of U multiply into the target, and
@@ -208,7 +211,7 @@ def verify_certificate(B: BRSystem, cert: ContinuityCertificate, margin: int = 2
     relevant = {a.i, a.j}
     for bx in found | target:
         relevant.update(bx)
-    hi = max(relevant, default=0) + margin
+    hi = max(relevant, default=0) + MARGIN
     index = fibers.setdefault((a, side), {})
     elems = tuple(B.sys.elements())
     bad = []
@@ -249,6 +252,18 @@ class BoundedCheck:
         return self.ok
 
 
+def _probe(u, probe_bound: int, structural, probes, refuted: str, clean: str) -> BoundedCheck:
+    """A BasicZeroNbhd is answered structurally, with witnesses
+    structural(u.excluded); otherwise every (witness, i, j) of the outer
+    region in `probes` whose box u misses refutes the family."""
+    if isinstance(u, BasicZeroNbhd):
+        return BoundedCheck(True, probe_bound, structural(u.excluded), "cofinite by construction")
+    misses = tuple(w for w, i, j in probes if not u.contains_box(i, j))
+    if misses:
+        return BoundedCheck(False, probe_bound, misses[:8], f"refuted within probe bound {probe_bound}: {refuted}")
+    return BoundedCheck(True, probe_bound, (), clean)
+
+
 def meets_almost_all_boxes(u, probe_bound: int = 64) -> BoundedCheck:
     """Does the neighborhood intersect all but finitely many boxes?
 
@@ -257,57 +272,26 @@ def meets_almost_all_boxes(u, probe_bound: int = 64) -> BoundedCheck:
     box in the outer half of the window, the region where the misses of a
     genuinely cofinite family probed with any sensible bound have run out.
     """
-    if isinstance(u, BasicZeroNbhd):
-        return BoundedCheck(True, probe_bound, (), "cofinite by construction")
     half = probe_bound // 2
-    outer = [
-        Box(i, j)
-        for i in range(probe_bound)
-        for j in range(probe_bound)
-        if max(i, j) >= half and not u.contains_box(i, j)
-    ]
-    if outer:
-        return BoundedCheck(
-            False,
-            probe_bound,
-            tuple(outer[:8]),
-            f"refuted within probe bound {probe_bound}: misses reach the outer region",
-        )
-    return BoundedCheck(True, probe_bound, (), f"no misses beyond {half} within probe bound {probe_bound}")
+    outer = ((Box(i, j), i, j) for i in range(probe_bound) for j in range(probe_bound) if max(i, j) >= half)
+    return _probe(u, probe_bound, lambda ex: (), outer, "misses reach the outer region",
+                  f"no misses beyond {half} within probe bound {probe_bound}")
 
 
 def row_exceptions_finite(u, i0: int, probe_bound: int = 64) -> BoundedCheck:
     """Are there only finitely many j with box (i0, j) outside u?"""
-    if isinstance(u, BasicZeroNbhd):
-        ex = tuple(sorted(b.j for b in u.excluded if b.i == i0))
-        return BoundedCheck(True, probe_bound, ex, "cofinite by construction")
     half = probe_bound // 2
-    outer = tuple(j for j in range(half, probe_bound) if not u.contains_box(i0, j))
-    if outer:
-        return BoundedCheck(
-            False,
-            probe_bound,
-            outer[:8],
-            f"refuted within probe bound {probe_bound}: row {i0} misses keep appearing",
-        )
-    return BoundedCheck(True, probe_bound, (), f"row {i0} misses stop before {half}")
+    return _probe(u, probe_bound, lambda ex: tuple(sorted(b.j for b in ex if b.i == i0)),
+                  ((j, i0, j) for j in range(half, probe_bound)),
+                  f"row {i0} misses keep appearing", f"row {i0} misses stop before {half}")
 
 
 def column_exceptions_finite(u, j0: int, probe_bound: int = 64) -> BoundedCheck:
     """Mirror of row_exceptions_finite for a fixed second index."""
-    if isinstance(u, BasicZeroNbhd):
-        ex = tuple(sorted(b.i for b in u.excluded if b.j == j0))
-        return BoundedCheck(True, probe_bound, ex, "cofinite by construction")
     half = probe_bound // 2
-    outer = tuple(i for i in range(half, probe_bound) if not u.contains_box(i, j0))
-    if outer:
-        return BoundedCheck(
-            False,
-            probe_bound,
-            outer[:8],
-            f"refuted within probe bound {probe_bound}: column {j0} misses keep appearing",
-        )
-    return BoundedCheck(True, probe_bound, (), f"column {j0} misses stop before {half}")
+    return _probe(u, probe_bound, lambda ex: tuple(sorted(b.i for b in ex if b.j == j0)),
+                  ((i, i, j0) for i in range(half, probe_bound)),
+                  f"column {j0} misses keep appearing", f"column {j0} misses stop before {half}")
 
 
 @dataclass(frozen=True)

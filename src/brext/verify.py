@@ -24,6 +24,7 @@ from .bruck_reilly import (
     brmul,
     eta,
     format_elem,
+    hclass,
     idempotents_window,
     nat_order,
     nat_order_oracle,
@@ -217,8 +218,6 @@ def suite_nat_order(B: BRSystem, window: int) -> SuiteResult:
 def suite_hclass(B: BRSystem, window: int) -> SuiteResult:
     """The group fiber answer against the idempotent-pair criterion, which
     is scanned over the whole window."""
-    from .bruck_reilly import hclass
-
     elems = window_elements(B, window)
     mul = _memo_mul(B)
     bad = []

@@ -114,6 +114,64 @@ def test_window_cap_is_enforced(capsys):
     assert "1..16" in err
 
 
+@pytest.mark.parametrize("bound", ["-1", "0", "1"])
+def test_probe_bound_below_two_exits_two(capsys, bound):
+    code, out, err = run(capsys, "verify", "--all", "--system", C2C2, "--probe-bound", bound)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --probe-bound must be at least 2\n"
+
+
+def test_probe_bound_two_is_accepted(capsys):
+    code, out, _ = run(capsys, "verify", "--all", "--system", TRIVIAL, "--window", "1", "--probe-bound", "2")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "--system", C2C2, "(\u0663,0:0,1)", "(0,0:0,1)"],
+        ["mul", "(\u0663,2)", "(1,4)"],
+        ["eta", "(1,0:0,\u0663)"],
+    ],
+    ids=["triple", "pair", "eta"],
+)
+def test_non_ascii_digits_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot parse")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "--seed", "3", "(1,2)", "(2,1)"],
+        ["mul", "--window", "2", "(1,2)", "(2,1)"],
+        ["hclass", "--probe-bound", "8", "--system", C2C2, "(1,0:1,2)"],
+        ["eta", "--system", C2C2, "(3,1:1,7)"],
+        ["classify", "--window", "2", "isolated"],
+        ["zeroscan", "--seed", "1", "--system", C2C2],
+    ],
+    ids=["mul-seed", "mul-window", "hclass-probe-bound", "eta-system", "classify-window", "zeroscan-seed"],
+)
+def test_flag_the_command_does_not_read_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_deeply_nested_config_exits_two_without_traceback(capsys, tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    code, out, err = run(capsys, "validate", "--system", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_hclass(capsys):
     code, out, _ = run(capsys, "hclass", "--system", C2C2, "(1,0:1,2)")
     assert code == 0

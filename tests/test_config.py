@@ -1,7 +1,10 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from brext.bruck_reilly import BRSystem
 from brext.config import data_path, group_from_obj, load_system, system_from_obj
 from brext.errors import ParseError, ValidationFailed
 
@@ -120,3 +123,81 @@ def test_name_field_wins_filename_is_fallback(tmp_path, c2c2_obj):
     q = tmp_path / "anonymous.json"
     q.write_text(json.dumps({k: v for k, v in c2c2_obj.items() if k != "name"}))
     assert load_system(q).name == "anonymous"
+
+
+def _one_level(obj, **changes):
+    """c2c2 cut down to its top level, so a one-level chain is well formed."""
+    return {**obj, "chain": 1, "groups": obj["groups"][:1], "bonds": {}, "theta": [[0, 1]], **changes}
+
+
+def _with_group(obj, **changes):
+    return dict(obj, groups=[dict(g, **changes) for g in obj["groups"]])
+
+
+def test_one_level_cut_of_c2c2_loads(c2c2_obj):
+    assert system_from_obj(_one_level(c2c2_obj)).sys.chain.size == 1
+
+
+@pytest.mark.parametrize(
+    "damage,fragment",
+    [
+        (lambda o: dict(o, with_zero="false"), "with_zero"),
+        (lambda o: _one_level(o, chain=True), "chain"),
+        (lambda o: _with_group(o, table=[[False, True], [True, False]]), "entry"),
+        (lambda o: _one_level(o, groups=[{"order": True, "table": [[0]], "identity": 0}], theta=[[0]]), "declared order"),
+        (lambda o: _with_group(o, identity=False), "identity"),
+        (lambda o: _with_group(o, identity=0.0), "identity"),
+        (lambda o: dict(o, bonds={"0->1": [False, True]}), "0->1"),
+        (lambda o: dict(o, theta=[[False, True], [0, 1]]), "theta"),
+        (lambda o: dict(o, groups=0), "groups"),
+        (lambda o: dict(o, bonds={"\u0660->1": [0, 1]}), "bond key"),
+    ],
+    ids=[
+        "with_zero_string", "chain_bool", "table_bools", "order_bool", "identity_bool",
+        "identity_float", "bond_entry_bool", "theta_entry_bool", "groups_not_list",
+        "bond_key_non_ascii_digit",
+    ],
+)
+def test_mistyped_config_values_are_parse_errors(c2c2_obj, damage, fragment):
+    with pytest.raises(ParseError, match=fragment):
+        system_from_obj(damage(c2c2_obj))
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    with pytest.raises(ParseError, match="not valid JSON"):
+        load_system(p)
+
+
+C2C2_OBJ = json.loads(data_path("c2c2").read_text())
+
+
+def _node_paths(obj, prefix=()):
+    """Path to every value inside obj, containers included."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _node_paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4) | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(path=st.sampled_from(list(_node_paths(C2C2_OBJ))), value=JSON_VALUES)
+def test_fuzzed_config_loads_or_is_refused(path, value):
+    obj = copy.deepcopy(C2C2_OBJ)
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        assert isinstance(system_from_obj(obj), BRSystem)
+    except (ParseError, ValidationFailed):
+        pass

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
 
 from . import bicyclic, bruck_reilly
-from .bruck_reilly import BRSystem, brinv, brmul, eta, hclass, idempotents_window, nat_order, nat_order_oracle, simplicity_witness, zero_divisor_scan
+from .bruck_reilly import BRSystem, brinv, brmul, eta, hclass, idempotents_window, is_zero, nat_order, nat_order_oracle, simplicity_witness, zero_divisor_scan
 from .config import load_system
 from .errors import BrextError, ParseError, ValidationFailed, WitnessVerificationFailed
 from .topology import (
@@ -28,6 +29,11 @@ from .topology import (
     pushforward_descriptor,
 )
 from .verify import run_all
+
+
+# What every command handler returns: its records, the last one the verdict,
+# and the stderr summary line (None: main writes a timing line instead).
+Outcome = tuple[list[dict], str | None]
 
 
 def emit(record: dict) -> None:
@@ -83,14 +89,15 @@ def _need_system(args) -> BRSystem:
     return load_system(args.system)
 
 
+_BOX_RE = re.compile(r"^(\()?\s*([0-9]+)\s*,\s*([0-9]+)\s*(?(1)\))$")
+
+
 def _parse_box(text: str) -> Box:
-    parts = text.strip().lstrip("(").rstrip(")").split(",")
-    if len(parts) != 2:
+    """'I,J' or '(I,J)' with ASCII digits, like the element grammar."""
+    m = _BOX_RE.match(text.strip())
+    if not m:
         raise ParseError(f"cannot parse box {text!r}")
-    try:
-        return Box(int(parts[0]), int(parts[1]))
-    except ValueError as exc:
-        raise ParseError(f"cannot parse box {text!r}") from exc
+    return Box(int(m.group(2)), int(m.group(3)))
 
 
 def _parse_descriptor(text: str):
@@ -122,14 +129,12 @@ def _window(args) -> int:
     return args.window
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> Outcome:
     B = _need_system(args)
-    emit({"op": "validate", "system": B.name, "ok": True, "violations": []})
-    _summary(args, f"validate {B.name}: ok")
-    return 0
+    return [{"op": "validate", "system": B.name, "ok": True, "violations": []}], f"validate {B.name}: ok"
 
 
-def _cmd_mul(args) -> int:
+def _cmd_mul(args) -> Outcome:
     if args.system:
         B = _need_system(args)
         x, y = bruck_reilly.parse_elem(args.x), bruck_reilly.parse_elem(args.y)
@@ -138,134 +143,116 @@ def _cmd_mul(args) -> int:
         res = bicyclic.format_elem(
             bicyclic.bmul(bicyclic.parse_elem(args.x), bicyclic.parse_elem(args.y))
         )
-    emit({"op": "mul", "inputs": [args.x, args.y], "result": res, "ok": True})
-    _summary(args, f"mul: {res}")
-    return 0
+    return [{"op": "mul", "inputs": [args.x, args.y], "result": res, "ok": True}], f"mul: {res}"
 
 
-def _cmd_inv(args) -> int:
+def _cmd_inv(args) -> Outcome:
     if args.system:
         B = _need_system(args)
         res = bruck_reilly.format_elem(brinv(B, bruck_reilly.parse_elem(args.x)))
     else:
         res = bicyclic.format_elem(bicyclic.binv(bicyclic.parse_elem(args.x)))
-    emit({"op": "inv", "inputs": [args.x], "result": res, "ok": True})
-    _summary(args, f"inv: {res}")
-    return 0
+    return [{"op": "inv", "inputs": [args.x], "result": res, "ok": True}], f"inv: {res}"
 
 
-def _cmd_eta(args) -> int:
+def _cmd_eta(args) -> Outcome:
     x = bruck_reilly.parse_elem(args.x)
     res = bicyclic.format_elem(eta(x))
-    emit({"op": "eta", "inputs": [args.x], "result": res, "ok": True})
-    _summary(args, f"eta: {res}")
-    return 0
+    return [{"op": "eta", "inputs": [args.x], "result": res, "ok": True}], f"eta: {res}"
 
 
-def _cmd_order(args) -> int:
+def _cmd_order(args) -> Outcome:
     B = _need_system(args)
     x, y = bruck_reilly.parse_elem(args.x), bruck_reilly.parse_elem(args.y)
     fast = nat_order(B, x, y)
     slow = nat_order_oracle(B, x, y)
     ok = fast == slow
-    emit({"op": "order", "inputs": [args.x, args.y], "result": fast, "oracle": slow, "ok": ok})
-    _summary(args, f"order: {fast}" + ("" if ok else " (routes disagree!)"))
-    return 0 if ok else 1
+    record = {"op": "order", "inputs": [args.x, args.y], "result": fast, "oracle": slow, "ok": ok}
+    return [record], f"order: {fast}" + ("" if ok else " (routes disagree!)")
 
 
-def _cmd_idempotents(args) -> int:
+def _cmd_idempotents(args) -> Outcome:
     B = _need_system(args)
     lst = idempotents_window(B, _window(args))
     rendered = [bruck_reilly.format_elem(e) for e in lst]
-    emit({"op": "idempotents", "system": B.name, "window": args.window, "result": rendered, "ok": True})
-    _summary(args, f"idempotents: chain of {len(lst)}")
-    return 0
+    record = {"op": "idempotents", "system": B.name, "window": args.window, "result": rendered, "ok": True}
+    return [record], f"idempotents: chain of {len(lst)}"
 
 
-def _cmd_hclass(args) -> int:
+def _cmd_hclass(args) -> Outcome:
     B = _need_system(args)
     members = hclass(B, bruck_reilly.parse_elem(args.x))
     rendered = [bruck_reilly.format_elem(e) for e in members]
-    emit({"op": "hclass", "inputs": [args.x], "result": rendered, "ok": True})
-    _summary(args, f"hclass: {len(members)} elements")
-    return 0
+    record = {"op": "hclass", "inputs": [args.x], "result": rendered, "ok": True}
+    return [record], f"hclass: {len(members)} elements"
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> Outcome:
     B = _need_system(args)
     a, b = bruck_reilly.parse_elem(args.a), bruck_reilly.parse_elem(args.b)
     x, y = simplicity_witness(B, a, b)
-    emit(
-        {
-            "op": "witness",
-            "inputs": [args.a, args.b],
-            "result": {"x": bruck_reilly.format_elem(x), "y": bruck_reilly.format_elem(y)},
-            "ok": True,
-        }
-    )
-    _summary(args, f"witness: x={bruck_reilly.format_elem(x)} y={bruck_reilly.format_elem(y)}")
-    return 0
+    record = {
+        "op": "witness",
+        "inputs": [args.a, args.b],
+        "result": {"x": bruck_reilly.format_elem(x), "y": bruck_reilly.format_elem(y)},
+        "ok": True,
+    }
+    return [record], f"witness: x={bruck_reilly.format_elem(x)} y={bruck_reilly.format_elem(y)}"
 
 
-def _cmd_zeroscan(args) -> int:
+def _cmd_zeroscan(args) -> Outcome:
     B = _need_system(args)
     rep = zero_divisor_scan(B, _window(args))
-    emit(
-        {
-            "op": "zeroscan",
-            "system": B.name,
-            "window": rep.window,
-            "checked": rep.checked,
-            "counterexamples": [
-                [bruck_reilly.format_elem(x), bruck_reilly.format_elem(y)]
-                for x, y in rep.counterexamples
-            ],
-            "ok": rep.ok,
-        }
-    )
-    _summary(args, f"zeroscan: {rep.checked} pairs, {len(rep.counterexamples)} hit zero")
-    return 0 if rep.ok else 1
+    record = {
+        "op": "zeroscan",
+        "system": B.name,
+        "window": rep.window,
+        "checked": rep.checked,
+        "counterexamples": [
+            [bruck_reilly.format_elem(x), bruck_reilly.format_elem(y)]
+            for x, y in rep.counterexamples
+        ],
+        "ok": rep.ok,
+    }
+    return [record], f"zeroscan: {rep.checked} pairs, {len(rep.counterexamples)} hit zero"
 
 
-def _cmd_continuity(args) -> int:
+def _cmd_continuity(args) -> Outcome:
     B = _need_system(args)
     a = bruck_reilly.parse_elem(args.a)
     target = BasicZeroNbhd.excluding(_parse_box(t) for t in args.exclude)
+    indices = [n for w in target.excluded for n in w] + ([] if is_zero(a) else [a.i, a.j])
+    if max(indices, default=0) > bruck_reilly.MAX_WINDOW:
+        raise ParseError(f"continuity takes indices up to {bruck_reilly.MAX_WINDOW}, got {max(indices)}")
     cert = continuity_cert_zero(B, a, target, args.side)
-    emit(
-        {
-            "op": "continuity",
-            "a": bruck_reilly.format_elem(a),
-            "side": cert.side,
-            "target_excluded": sorted(map(list, target.excluded)),
-            "found_excluded": sorted(map(list, cert.found.excluded)),
-            "trace": {
-                f"{w.i},{w.j}": sorted(map(list, sols)) for w, sols in cert.trace.items()
-            },
-            "ok": cert.ok,
-        }
-    )
-    _summary(args, f"continuity: excluded {len(cert.found.excluded)} boxes, verified={cert.ok}")
-    return 0 if cert.ok else 1
+    record = {
+        "op": "continuity",
+        "a": bruck_reilly.format_elem(a),
+        "side": cert.side,
+        "target_excluded": sorted(map(list, target.excluded)),
+        "found_excluded": sorted(map(list, cert.found.excluded)),
+        "trace": {
+            f"{w.i},{w.j}": sorted(map(list, sols)) for w, sols in cert.trace.items()
+        },
+        "ok": cert.ok,
+    }
+    return [record], f"continuity: excluded {len(cert.found.excluded)} boxes, verified={cert.ok}"
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> Outcome:
     d = _parse_descriptor(args.descriptor)
     c = classify_descriptor(d)
-    emit(
-        {
-            "op": "classify",
-            "descriptor": d.kind,
-            "verdict": c.verdict,
-            "certificate": c.certificate,
-            "ok": True,
-        }
-    )
-    _summary(args, f"classify: {c.verdict}")
-    return 0
+    record = {
+        "op": "classify",
+        "descriptor": d.kind,
+        "verdict": c.verdict,
+        "certificate": c.certificate,
+        "ok": True,
+    }
+    return [record], f"classify: {c.verdict}"
 
 
-def _cmd_pushforward(args) -> int:
+def _cmd_pushforward(args) -> Outcome:
     d = _parse_descriptor(args.descriptor)
     out = pushforward_descriptor(d)
     record = {"op": "pushforward", "descriptor": d.kind, "result": out.kind, "ok": True}
@@ -274,36 +261,32 @@ def _cmd_pushforward(args) -> int:
         record["excluded_points"] = sorted(
             bicyclic.format_elem(p) for p in pushforward_basic(basic)
         )
-    emit(record)
-    _summary(args, f"pushforward: {out.kind}")
-    return 0
+    return [record], f"pushforward: {out.kind}"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Outcome:
     if not args.all:
         raise ParseError("verify needs --all")
     if args.probe_bound < 2:
         raise ParseError("--probe-bound must be at least 2")
     B = _need_system(args)
-    results = run_all(B, window=_window(args), seed=args.seed, probe_bound=args.probe_bound)
-    failed = 0
-    for r in results:
-        emit(r.record())
-        if not r.ok:
-            failed += 1
-    emit(
+    records = [r.record() for r in run_all(B, window=_window(args), seed=args.seed, probe_bound=args.probe_bound)]
+    failed = sum(not r["ok"] for r in records)
+    records.append(
         {
             "op": "verify_summary",
             "system": B.name,
-            "suites": len(results),
+            "suites": len(records),
             "failed": failed,
             "ok": failed == 0,
         }
     )
-    return 0 if failed == 0 else 1
+    return records, None
 
 
 def main(argv=None) -> int:
+    """Run one command: emit its records, write its summary, and exit 1
+    exactly when the last record (the verdict) is not ok."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -311,28 +294,21 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     start = time.perf_counter()
     try:
-        code = args.func(args)
+        records, summary = args.func(args)
     except ValidationFailed as exc:
         name = Path(args.system).stem if args.system else ""
-        emit(
-            {
-                "op": args.cmd,
-                "system": name,
-                "ok": False,
-                "violations": list(exc.report.violations),
-            }
-        )
-        _summary(args, f"{args.cmd} {name}: {len(exc.report.violations)} violations")
-        return 1
+        records = [{"op": args.cmd, "system": name, "ok": False, "violations": list(exc.report.violations)}]
+        summary = f"{args.cmd} {name}: {len(exc.report.violations)} violations"
     except WitnessVerificationFailed as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (BrextError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    if args.cmd == "verify":
-        elapsed = time.perf_counter() - start
-        _summary(args, f"verify: done in {elapsed:.2f}s, exit {code}")
+    for record in records:
+        emit(record)
+    code = 0 if records[-1]["ok"] else 1
+    _summary(args, summary or f"verify: done in {time.perf_counter() - start:.2f}s, exit {code}")
     return code
 
 

@@ -102,12 +102,6 @@ class CliffordSystem:
     def order(self) -> int:
         return sum(g.order for g in self.groups)
 
-    def label(self, a: CliffordElement) -> str:
-        g = self.group(a.level)
-        if g.labels is not None:
-            return g.labels[a.elem]
-        return str(a.elem)
-
     @cached_property
     def _identity_homs(self) -> tuple[GroupHom, ...]:
         return tuple(identity_hom(g) for g in self.groups)

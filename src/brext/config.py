@@ -74,6 +74,9 @@ def system_from_obj(obj, name: str = "") -> BRSystem:
         raise ParseError(f"chain must be a positive integer, got {k!r}")
     if not isinstance(obj["groups"], list):
         raise ParseError("groups must be a list of group objects")
+    name = obj.get("name", name)
+    if not isinstance(name, str):
+        raise ParseError(f"name must be a string, got {type(name).__name__}")
     with_zero = obj.get("with_zero", False)
     if not isinstance(with_zero, bool):
         raise ParseError(f"with_zero must be true or false, got {with_zero!r}")
@@ -116,7 +119,7 @@ def system_from_obj(obj, name: str = "") -> BRSystem:
     return BRSystem(
         sys=sys,
         with_zero=with_zero,
-        name=str(obj.get("name", name)),
+        name=name,
     )
 
 

@@ -5,10 +5,13 @@ SuiteResult whose record serializes to one NDJSON line.  The CLI verify
 command and the acceptance tests both drive these functions, so the counts
 and violation strings here are the single source of truth for what was
 checked.  Seeded randomness only ever comes from random.Random(seed).
+A suite caches products (functools.cache, for one call) only where its
+loops recompute the same product; the others call brmul directly.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -82,20 +85,6 @@ class SuiteResult:
         }
 
 
-def _memo_mul(B: BRSystem):
-    cache = {}
-
-    def mul(x, y):
-        key = (x, y)
-        got = cache.get(key)
-        if got is None:
-            got = brmul(B, x, y)
-            cache[key] = got
-        return got
-
-    return mul
-
-
 def suite_structure(B: BRSystem) -> SuiteResult:
     rep = validate_system(B.sys)
     return SuiteResult("structure", B.name, {}, 1, list(rep.violations))
@@ -103,7 +92,7 @@ def suite_structure(B: BRSystem) -> SuiteResult:
 
 def suite_associativity(B: BRSystem, window: int) -> SuiteResult:
     elems = window_elements(B, window)
-    mul = _memo_mul(B)
+    mul = functools.cache(functools.partial(brmul, B))
     bad = []
     for x in elems:
         for y in elems:
@@ -119,7 +108,7 @@ def suite_associativity(B: BRSystem, window: int) -> SuiteResult:
 
 def suite_inverse_axioms(B: BRSystem, window: int) -> SuiteResult:
     elems = window_elements(B, window)
-    mul = _memo_mul(B)
+    mul = functools.cache(functools.partial(brmul, B))
     bad = []
     for x in elems:
         xi = brinv(B, x)
@@ -139,11 +128,10 @@ def suite_inverse_axioms(B: BRSystem, window: int) -> SuiteResult:
 
 def suite_eta_homomorphism(B: BRSystem, window: int) -> SuiteResult:
     elems = window_elements(B, window)
-    mul = _memo_mul(B)
     bad = []
     for x in elems:
         for y in elems:
-            if eta(mul(x, y)) != bmul(eta(x), eta(y)):
+            if eta(brmul(B, x, y)) != bmul(eta(x), eta(y)):
                 bad.append(f"eta breaks at {format_elem(x)}, {format_elem(y)}")
     return SuiteResult("eta_homomorphism", B.name, {"window": window}, len(elems) ** 2, bad)
 
@@ -155,12 +143,11 @@ def suite_eta_congruence(B: BRSystem, window: int) -> SuiteResult:
     fibers = {}
     for x in window_elements(B, window):
         fibers.setdefault(box(x), []).append(x)
-    mul = _memo_mul(B)
     bad = []
     checked = 0
     for b1, f1 in fibers.items():
         for b2, f2 in fibers.items():
-            prods = {box(mul(x, y)) for x in f1 for y in f2}
+            prods = {box(brmul(B, x, y)) for x in f1 for y in f2}
             checked += len(f1) * len(f2)
             if len(prods) != 1:
                 bad.append(f"product box of {tuple(b1)}*{tuple(b2)} not constant: {sorted(map(tuple, prods))}")
@@ -172,7 +159,7 @@ def suite_idempotent_chain(B: BRSystem, max_window: int = 8) -> SuiteResult:
     every window up to max_window, matching an initial segment of the
     naturals under the reversed order."""
     ne = len(idempotents(B.sys))
-    mul = _memo_mul(B)
+    mul = functools.cache(functools.partial(brmul, B))
     bad = []
     checked = 0
     for n in range(1, max_window + 1):
@@ -184,8 +171,9 @@ def suite_idempotent_chain(B: BRSystem, max_window: int = 8) -> SuiteResult:
             for b in range(a + 1, len(lst)):
                 hi, lo = lst[a], lst[b]
                 checked += 1
-                below = mul(hi, lo) == lo and mul(lo, hi) == lo
-                above = mul(hi, lo) == hi and mul(lo, hi) == hi
+                prods = mul(hi, lo), mul(lo, hi)
+                below = prods == (lo, lo)
+                above = prods == (hi, hi)
                 if not below or above:
                     bad.append(
                         f"window {n}: {format_elem(lo)} not strictly below {format_elem(hi)}"
@@ -219,16 +207,11 @@ def suite_hclass(B: BRSystem, window: int) -> SuiteResult:
     """The group fiber answer against the idempotent-pair criterion, which
     is scanned over the whole window."""
     elems = window_elements(B, window)
-    mul = _memo_mul(B)
+    ends = {y: (brmul(B, y, brinv(B, y)), brmul(B, brinv(B, y), y)) for y in elems}
     bad = []
     for x in elems:
         claimed = set(hclass(B, x))
-        left, right = mul(x, brinv(B, x)), mul(brinv(B, x), x)
-        scanned = {
-            y
-            for y in elems
-            if mul(y, brinv(B, y)) == left and mul(brinv(B, y), y) == right
-        }
+        scanned = {y for y in elems if ends[y] == ends[x]}
         if claimed != scanned:
             bad.append(f"H-class mismatch at {format_elem(x)}")
         if len(claimed) != B.sys.group(x.s.level).order:
@@ -465,13 +448,12 @@ def suite_bicyclic_isomorphism(B: BRSystem, window: int) -> SuiteResult:
     if B.sys.order() != 1:
         raise ValueError("isomorphism suite applies to the trivial fiber only")
     elems = window_elements(B, window)
-    mul = _memo_mul(B)
     bad = []
     if len({eta(x) for x in elems}) != len(elems):
         bad.append("index map not injective on the window")
     for x in elems:
         for y in elems:
-            if eta(mul(x, y)) != bmul(eta(x), eta(y)):
+            if eta(brmul(B, x, y)) != bmul(eta(x), eta(y)):
                 bad.append(f"products disagree at {format_elem(x)}, {format_elem(y)}")
         if eta(brinv(B, x)) != binv(eta(x)):
             bad.append(f"inverses disagree at {format_elem(x)}")

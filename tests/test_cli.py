@@ -134,14 +134,42 @@ def test_probe_bound_two_is_accepted(capsys):
         ["mul", "--system", C2C2, "(\u0663,0:0,1)", "(0,0:0,1)"],
         ["mul", "(\u0663,2)", "(1,4)"],
         ["eta", "(1,0:0,\u0663)"],
+        ["continuity", "--system", C2C2, "(1,0:0,2)", "--exclude", "\u0663,2"],
+        ["continuity", "--system", C2C2, "(1,0:0,2)", "--exclude", "1_0,+5"],
+        ["continuity", "--system", C2C2, "(1,0:0,2)", "--exclude=-1,5"],
+        ["pushforward", "excluded_boxes", "--exclude", "\u0663,2"],
+        ["pushforward", "excluded_boxes", "--exclude", "1_0,+5"],
+        ["pushforward", "excluded_boxes", "--exclude=-1,5"],
     ],
-    ids=["triple", "pair", "eta"],
+    ids=[
+        "triple", "pair", "eta", "continuity-box", "continuity-box-underscore-sign",
+        "continuity-box-negative", "pushforward-box", "pushforward-box-underscore-sign",
+        "pushforward-box-negative",
+    ],
 )
 def test_non_ascii_digits_are_refused(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot parse")
+
+
+@pytest.mark.parametrize(
+    "a,box",
+    [("(1,0:0,2)", "17,1"), ("(1,0:0,2)", "400,1"), ("(300,0:0,2)", "1,5"), ("(1,0:0,17)", "1,5")],
+    ids=["box-17", "box-400", "multiplier-300", "multiplier-17"],
+)
+def test_continuity_refuses_indices_above_the_window_cap(capsys, a, box):
+    code, out, err = run(capsys, "continuity", "--system", C2C2, a, "--exclude", box)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: continuity takes indices up to 16") and err.count("\n") == 1
+
+
+def test_continuity_at_the_window_cap_is_accepted(capsys):
+    code, out, _ = run(capsys, "continuity", "--system", C2C2, "(16,0:0,16)", "--exclude", "(16,16)")
+    assert code == 0
+    assert json.loads(out)["target_excluded"] == [[16, 16]]
 
 
 @pytest.mark.parametrize(

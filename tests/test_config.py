@@ -151,11 +151,15 @@ def test_one_level_cut_of_c2c2_loads(c2c2_obj):
         (lambda o: dict(o, theta=[[False, True], [0, 1]]), "theta"),
         (lambda o: dict(o, groups=0), "groups"),
         (lambda o: dict(o, bonds={"\u0660->1": [0, 1]}), "bond key"),
+        (lambda o: dict(o, name=[[1, [2]]]), "name"),
+        (lambda o: dict(o, name=7), "name"),
+        (lambda o: dict(o, name=None), "name"),
+        (lambda o: dict(o, name=True), "name"),
     ],
     ids=[
         "with_zero_string", "chain_bool", "table_bools", "order_bool", "identity_bool",
         "identity_float", "bond_entry_bool", "theta_entry_bool", "groups_not_list",
-        "bond_key_non_ascii_digit",
+        "bond_key_non_ascii_digit", "name_list", "name_int", "name_null", "name_bool",
     ],
 )
 def test_mistyped_config_values_are_parse_errors(c2c2_obj, damage, fragment):

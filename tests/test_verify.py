@@ -1,5 +1,8 @@
 import pytest
 
+from brext import verify
+from brext.bruck_reilly import brmul, parse_elem
+from brext.clifford import CliffordElement
 from brext.verify import SuiteResult, run_all
 
 C2C2_SUITES = [
@@ -82,3 +85,62 @@ def test_window_is_recorded_in_params(c2c2_results):
     assert results["associativity"].params == {"window": 2}
     assert results["associativity"].checked == (2 * 2 * 4) ** 3
     assert results["bicyclic_oracle"].params == {"max_index": 8}
+
+
+def _corrupt(pair, change):
+    """brmul with the single product pair[0] * pair[1] changed."""
+    x0, y0 = map(parse_elem, pair)
+
+    def mul(B, x, y):
+        p = brmul(B, x, y)
+        return change(p) if (x, y) == (x0, y0) else p
+
+    return mul
+
+
+def _flip_group(p):
+    return p._replace(s=CliffordElement(p.s.level, 1 - p.s.elem))
+
+
+def _shift_index(p):
+    return p._replace(i=p.i + 1)
+
+
+# One corrupted product per window suite: an index change for the eta
+# suites, a group-part change for the others.
+CORRUPTIONS = [
+    ("associativity", 1, ("(0,0:1,0)", "(0,1:1,0)"), _flip_group, [
+        "((0,0:1,0)*(0,0:1,0))*(0,1:0,0) != (0,0:1,0)*((0,0:1,0)*(0,1:0,0))",
+        "((0,0:1,0)*(0,1:0,0))*(0,0:1,0) != (0,0:1,0)*((0,1:0,0)*(0,0:1,0))",
+        "((0,0:1,0)*(0,1:0,0))*(0,1:1,0) != (0,0:1,0)*((0,1:0,0)*(0,1:1,0))",
+        "((0,0:1,0)*(0,1:1,0))*(0,0:1,0) != (0,0:1,0)*((0,1:1,0)*(0,0:1,0))",
+        "((0,0:1,0)*(0,1:1,0))*(0,1:1,0) != (0,0:1,0)*((0,1:1,0)*(0,1:1,0))",
+        "((0,1:0,0)*(0,0:1,0))*(0,1:1,0) != (0,1:0,0)*((0,0:1,0)*(0,1:1,0))",
+        "((0,1:1,0)*(0,0:1,0))*(0,1:1,0) != (0,1:1,0)*((0,0:1,0)*(0,1:1,0))",
+    ]),
+    ("inverse_axioms", 2, ("(0,0:1,1)", "(1,0:1,0)"), _flip_group, [
+        "inverse axioms fail for (0,0:1,1)",
+        "inverse axioms fail for (1,0:1,0)",
+    ]),
+    ("eta_homomorphism", 2, ("(0,0:1,1)", "(1,1:0,0)"), _shift_index, [
+        "eta breaks at (0,0:1,1), (1,1:0,0)",
+    ]),
+    ("eta_congruence", 2, ("(0,0:1,1)", "(1,1:0,0)"), _shift_index, [
+        "product box of (0, 1)*(1, 0) not constant: [(0, 0), (1, 0)]",
+    ]),
+    ("idempotent_chain", 2, ("(1,0:0,1)", "(1,1:0,1)"), _flip_group, [
+        "window 2: (1,1:0,1) not strictly below (1,0:0,1)",
+    ]),
+    ("hclass", 2, ("(1,1:1,0)", "(0,1:1,1)"), _flip_group, [
+        "H-class mismatch at (0,1:0,1)",
+        "H-class mismatch at (0,1:1,1)",
+        "H-class mismatch at (1,1:0,0)",
+        "H-class mismatch at (1,1:1,0)",
+    ]),
+]
+
+
+@pytest.mark.parametrize("suite,arg,pair,change,expected", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS])
+def test_window_suite_reports_a_corrupted_product(c2c2, monkeypatch, suite, arg, pair, change, expected):
+    monkeypatch.setattr(verify, "brmul", _corrupt(pair, change))
+    assert getattr(verify, f"suite_{suite}")(c2c2, arg).violations == expected

@@ -233,20 +233,15 @@ class ZeroDivisorReport:
         return not self.counterexamples
 
 
-def zero_divisor_scan(B: BRSystem, n: int, mul=None) -> ZeroDivisorReport:
-    """Certify no two nonzero window elements multiply to zero.
-
-    `mul` is swappable so corrupted product maps can be fault-injected in
-    tests; it defaults to brmul.
-    """
+def zero_divisor_scan(B: BRSystem, n: int) -> ZeroDivisorReport:
+    """Certify no two nonzero window elements multiply to zero."""
     if not B.with_zero:
         raise ZeroNotAdjoined("zero divisor scan needs the adjoined zero")
-    mul = mul or brmul
     elems = window_elements(B, n)
     bad = []
     for x in elems:
         for y in elems:
-            if mul(B, x, y) is ZERO:
+            if brmul(B, x, y) is ZERO:
                 bad.append((x, y))
     return ZeroDivisorReport(window=n, checked=len(elems) ** 2, counterexamples=bad)
 

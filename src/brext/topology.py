@@ -15,14 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import bicyclic
-from .bruck_reilly import Box, BRElem, BRSystem, box, brmul, is_zero
+from .bruck_reilly import Box, BRElem, BRSystem, _check, box, brmul, is_zero
 from .errors import MalformedDescriptor
 
 ISOLATED = "isolated"
 EXCLUDED_BOXES = "excluded_boxes"
-
-# How far past the largest relevant index verify_certificate re-walks.
-MARGIN = 2
 
 
 @dataclass(frozen=True)
@@ -122,6 +119,13 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
+def _check_multiplier(B: BRSystem, a: BRElem, side: str) -> None:
+    _check_side(side)
+    if is_zero(a):
+        raise ValueError("the multiplier must be a nonzero element")
+    _check(B, a)
+
+
 def box_solve_brute(a_box: Box, target: Box, side: str, bound: int = 20) -> frozenset[Box]:
     """Independent route: scan all boxes up to the bound and multiply."""
     _check_side(side)
@@ -142,8 +146,9 @@ class ContinuityCertificate:
     """Witness that translating `found` by `a` stays inside `target`.
 
     trace records, for every excluded box of the target, the solved boxes
-    that forced exclusions in `found`.  verify_certificate re-walks a finite
-    window with real products; `violations` stays empty for sound output.
+    that forced exclusions in `found`.  verify_certificate re-checks every
+    box that could fail with real products; `violations` stays empty for
+    sound output.
     """
 
     a: BRElem
@@ -166,9 +171,7 @@ def continuity_cert_zero(B: BRSystem, a: BRElem, target: BasicZeroNbhd, side: st
     is both sound and exact.  Such a U always exists: the union is finite.
     `fibers` is handed on to verify_certificate.
     """
-    _check_side(side)
-    if is_zero(a):
-        raise ValueError("the multiplier must be a nonzero element")
+    _check_multiplier(B, a, side)
     trace = {}
     excl = set()
     for w in sorted(target.excluded):
@@ -182,54 +185,48 @@ def continuity_cert_zero(B: BRSystem, a: BRElem, target: BasicZeroNbhd, side: st
     return cert
 
 
-def _fiber_product_boxes(B: BRSystem, elems, a: BRElem, side: str, i: int, j: int) -> tuple[Box, ...]:
-    """Boxes of a * x (x * a on the right) for the x over box (i, j), in
-    elems order, from real products."""
-    fiber = [BRElem(i, s, j) for s in elems]
-    return tuple(box(brmul(B, a, x) if side == "left" else brmul(B, x, a)) for x in fiber)
-
-
 def verify_certificate(B: BRSystem, cert: ContinuityCertificate, fibers=None) -> list[str]:
-    """Re-verify a certificate element-wise on a window around its boxes.
+    """Re-verify a certificate box by box with real products.
 
     Checks both directions: elements of U multiply into the target, and
     every excluded box was necessary.  Zero needs no check; it multiplies
     to zero, which every zero neighborhood contains.
 
+    On the left, a * x for x over box (i, j) lies in a box (t1, t2) with
+    t2 >= j and t1 = max(a.i, i - a.j + a.i); the right side mirrors this.
+    Only the boxes that can reach the target and the `found` boxes can
+    fail, so walking them in (i, j) order covers all of BR(T, theta).
+
     Products come from brmul, never from box_solve, so the check stays
-    independent of the route that built the certificate.  They are kept in
-    a fiber-product index: `fibers` maps (a, side) to a dict from box (i, j)
-    to the product boxes of its elements in B.sys.elements() order.  Pass
-    one dict built for B to share products across certificates; by default
-    the index is local to this call.  Set operations decide each box, and
-    a box's elements are walked only when it fails.
+    independent of the route that built the certificate.  A product's box
+    ignores group coordinates, so one product decides a box and only a
+    failing box is walked element by element.  `fibers` maps (a, side) to
+    a dict from box to product box; pass one dict built for B to share it
+    across certificates (by default it is local to this call).
     """
-    _check_side(cert.side)
-    fibers = {} if fibers is None else fibers
     a, side = cert.a, cert.side
+    _check_multiplier(B, a, side)
     found, target = cert.found.excluded, cert.target.excluded
-    relevant = {a.i, a.j}
-    for bx in found | target:
-        relevant.update(bx)
-    hi = max(relevant, default=0) + MARGIN
-    index = fibers.setdefault((a, side), {})
+    if side == "left":
+        corners = [(t1 - a.i + a.j, t2) for t1, t2 in target if t1 >= a.i]
+    else:
+        corners = [(t1, t2 - a.j + a.i) for t1, t2 in target if t2 >= a.j]
+    region = found.union((i, j) for hi, hj in corners for i in range(hi + 1) for j in range(hj + 1))
+    index = fibers.setdefault((a, side), {}) if fibers is not None else {}
     elems = tuple(B.sys.elements())
+    mul = (lambda x: brmul(B, a, x)) if side == "left" else (lambda x: brmul(B, x, a))
     bad = []
-    for i in range(hi + 1):
-        for j in range(hi + 1):
-            prods = index.get((i, j))
-            if prods is None:
-                prods = index[(i, j)] = _fiber_product_boxes(B, elems, a, side, i, j)
-            if (i, j) in found:
-                if target.issuperset(prods):
-                    continue
-                for s, p in zip(elems, prods):
-                    if p not in target:
-                        bad.append(f"{BRElem(i, s, j)} was excluded but its product stays in the target")
-            elif not target.isdisjoint(prods):
-                for s, p in zip(elems, prods):
-                    if p in target:
-                        bad.append(f"{BRElem(i, s, j)} is in U but its product leaves the target")
+    for i, j in sorted(region):
+        inside = (i, j) in found
+        if (i, j) not in index:
+            index[(i, j)] = box(mul(BRElem(i, elems[0], j)))
+        if (index[(i, j)] in target) == inside:
+            continue
+        for s in elems:
+            x = BRElem(i, s, j)
+            if (box(mul(x)) in target) != inside:
+                bad.append(f"{x} was excluded but its product stays in the target" if inside
+                           else f"{x} is in U but its product leaves the target")
     return bad
 
 

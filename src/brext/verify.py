@@ -346,9 +346,9 @@ def suite_box_solver(system_name: str, max_index: int = 6, brute_bound: int = 20
 
 
 def suite_continuity(B: BRSystem, seed: int, samples: int = 100, a_window: int = 3) -> SuiteResult:
-    """Random targets, every multiplier in the window, both sides; the
-    certificates carry their own element-wise re-verification, which
-    shares one fiber-product index across the whole suite."""
+    """Random targets, every multiplier with indices below a_window, both
+    sides; each certificate carries its own box-by-box re-verification,
+    which shares one product index across the whole suite."""
     rng = random.Random(seed)
     multipliers = window_elements(B, a_window)
     fibers = {}

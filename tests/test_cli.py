@@ -73,6 +73,16 @@ def test_order_rejects_group_coordinate_outside_t(capsys):
         assert err.startswith("error:") and "(0, 7)" in err
 
 
+@pytest.mark.parametrize("exclude", [[], ["--exclude", "0,0"]], ids=["whole-space", "excluding"])
+def test_continuity_rejects_multiplier_outside_t(capsys, exclude):
+    # no product of this multiplier can reach an excluded box here, so
+    # only the up-front check on the multiplier refuses it
+    code, out, err = run(capsys, "continuity", "--system", C2C2, "(1,0:7,1)", *exclude)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "(0, 7)" in err
+
+
 def test_validate_ok_matches_golden(capsys):
     code, out, _ = run(capsys, "validate", "--system", C2C2)
     assert code == 0

@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from brext.bicyclic import BicyclicElem
-from brext.bruck_reilly import ZERO, Box, BRElem
+from brext.bruck_reilly import ZERO, Box, BRElem, box, brmul
 from brext.clifford import CliffordElement as CE
 from brext.errors import MalformedDescriptor
 from brext.topology import (
@@ -18,6 +18,7 @@ from brext.topology import (
     classify_descriptor,
     column_exceptions_finite,
     compactness_remainder,
+    ContinuityCertificate,
     continuity_cert_zero,
     descriptor_from_obj,
     meets_almost_all_boxes,
@@ -134,8 +135,6 @@ def test_continuity_certificates_randomized(c2c2, trivial):
 
 
 def test_verify_certificate_catches_unsound_exclusion_sets(c2c2):
-    from brext.topology import ContinuityCertificate
-
     a = BRElem(1, CE(0, 0), 2)
     target = BasicZeroNbhd.excluding([(1, 5)])
     fiber = [CE(0, 0), CE(0, 1), CE(1, 0), CE(1, 1)]
@@ -155,6 +154,83 @@ def test_verify_certificate_catches_unsound_exclusion_sets(c2c2):
     assert verify_certificate(c2c2, cert) == [
         f"{BRElem(2, s, 2)} was excluded but its product stays in the target" for s in fiber
     ]
+
+
+@pytest.mark.parametrize(
+    "a,side,target,failing",
+    [
+        (BRElem(0, CE(0, 0), 5), "left", (5, 0), (10, 0)),
+        (BRElem(5, CE(0, 0), 0), "right", (0, 5), (0, 10)),
+    ],
+)
+def test_verify_certificate_has_no_blind_spot(c2c2, a, side, target, failing):
+    # the failing box lies twice the multiplier's index away from the target
+    cert = ContinuityCertificate(
+        a=a, side=side, target=BasicZeroNbhd.excluding([target]), found=WHOLE_SPACE, trace={},
+    )
+    assert verify_certificate(c2c2, cert) == [
+        f"{BRElem(failing[0], s, failing[1])} is in U but its product leaves the target"
+        for s in c2c2.sys.elements()
+    ]
+
+
+def test_certificates_reject_bad_multipliers(c2c2):
+    cert = continuity_cert_zero(c2c2, BRElem(1, CE(0, 0), 2), WHOLE_SPACE, "left")
+    for a, message in [(ZERO, "nonzero"), (BRElem(1, CE(0, 7), 1), r"\(0, 7\)")]:
+        with pytest.raises(ValueError, match=message):
+            continuity_cert_zero(c2c2, a, WHOLE_SPACE, "left")
+        cert.a = a
+        with pytest.raises(ValueError, match=message):
+            verify_certificate(c2c2, cert)
+
+
+@st.composite
+def certificates(draw, B):
+    """A multiplier, a side and a target, with the box_solve exclusions
+    or a set one box off from them."""
+    lv = draw(st.integers(0, B.sys.chain.size - 1))
+    small = st.integers(0, 6)
+    a = BRElem(draw(small), CE(lv, draw(st.integers(0, B.sys.group(lv).order - 1))), draw(small))
+    side = draw(st.sampled_from(["left", "right"]))
+    boxes = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    target = BasicZeroNbhd.excluding(draw(st.sets(boxes, max_size=3)))
+    found = set().union(*(box_solve(box(a), w, side) for w in target.excluded))
+    change = draw(st.sampled_from(["none", "drop", "add"]))
+    if change == "drop" and found:
+        found.discard(draw(st.sampled_from(sorted(found))))
+    elif change == "add":
+        found.add(Box(*draw(boxes)))
+    return ContinuityCertificate(
+        a=a, side=side, target=target, found=BasicZeroNbhd.excluding(found), trace={}
+    )
+
+
+def brute_violations(B, cert):
+    """Every element of every box in [0, N]^2, N = 2 * largest index + 2,
+    multiplied with brmul alone."""
+    found, target = cert.found.excluded, cert.target.excluded
+    n = 2 * max([cert.a.i, cert.a.j, *(k for bx in found | target for k in bx)]) + 2
+    bad = []
+    for i in range(n + 1):
+        for j in range(n + 1):
+            for s in B.sys.elements():
+                x = BRElem(i, s, j)
+                p = brmul(B, cert.a, x) if cert.side == "left" else brmul(B, x, cert.a)
+                if (box(p) in target) != (Box(i, j) in found):
+                    bad.append(
+                        f"{x} was excluded but its product stays in the target"
+                        if Box(i, j) in found
+                        else f"{x} is in U but its product leaves the target"
+                    )
+    return bad
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_verify_certificate_matches_elementwise_oracle(c2c2, trivial, data):
+    B = data.draw(st.sampled_from([c2c2, trivial]))
+    cert = data.draw(certificates(B))
+    assert verify_certificate(B, cert) == brute_violations(B, cert)
 
 
 def test_membership_is_box_lookup(c2c2):

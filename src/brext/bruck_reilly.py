@@ -76,14 +76,27 @@ def _check(B: BRSystem, x: Element) -> None:
 
 
 def brmul(B: BRSystem, x: Element, y: Element) -> Element:
-    _check(B, x)
-    _check(B, y)
-    if x is ZERO or y is ZERO:
-        return ZERO
-    d = min(x.j, y.i)
-    s = theta_pow(B.sys, x.s, y.i - d)
-    t = theta_pow(B.sys, y.s, x.j - d)
-    return BRElem(x.i + y.i - d, cmul(B.sys, s, t), x.j + y.j - d)
+    """The product in one pass: plain BRElem operands are validated once
+    against the product table, x first (anything else goes through _check),
+    theta runs only on the factor that is shifted, and T's product is read
+    from the table."""
+    products = B.sys.compiled.products
+    if type(x) is not BRElem or type(y) is not BRElem:
+        _check(B, x)
+        _check(B, y)
+        if x is ZERO or y is ZERO:
+            return ZERO
+    i, s, j = x
+    k, t, l = y
+    if i < 0 or j < 0 or s not in products:
+        _check(B, x)  # raises
+    if k < 0 or l < 0 or t not in products:
+        _check(B, y)  # raises
+    if j < k:
+        return BRElem(i + k - j, products[theta_pow(B.sys, s, k - j)][t], l)
+    if k < j:
+        return BRElem(i, products[s][theta_pow(B.sys, t, j - k)], j + l - k)
+    return BRElem(i, products[s][t], l)
 
 
 def brinv(B: BRSystem, x: Element) -> Element:

@@ -5,8 +5,10 @@ SuiteResult whose record serializes to one NDJSON line.  The CLI verify
 command and the acceptance tests both drive these functions, so the counts
 and violation strings here are the single source of truth for what was
 checked.  Seeded randomness only ever comes from random.Random(seed).
-A suite caches products (functools.cache, for one call) only where its
-loops recompute the same product; the others call brmul directly.
+Products are reused only where a suite's loops recompute them:
+associativity numbers its distinct window products and compares whole rows
+of them, inverse_axioms and idempotent_chain cache brmul with
+functools.cache for one call, and the others call brmul directly.
 """
 
 from __future__ import annotations
@@ -91,14 +93,27 @@ def suite_structure(B: BRSystem) -> SuiteResult:
 
 
 def suite_associativity(B: BRSystem, window: int) -> SuiteResult:
+    """(x*y)*z against x*(y*z) for every window triple.
+
+    Each distinct window product p gets an id; right[id] is the row p*z
+    over the window and, per x, left is the row x*p over the distinct
+    products.  A pair (x, y) compares right[id(x*y)] with left read at the
+    ids of the y*z, and only a row that differs is walked element by
+    element."""
     elems = window_elements(B, window)
-    mul = functools.cache(functools.partial(brmul, B))
+    ids = {}
+    prod_ids = [[ids.setdefault(brmul(B, x, y), len(ids)) for y in elems] for x in elems]
+    right = [[brmul(B, p, z) for z in elems] for p in ids]
     bad = []
-    for x in elems:
-        for y in elems:
-            xy = mul(x, y)
-            for z in elems:
-                if mul(xy, z) != mul(x, mul(y, z)):
+    for x, xy_ids in zip(elems, prod_ids):
+        left = [brmul(B, x, p) for p in ids]
+        for y, xy_id, yz_ids in zip(elems, xy_ids, prod_ids):
+            xy_z = right[xy_id]
+            x_yz = [left[k] for k in yz_ids]
+            if xy_z == x_yz:
+                continue
+            for z, u, v in zip(elems, xy_z, x_yz):
+                if u != v:
                     bad.append(
                         f"({format_elem(x)}*{format_elem(y)})*{format_elem(z)} "
                         f"!= {format_elem(x)}*({format_elem(y)}*{format_elem(z)})"

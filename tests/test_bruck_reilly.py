@@ -26,7 +26,9 @@ from brext.bruck_reilly import (
     zero_divisor_scan,
 )
 from brext.clifford import CliffordElement as CE
+from brext.clifford import cmul_oracle, theta_pow
 from brext.errors import WindowTooLarge, ZeroNotAdjoined
+from test_clifford import make_c12_c6_c3
 
 
 def test_worked_product_cross_level(c2c2):
@@ -67,6 +69,55 @@ def test_zero_rejected_when_not_adjoined(c2c2):
         brmul(bare, ZERO, x)
     with pytest.raises(ZeroNotAdjoined):
         zero_divisor_scan(bare, 2)
+
+
+# Operands brmul must refuse, with the exception _check raises for each.
+BAD_OPERANDS = {
+    "zero": (ZERO, ZeroNotAdjoined, "system was built without an adjoined zero"),
+    "negative-i": (BRElem(-1, CE(0, 1), 0), ValueError,
+                   "not an extension element: BRElem(i=-1, s=CliffordElement(level=0, elem=1), j=0)"),
+    "negative-j": (BRElem(0, CE(1, 0), -2), ValueError,
+                   "not an extension element: BRElem(i=0, s=CliffordElement(level=1, elem=0), j=-2)"),
+    "element-outside-T": (BRElem(0, CE(0, 7), 0), ValueError, "group coordinate (0, 7) is not an element of T"),
+    "level-outside-T": (BRElem(3, CE(2, 0), 1), ValueError, "group coordinate (2, 0) is not an element of T"),
+    "plain-tuple": ((0, CE(0, 0), 0), ValueError,
+                    "not an extension element: (0, CliffordElement(level=0, elem=0), 0)"),
+    "none": (None, ValueError, "not an extension element: None"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_OPERANDS)
+def test_brmul_refuses_bad_operands_x_first(c2c2, case):
+    bare = BRSystem(sys=c2c2.sys, with_zero=False, name="bare")
+    good = BRElem(1, CE(0, 1), 2)
+    bad, exc, message = BAD_OPERANDS[case]
+    # as x, as y, and as x next to every bad y, where x's error wins
+    pairs = [(bad, good), (good, bad)] + [(bad, other) for other, _, _ in BAD_OPERANDS.values()]
+    for x, y in pairs:
+        with pytest.raises(Exception) as info:
+            brmul(bare, x, y)
+        assert type(info.value) is exc and str(info.value) == message, (x, y)
+
+
+def _brmul_by_definition(B, x, y):
+    d = min(x.j, y.i)
+    s = theta_pow(B.sys, x.s, y.i - d)
+    t = theta_pow(B.sys, y.s, x.j - d)
+    return BRElem(x.i + y.i - d, cmul_oracle(B.sys, s, t), x.j + y.j - d)
+
+
+def test_brmul_matches_the_defining_formula(c2c2, trivial):
+    chain3 = BRSystem(sys=make_c12_c6_c3(), name="chain3")
+    rng = random.Random(5)
+    for B in (c2c2, trivial, chain3):
+        elems = window_elements(B, 3)
+        for x in elems:
+            for y in elems:
+                assert brmul(B, x, y) == _brmul_by_definition(B, x, y), (x, y)
+        T = list(B.sys.elements())
+        for _ in range(500):
+            x, y = (BRElem(rng.randrange(41), rng.choice(T), rng.randrange(41)) for _ in "xy")
+            assert brmul(B, x, y) == _brmul_by_definition(B, x, y), (x, y)
 
 
 def test_inverse_swaps_indices(c2c2):

@@ -107,7 +107,9 @@ def _shift_index(p):
 
 
 # One corrupted product per window suite: an index change for the eta
-# suites, a group-part change for the others.
+# suites, a group-part change for the others.  Associativity has a second
+# case, at window 2, whose corrupted product is one of the (x*y)*z with
+# x*y outside the window.
 CORRUPTIONS = [
     ("associativity", 1, ("(0,0:1,0)", "(0,1:1,0)"), _flip_group, [
         "((0,0:1,0)*(0,0:1,0))*(0,1:0,0) != (0,0:1,0)*((0,0:1,0)*(0,1:0,0))",
@@ -137,10 +139,18 @@ CORRUPTIONS = [
         "H-class mismatch at (1,1:0,0)",
         "H-class mismatch at (1,1:1,0)",
     ]),
+    pytest.param("associativity", 2, ("(2,1:1,0)", "(1,0:1,0)"), _flip_group, [
+        "((1,0:0,0)*(1,1:1,0))*(1,0:1,0) != (1,0:0,0)*((1,1:1,0)*(1,0:1,0))",
+        "((1,0:1,0)*(1,1:0,0))*(1,0:1,0) != (1,0:1,0)*((1,1:0,0)*(1,0:1,0))",
+        "((1,1:0,0)*(1,1:1,0))*(1,0:1,0) != (1,1:0,0)*((1,1:1,0)*(1,0:1,0))",
+        "((1,1:1,0)*(1,1:0,0))*(1,0:1,0) != (1,1:1,0)*((1,1:0,0)*(1,0:1,0))",
+    ], id="associativity-product-outside-window"),
 ]
 
 
-@pytest.mark.parametrize("suite,arg,pair,change,expected", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS])
+@pytest.mark.parametrize(
+    "suite,arg,pair,change,expected", CORRUPTIONS, ids=[getattr(c, "id", c[0]) for c in CORRUPTIONS]
+)
 def test_window_suite_reports_a_corrupted_product(c2c2, monkeypatch, suite, arg, pair, change, expected):
     monkeypatch.setattr(verify, "brmul", _corrupt(pair, change))
     assert getattr(verify, f"suite_{suite}")(c2c2, arg).violations == expected

@@ -29,6 +29,7 @@ from .clifford import (
     idempotents,
     nat_order_idem,
     theta_pow,
+    theta_pow_oracle,
     validate_system,
 )
 from .config import load_system, system_from_obj
@@ -55,7 +56,8 @@ __all__ = [
     "hclass", "idempotents_window", "nat_order", "nat_order_oracle",
     "simplicity_witness", "window_elements", "zero_divisor_scan",
     "ChainSemilattice", "CliffordElement", "CliffordSystem", "cinv", "cmul",
-    "cmul_oracle", "idempotents", "nat_order_idem", "theta_pow", "validate_system",
+    "cmul_oracle", "idempotents", "nat_order_idem", "theta_pow", "theta_pow_oracle",
+    "validate_system",
     "load_system", "system_from_obj",
     "GroupHom", "GroupTable", "ValidationReport", "cyclic_group", "ginv",
     "gmul", "hom", "validate_group", "validate_hom",

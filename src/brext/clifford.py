@@ -13,9 +13,11 @@ group, one per level, which together must form a monoid endomorphism of the
 whole semigroup into its unit group.  theta_pow iterates it; iterates beyond
 the first all happen inside the top group.
 
-A system is compiled on first use into a product table over shared element
-objects plus its list of idempotents, so cmul is a lookup.  The bond-and-
-Cayley product stays as cmul_oracle, and validate_system uses only that.
+A system is compiled on first use into a product table and a table of theta
+over shared element objects, plus its list of idempotents, so cmul and the
+first step of theta_pow are lookups.  The bond-and-Cayley product stays as
+cmul_oracle and the plain loop over the theta maps as theta_pow_oracle;
+validate_system uses only those.
 """
 
 from __future__ import annotations
@@ -57,11 +59,14 @@ class CompiledSystem(NamedTuple):
     """A chain of groups flattened for lookup.
 
     products[a][b] is a * b, one of the shared element objects; the keys of
-    products are exactly the elements of T.  idempotents holds the level
-    identities, top level first.
+    products are exactly the elements of T.  theta[a] is theta(a), again a
+    shared object, and top[x] is the shared top-level element with group
+    coordinate x.  idempotents holds the level identities, top level first.
     """
 
     products: dict
+    theta: dict
+    top: tuple[CliffordElement, ...]
     idempotents: tuple[CliffordElement, ...]
 
 
@@ -108,11 +113,13 @@ class CliffordSystem:
 
     @cached_property
     def compiled(self) -> CompiledSystem:
-        """The product table and idempotents, built on first use.
+        """The product and theta tables and idempotents, built on first use.
 
         Each level pair fills its block of the table from the bond maps and
-        the Cayley table at the meet level.  Only level identities may be
-        idempotent; that is checked here, once.
+        the Cayley table at the meet level.  theta is tabled only when every
+        map runs from its level into the top group, as validate_system
+        demands; otherwise theta_pow leaves it to the oracle.  Only level
+        identities may be idempotent; that is checked here, once.
         """
         elems = [
             tuple(CliffordElement(level, x) for x in range(g.order))
@@ -128,10 +135,17 @@ class CliffordSystem:
                     row, ta = products[a], table[down_a[a.elem]]
                     for b in col_elems:
                         row[b] = out[ta[down_b[b.elem]]]
+        top, theta = elems[0], {}
+        if len(self.theta) == len(self.groups) and all(
+            th.domain == g and th.codomain == self.groups[0] for th, g in zip(self.theta, self.groups)
+        ):
+            for th, level in zip(self.theta, elems):
+                for a in level:
+                    theta[a] = top[th.map[a.elem]]
         idem = tuple(e for e, row in products.items() if row[e] == e)
         for e in idem:
             assert e.elem == self.groups[e.level].identity, f"non-identity idempotent {e} in a group"
-        return CompiledSystem(products, idem)
+        return CompiledSystem(products, theta, top, idem)
 
 
 def cmul(sys: CliffordSystem, a: CliffordElement, b: CliffordElement) -> CliffordElement:
@@ -156,7 +170,29 @@ def cinv(sys: CliffordSystem, a: CliffordElement) -> CliffordElement:
 
 
 def theta_pow(sys: CliffordSystem, a: CliffordElement, n: int) -> CliffordElement:
-    """Apply theta n times; one application already lands in the top group."""
+    """Apply theta n times: the first step is a lookup in the compiled theta
+    table, the other n - 1 apply the top map one by one.  The result for
+    n >= 1 is a shared top-level element object."""
+    if n < 0:
+        raise ValueError("negative theta power")
+    if n == 0:
+        return a
+    compiled = sys.compiled
+    try:
+        v = compiled.theta[a]
+    except KeyError:
+        return theta_pow_oracle(sys, a, n)  # raises the oracle's error for operands outside T
+    if n == 1:
+        return v
+    e = v.elem
+    for _ in range(n - 1):
+        e = sys.theta[0](e)
+    return compiled.top[e]
+
+
+def theta_pow_oracle(sys: CliffordSystem, a: CliffordElement, n: int) -> CliffordElement:
+    """Oracle: apply the theta maps n times; one application already lands in
+    the top group."""
     if n < 0:
         raise ValueError("negative theta power")
     if n == 0:
@@ -242,7 +278,7 @@ def validate_system(sys: CliffordSystem) -> ValidationReport:
     top = sys.groups[0]
     for a in sys.elements():
         for b in sys.elements():
-            lhs = theta_pow(sys, cmul_oracle(sys, a, b), 1)
+            lhs = theta_pow_oracle(sys, cmul_oracle(sys, a, b), 1)
             rhs = gmul(top, sys.theta[a.level](a.elem), sys.theta[b.level](b.elem))
             if lhs.elem != rhs:
                 rep.add(f"theta law violated for a={tuple(a)}, b={tuple(b)}")

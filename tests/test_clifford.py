@@ -12,6 +12,7 @@ from brext.clifford import (
     idempotents,
     nat_order_idem,
     theta_pow,
+    theta_pow_oracle,
     validate_system,
 )
 from brext.errors import IndexOutOfRange, MissingBond, NotIdempotent
@@ -60,8 +61,20 @@ def make_c12_c6_c3():
     )
 
 
+def make_c4_twisted():
+    """C4 over C4 via x -> 3x, theta the identity on top; then theta on the
+    lower level is x -> 3x, so the per-level maps differ as index maps."""
+    top, low = cyclic_group(4), cyclic_group(4)
+    return CliffordSystem(
+        chain=ChainSemilattice(2),
+        groups=(top, low),
+        bonds={(0, 1): hom(top, low, [0, 3, 2, 1])},
+        theta=(identity_hom(top), hom(low, top, [0, 3, 2, 1])),
+    )
+
+
 def table_systems(c2c2, trivial):
-    return [make_t2(), make_z4z2(), make_z4(), c2c2.sys, trivial.sys, make_c12_c6_c3()]
+    return [make_t2(), make_z4z2(), make_z4(), c2c2.sys, trivial.sys, make_c12_c6_c3(), make_c4_twisted()]
 
 
 def test_chain_meet_is_max():
@@ -264,6 +277,52 @@ def test_invalid_operands_raise_as_the_oracle_does():
         cmul(sys, CliffordElement(5, 0), one)
     with pytest.raises(IndexError):
         theta_pow(sys, CliffordElement(5, 0), 1)
+
+
+def test_theta_pow_matches_oracle(c2c2, trivial):
+    for sys in table_systems(c2c2, trivial):
+        shared = {id(key) for key in sys.compiled.products}
+        powers = [*range(3 * sys.groups[0].order + 3), 1000, 10001]
+        for a in sys.elements():
+            for n in powers:
+                v = theta_pow(sys, a, n)
+                assert v == theta_pow_oracle(sys, a, n), (a, n)
+                assert n == 0 or id(v) in shared, (a, n)  # a key object of the table
+
+
+def test_theta_pow_errors_match_the_oracle():
+    sys = make_z4z2()
+    for a, exc in ((CliffordElement(5, 0), IndexError), (CliffordElement(0, 7), IndexOutOfRange)):
+        for n in (1, 2, 1000):
+            raised = []
+            for route in (theta_pow, theta_pow_oracle):
+                with pytest.raises(Exception) as info:
+                    route(sys, a, n)
+                raised.append((type(info.value), str(info.value)))
+            assert raised[0] == raised[1] and raised[0][0] is exc, (a, n)
+    fresh = make_z4z2()
+    with pytest.raises(ValueError):
+        theta_pow(fresh, CliffordElement(0, 1), -1)
+    assert "compiled" not in vars(fresh)
+
+
+def test_theta_outside_the_top_group_is_left_to_the_oracle():
+    # systems validate_system rejects still compile their product table;
+    # theta_pow then answers, or raises, exactly as the oracle does
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    chain, bonds = ChainSemilattice(2), {(0, 1): hom(c2, c4, [0, 2])}
+    no_theta = CliffordSystem(chain=chain, groups=(c2, c4), bonds=bonds)
+    wrong_codomain = CliffordSystem(
+        chain=chain, groups=(c2, c4), bonds=bonds, theta=(identity_hom(c2), identity_hom(c4))
+    )
+    for sys in (no_theta, wrong_codomain):
+        assert not validate_system(sys).ok
+        assert cmul(sys, CliffordElement(0, 1), CliffordElement(1, 1)) == CliffordElement(1, 3)
+        assert sys.compiled.theta == {}
+    with pytest.raises(IndexError):
+        theta_pow(no_theta, CliffordElement(0, 1), 1)
+    for a in wrong_codomain.elements():
+        assert theta_pow(wrong_codomain, a, 1) == theta_pow_oracle(wrong_codomain, a, 1)
 
 
 def test_same_level_bond_is_one_shared_identity():

@@ -44,8 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Each option sits only on the commands that read it: output flags on
     # all, --system on the ten that load one, --window on the window scans.
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--json", action="store_true", help="NDJSON only; implies --quiet")
-    output.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
+    output.add_argument("--json", action="store_true", help="suppress the stderr summary")
     system = argparse.ArgumentParser(add_help=False, parents=[output])
     system.add_argument("--system", help="path to a system config (JSON)")
     window = argparse.ArgumentParser(add_help=False, parents=[system])
@@ -119,7 +118,7 @@ def _parse_descriptor(text: str):
 
 
 def _summary(args, text: str) -> None:
-    if not (args.quiet or args.json):
+    if not args.json:
         sys.stderr.write(text + "\n")
 
 

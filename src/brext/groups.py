@@ -7,7 +7,7 @@ Validation is exhaustive, which is why the order is capped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import IndexOutOfRange, MalformedMap, MalformedTable, OrderTooLarge
 
@@ -23,10 +23,7 @@ def is_int(v) -> bool:
 class ValidationReport:
     """Accumulates human-readable violation strings; empty means valid."""
 
-    violations: list[str]
-
-    def __init__(self, violations: list[str] | None = None):
-        self.violations = list(violations) if violations else []
+    violations: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:

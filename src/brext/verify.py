@@ -197,7 +197,7 @@ def suite_idempotent_chain(B: BRSystem, max_window: int = 8) -> SuiteResult:
 
 
 def suite_nat_order(B: BRSystem, window: int) -> SuiteResult:
-    """Closed form against the brute-force idempotent search, all pairs."""
+    """Closed form against the canonical witness x = y * x^-1 x, all pairs."""
     elems = window_elements(B, window)
     bad = []
     for x in elems:

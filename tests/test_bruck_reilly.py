@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from brext import bruck_reilly
 from brext.bicyclic import BicyclicElem, bmul
 from brext.bicyclic import is_zero as b_is_zero
 from brext.bruck_reilly import (
@@ -26,7 +27,7 @@ from brext.bruck_reilly import (
     zero_divisor_scan,
 )
 from brext.clifford import CliffordElement as CE
-from brext.clifford import cmul_oracle, theta_pow_oracle
+from brext.clifford import cmul_oracle, idempotents, theta_pow_oracle
 from brext.errors import WindowTooLarge, ZeroNotAdjoined
 from test_clifford import make_c12_c6_c3
 
@@ -91,12 +92,14 @@ def test_brmul_refuses_bad_operands_x_first(c2c2, case):
     bare = BRSystem(sys=c2c2.sys, with_zero=False, name="bare")
     good = BRElem(1, CE(0, 1), 2)
     bad, exc, message = BAD_OPERANDS[case]
-    # as x, as y, and as x next to every bad y, where x's error wins
+    # as x, as y, and as x next to every bad y, where x's error wins; the
+    # order routes check their operands exactly as brmul does
     pairs = [(bad, good), (good, bad)] + [(bad, other) for other, _, _ in BAD_OPERANDS.values()]
-    for x, y in pairs:
-        with pytest.raises(Exception) as info:
-            brmul(bare, x, y)
-        assert type(info.value) is exc and str(info.value) == message, (x, y)
+    for f in (brmul, nat_order, nat_order_oracle):
+        for x, y in pairs:
+            with pytest.raises(Exception) as info:
+                f(bare, x, y)
+            assert type(info.value) is exc and str(info.value) == message, (f.__name__, x, y)
 
 
 def _brmul_by_definition(B, x, y):
@@ -167,7 +170,8 @@ def test_natural_order_examples(c2c2):
 
 def test_natural_order_witness_index_can_exceed_left_index(c2c2):
     # x = (2, h, 5) <= y = (0, g, 3): the only multiplying idempotents have
-    # first index 5, above x.i, so the oracle must search up to max(i, j)
+    # first index 5, above x.i, so a search bounded by x.i would miss the
+    # canonical witness x^-1 x = (5, h^-1 h, 5) that the oracle multiplies by
     g, h = CE(0, 1), CE(1, 1)
     x, y = BRElem(2, h, 5), BRElem(0, g, 3)
     assert nat_order(c2c2, x, y)
@@ -179,12 +183,62 @@ def test_natural_order_witness_index_can_exceed_left_index(c2c2):
     )
 
 
+def _nat_order_by_search(B, x, y):
+    """x below y iff x = y * (k, f, k) for some idempotent f of T and some
+    k <= max(i, j) of x: a reference search, slow but independent of the
+    canonical witness."""
+    if x is ZERO or y is ZERO:
+        return x is ZERO
+    return any(
+        brmul(B, y, BRElem(k, f, k)) == x
+        for k in range(max(x.i, x.j) + 1)
+        for f in idempotents(B.sys)
+    )
+
+
 def test_natural_order_routes_agree_on_window(c2c2, trivial):
-    for B in (c2c2, trivial):
-        elems = window_elements(B, 3)
-        for x in elems:
-            for y in elems:
-                assert nat_order(B, x, y) == nat_order_oracle(B, x, y)
+    chain3 = BRSystem(sys=make_c12_c6_c3(), name="chain3")
+    rng = random.Random(9)
+    for B, window in ((c2c2, 3), (trivial, 3), (chain3, 2)):
+        elems = window_elements(B, window)
+        pairs = [(x, y) for x in elems for y in elems]
+        T = list(B.sys.elements())
+        for n in range(500):
+            m, k = rng.randrange(41), rng.randrange(41)
+            y = BRElem(m, rng.choice(T), k)
+            if n % 2:  # every other pair shares its index gap, so some compare true
+                d = rng.randrange(41 - max(m, k))
+                x = BRElem(m + d, rng.choice(T), k + d)
+            else:
+                x = BRElem(rng.randrange(41), rng.choice(T), rng.randrange(41))
+            pairs.append((x, y))
+        if B.with_zero:
+            pairs += [(ZERO, ZERO)] + [p for x in elems[:8] for p in ((ZERO, x), (x, ZERO))]
+        verdicts = set()
+        for x, y in pairs:
+            fast = nat_order(B, x, y)
+            assert fast == nat_order_oracle(B, x, y) == _nat_order_by_search(B, x, y), (x, y)
+            verdicts.add(fast)
+        assert verdicts == {True, False}
+
+
+def test_natural_order_oracle_is_two_products(c2c2, monkeypatch):
+    # one brinv and two brmul, whatever the indices: a witness search would
+    # multiply y by (k, f, k) for every k up to 10**6
+    calls = {"brmul": 0, "brinv": 0}
+    for name in calls:
+        original = getattr(bruck_reilly, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            if calls[_name] > 10:
+                raise AssertionError(f"more than 10 {_name} calls")
+            return _original(*args)
+
+        monkeypatch.setattr(f"brext.bruck_reilly.{name}", counted)
+    x, y = BRElem(10**6, CE(1, 1), 10**6), BRElem(0, CE(0, 1), 0)
+    assert bruck_reilly.nat_order_oracle(c2c2, x, y) is nat_order(c2c2, x, y) is True
+    assert calls == {"brmul": 2, "brinv": 1}
 
 
 def test_hclass_is_the_group_fiber(c2c2):

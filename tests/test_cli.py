@@ -191,8 +191,9 @@ def test_continuity_at_the_window_cap_is_accepted(capsys):
         ["eta", "--system", C2C2, "(3,1:1,7)"],
         ["classify", "--window", "2", "isolated"],
         ["zeroscan", "--seed", "1", "--system", C2C2],
+        ["mul", "--quiet", "(1,2)", "(2,1)"],
     ],
-    ids=["mul-seed", "mul-window", "hclass-probe-bound", "eta-system", "classify-window", "zeroscan-seed"],
+    ids=["mul-seed", "mul-window", "hclass-probe-bound", "eta-system", "classify-window", "zeroscan-seed", "mul-quiet"],
 )
 def test_flag_the_command_does_not_read_is_refused(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -9,6 +9,7 @@ from .bruck_reilly import (
     BRSystem,
     brinv,
     brmul,
+    brmul_rows,
     eta,
     eta_congruent,
     hclass,
@@ -52,8 +53,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BicyclicElem", "bmul", "binv", "oracle_mul",
-    "Box", "BRElem", "BRSystem", "brinv", "brmul", "eta", "eta_congruent",
-    "hclass", "idempotents_window", "nat_order", "nat_order_oracle",
+    "Box", "BRElem", "BRSystem", "brinv", "brmul", "brmul_rows", "eta",
+    "eta_congruent", "hclass", "idempotents_window", "nat_order", "nat_order_oracle",
     "simplicity_witness", "window_elements", "zero_divisor_scan",
     "ChainSemilattice", "CliffordElement", "CliffordSystem", "cinv", "cmul",
     "cmul_oracle", "idempotents", "nat_order_idem", "theta_pow", "theta_pow_oracle",

@@ -8,16 +8,20 @@ factors with theta before multiplying in T:
         = (i + k - d,  theta^(k-d)(s) * theta^(j-d)(t),  j + l - d)
 
 which collapses to the bicyclic index arithmetic on the outer coordinates.
-Systems may adjoin a zero; products of nonzero elements are never zero,
-and zero_divisor_scan certifies that on a window.  Exhaustive window
-operations are capped at window 16.
+brmul computes one product; brmul_rows streams whole rows of products by
+the same formula for the window scans, reading one row of T's product
+table per shift instead of shifting per pair.  Systems may adjoin a zero;
+products of nonzero elements are never zero, and zero_divisor_scan
+certifies that on a window.  Exhaustive window operations are capped at
+window 16.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from itertools import groupby, repeat
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from . import bicyclic
 from .clifford import CliffordElement, CliffordSystem, cinv, cmul, idempotents, theta_pow
@@ -99,6 +103,61 @@ def brmul(B: BRSystem, x: Element, y: Element) -> Element:
     return BRElem(i, products[s][t], l)
 
 
+def brmul_rows(B: BRSystem, xs: Sequence[Element], ys: Sequence[Element]) -> Iterator[list[Element]]:
+    """Yield the row [x*y for y in ys] for each x in xs, by brmul's formula.
+
+    Every operand is checked as brmul checks it, xs first, before any
+    product.  The ys are cut into maximal runs with one left index k (or
+    of zeros).  Against x = (i, s, j), a run with k > j reads the one table
+    row products[theta^(k-j)(s)], and a run with k <= j reads x's own row
+    at theta^(j-k) of each group part, taken from a table built once per
+    call one theta step at a time.  So each product is one table read and
+    one BRElem; rows are streamed, never kept.
+    """
+    for x in xs:
+        _check(B, x)
+    for y in ys:
+        _check(B, y)
+    sys = B.sys
+    products = sys.compiled.products
+    new = tuple.__new__
+    js = {x.j for x in xs if x is not ZERO}
+    runs = []
+    for k, run in groupby(ys, key=lambda y: None if y is ZERO else y.i):
+        run = list(run)
+        if k is None:
+            runs.append((k, run, None))
+            continue
+        ts, ls = [y.s for y in run], [y.j for y in run]
+        # shifted[d]: theta^d of the group parts, and the right indices + d
+        shifted, keys, d = {0: (ts, ls)}, ts, 0
+        for target in sorted(j - k for j in js if j > k):
+            while d < target:
+                keys = [theta_pow(sys, t, 1) for t in keys]
+                d += 1
+            shifted[d] = keys, [l + d for l in ls]
+        runs.append((k, run, shifted))
+    for x in xs:
+        if x is ZERO:
+            yield [ZERO] * len(ys)
+            continue
+        i, s, j = x
+        own = products[s].__getitem__
+        row = []
+        for k, run, shifted in runs:
+            if k is None:
+                row += run
+                continue
+            if k > j:
+                ts, ls = shifted[0]
+                cells = zip(repeat(i + k - j), map(products[theta_pow(sys, s, k - j)].__getitem__, ts), ls)
+            else:
+                keys, ls = shifted[j - k]
+                cells = zip(repeat(i), map(own, keys), ls)
+            row += map(new, repeat(BRElem), cells)
+        yield row
+
+
 def brinv(B: BRSystem, x: Element) -> Element:
     _check(B, x)
     if x is ZERO:
@@ -143,18 +202,21 @@ def idempotents_window(B: BRSystem, n: int) -> list[BRElem]:
 
     Descending means index i ascending and, within one i, chain level
     ascending (lower levels sit lower in the order).  The chain property is
-    re-verified pairwise from products before returning.
+    re-verified pairwise from products before returning; a failure raises
+    WitnessVerificationFailed.
     """
     if n > MAX_WINDOW:
         raise WindowTooLarge(f"window {n} exceeds cap {MAX_WINDOW}")
     out = [BRElem(i, e, i) for i in range(n) for e in idempotents(B.sys)]
     for a in range(len(out)):
-        assert brmul(B, out[a], out[a]) == out[a], f"{out[a]} is not idempotent"
+        if brmul(B, out[a], out[a]) != out[a]:
+            raise WitnessVerificationFailed(f"{format_elem(out[a])} is not idempotent")
         for b in range(a + 1, len(out)):
             lo, hi = out[b], out[a]
-            assert brmul(B, hi, lo) == lo and brmul(B, lo, hi) == lo, (
-                f"idempotents {hi} and {lo} out of order"
-            )
+            if brmul(B, hi, lo) != lo or brmul(B, lo, hi) != lo:
+                raise WitnessVerificationFailed(
+                    f"idempotents {format_elem(hi)} and {format_elem(lo)} out of order"
+                )
     return out
 
 
@@ -189,8 +251,9 @@ def hclass(B: BRSystem, x: Element) -> list[Element]:
     """The maximal subgroup copy through x: its box's fiber at x's level.
 
     Zero sits alone.  Membership is re-checked on the way out via the
-    idempotent pair (x x^-1, x^-1 x); the converse inclusion is a window
-    scan left to the verification suites.
+    idempotent pair (x x^-1, x^-1 x), raising WitnessVerificationFailed on
+    a mismatch; the converse inclusion is a window scan left to the
+    verification suites.
     """
     _check(B, x)
     if x is ZERO:
@@ -200,8 +263,8 @@ def hclass(B: BRSystem, x: Element) -> list[Element]:
     left = brmul(B, x, brinv(B, x))
     right = brmul(B, brinv(B, x), x)
     for y in out:
-        assert brmul(B, y, brinv(B, y)) == left
-        assert brmul(B, brinv(B, y), y) == right
+        if brmul(B, y, brinv(B, y)) != left or brmul(B, brinv(B, y), y) != right:
+            raise WitnessVerificationFailed(f"{format_elem(y)} is not H-related to {format_elem(x)}")
     return out
 
 
@@ -242,10 +305,9 @@ def zero_divisor_scan(B: BRSystem, n: int) -> ZeroDivisorReport:
         raise ZeroNotAdjoined("zero divisor scan needs the adjoined zero")
     elems = window_elements(B, n)
     bad = []
-    for x in elems:
-        for y in elems:
-            if brmul(B, x, y) is ZERO:
-                bad.append((x, y))
+    for x, row in zip(elems, brmul_rows(B, elems, elems)):
+        if ZERO in row:
+            bad.extend((x, y) for y, p in zip(elems, row) if p is ZERO)
     return ZeroDivisorReport(window=n, checked=len(elems) ** 2, counterexamples=bad)
 
 

@@ -5,10 +5,12 @@ SuiteResult whose record serializes to one NDJSON line.  The CLI verify
 command and the acceptance tests both drive these functions, so the counts
 and violation strings here are the single source of truth for what was
 checked.  Seeded randomness only ever comes from random.Random(seed).
+Exhaustive pair scans take their products a row at a time from
+brmul_rows: associativity numbers its distinct window products and
+compares whole rows of them, and the eta suites walk rows of the window.
 Products are reused only where a suite's loops recompute them:
-associativity numbers its distinct window products and compares whole rows
-of them, inverse_axioms and idempotent_chain cache brmul with
-functools.cache for one call, and the others call brmul directly.
+inverse_axioms and idempotent_chain cache brmul with functools.cache for
+one call, and the others call brmul directly.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .bruck_reilly import (
     box,
     brinv,
     brmul,
+    brmul_rows,
     eta,
     format_elem,
     hclass,
@@ -102,11 +105,11 @@ def suite_associativity(B: BRSystem, window: int) -> SuiteResult:
     element."""
     elems = window_elements(B, window)
     ids = {}
-    prod_ids = [[ids.setdefault(brmul(B, x, y), len(ids)) for y in elems] for x in elems]
-    right = [[brmul(B, p, z) for z in elems] for p in ids]
+    prod_ids = [[ids.setdefault(p, len(ids)) for p in row] for row in brmul_rows(B, elems, elems)]
+    prods = list(ids)
+    right = list(brmul_rows(B, prods, elems))
     bad = []
-    for x, xy_ids in zip(elems, prod_ids):
-        left = [brmul(B, x, p) for p in ids]
+    for x, xy_ids, left in zip(elems, prod_ids, brmul_rows(B, elems, prods)):
         for y, xy_id, yz_ids in zip(elems, xy_ids, prod_ids):
             xy_z = right[xy_id]
             x_yz = [left[k] for k in yz_ids]
@@ -143,10 +146,12 @@ def suite_inverse_axioms(B: BRSystem, window: int) -> SuiteResult:
 
 def suite_eta_homomorphism(B: BRSystem, window: int) -> SuiteResult:
     elems = window_elements(B, window)
+    images = [eta(y) for y in elems]
     bad = []
-    for x in elems:
-        for y in elems:
-            if eta(brmul(B, x, y)) != bmul(eta(x), eta(y)):
+    for x, row in zip(elems, brmul_rows(B, elems, elems)):
+        ex = eta(x)
+        for y, ey, p in zip(elems, images, row):
+            if eta(p) != bmul(ex, ey):
                 bad.append(f"eta breaks at {format_elem(x)}, {format_elem(y)}")
     return SuiteResult("eta_homomorphism", B.name, {"window": window}, len(elems) ** 2, bad)
 
@@ -162,7 +167,7 @@ def suite_eta_congruence(B: BRSystem, window: int) -> SuiteResult:
     checked = 0
     for b1, f1 in fibers.items():
         for b2, f2 in fibers.items():
-            prods = {box(brmul(B, x, y)) for x in f1 for y in f2}
+            prods = {box(p) for row in brmul_rows(B, f1, f2) for p in row}
             checked += len(f1) * len(f2)
             if len(prods) != 1:
                 bad.append(f"product box of {tuple(b1)}*{tuple(b2)} not constant: {sorted(map(tuple, prods))}")

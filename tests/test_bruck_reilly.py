@@ -13,6 +13,7 @@ from brext.bruck_reilly import (
     box,
     brinv,
     brmul,
+    brmul_rows,
     eta,
     eta_congruent,
     format_elem,
@@ -92,10 +93,15 @@ def test_brmul_refuses_bad_operands_x_first(c2c2, case):
     bare = BRSystem(sys=c2c2.sys, with_zero=False, name="bare")
     good = BRElem(1, CE(0, 1), 2)
     bad, exc, message = BAD_OPERANDS[case]
+
+    def rows(B, x, y):
+        # every operand of both lists is checked before any product
+        return next(brmul_rows(B, [good, x], [y, good]))
+
     # as x, as y, and as x next to every bad y, where x's error wins; the
-    # order routes check their operands exactly as brmul does
+    # row and order routes check their operands exactly as brmul does
     pairs = [(bad, good), (good, bad)] + [(bad, other) for other, _, _ in BAD_OPERANDS.values()]
-    for f in (brmul, nat_order, nat_order_oracle):
+    for f in (brmul, rows, nat_order, nat_order_oracle):
         for x, y in pairs:
             with pytest.raises(Exception) as info:
                 f(bare, x, y)
@@ -121,6 +127,35 @@ def test_brmul_matches_the_defining_formula(c2c2, trivial):
         for _ in range(500):
             x, y = (BRElem(rng.randrange(41), rng.choice(T), rng.randrange(41)) for _ in "xy")
             assert brmul(B, x, y) == _brmul_by_definition(B, x, y), (x, y)
+
+
+def test_brmul_rows_matches_brmul_and_the_defining_formula(c2c2, trivial):
+    chain3 = BRSystem(sys=make_c12_c6_c3(), with_zero=True, name="chain3")
+    rng = random.Random(7)
+    for B in (c2c2, trivial, chain3):
+        elems = window_elements(B, 4)
+        rows = brmul_rows(B, elems, elems)
+        for x, row in zip(elems, rows):
+            assert len(row) == len(elems)
+            for y, p in zip(elems, row):
+                assert p == brmul(B, x, y) == _brmul_by_definition(B, x, y), (x, y)
+                assert type(p) is BRElem
+        T = list(B.sys.elements())
+        # unsorted, repeated and far apart indices, ZERO in both lists
+        xs = [BRElem(rng.randrange(41), rng.choice(T), rng.randrange(41)) for _ in range(40)]
+        ys = [BRElem(rng.randrange(41), rng.choice(T), rng.randrange(41)) for _ in range(40)]
+        xs[3:3], ys[5:5], ys[20:20] = [ZERO], [ZERO], [ZERO, ZERO]
+        got = list(brmul_rows(B, xs, ys))
+        assert len(got) == len(xs)
+        for x, row in zip(xs, got):
+            assert row == [brmul(B, x, y) for y in ys], x
+            for y, p in zip(ys, row):
+                if x is ZERO or y is ZERO:
+                    assert p is ZERO
+                else:
+                    assert p == _brmul_by_definition(B, x, y), (x, y)
+    assert list(brmul_rows(chain3, [], elems)) == []
+    assert list(brmul_rows(chain3, elems[:2], [])) == [[], []]
 
 
 def test_inverse_swaps_indices(c2c2):
@@ -301,14 +336,13 @@ def test_zero_divisor_scan_clean(c2c2, trivial):
 
 def test_zero_divisor_scan_catches_corruption(c2c2, monkeypatch):
     culprit = BRElem(0, CE(0, 1), 1)
-    original = brmul
+    original = brmul_rows
 
-    def corrupted(B, x, y):
-        if x == culprit and y == culprit:
-            return ZERO
-        return original(B, x, y)
+    def corrupted(B, xs, ys):
+        for x, row in zip(xs, original(B, xs, ys)):
+            yield [ZERO if (x, y) == (culprit, culprit) else p for y, p in zip(ys, row)]
 
-    monkeypatch.setattr("brext.bruck_reilly.brmul", corrupted)
+    monkeypatch.setattr("brext.bruck_reilly.brmul_rows", corrupted)
     rep = zero_divisor_scan(c2c2, 2)
     assert not rep.ok
     assert (culprit, culprit) in rep.counterexamples

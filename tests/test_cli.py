@@ -217,6 +217,30 @@ def test_hclass(capsys):
     assert json.loads(out)["result"] == ["(1,0:0,2)", "(1,0:1,2)"]
 
 
+@pytest.mark.parametrize("argv,culprit,message", [
+    pytest.param(["hclass", "(1,1:1,0)"], "(1,1:0,0)",
+                 "error: (1,1:0,0) is not H-related to (1,1:1,0)\n", id="hclass"),
+    pytest.param(["idempotents", "--window", "2"], "(0,0:0,0)",
+                 "error: (0,0:0,0) is not idempotent\n", id="idempotents-square"),
+    pytest.param(["idempotents", "--window", "2"], "(1,1:0,1)",
+                 "error: idempotents (0,0:0,0) and (1,1:0,1) out of order\n", id="idempotents-order"),
+])
+def test_failed_re_verification_exits_one(capsys, monkeypatch, argv, culprit, message):
+    # a product of the culprit on the left lands one box lower: the
+    # re-verification guard must fail as an error line, never a traceback
+    from brext import bruck_reilly
+
+    original, x0 = bruck_reilly.brmul, bruck_reilly.parse_elem(culprit)
+
+    def corrupted(B, x, y):
+        p = original(B, x, y)
+        return p._replace(i=p.i + 1) if x == x0 else p
+
+    monkeypatch.setattr(bruck_reilly, "brmul", corrupted)
+    code, out, err = run(capsys, *argv, "--system", C2C2, "--json")
+    assert (code, out, err) == (1, "", message)
+
+
 def test_witness_matches_golden(capsys):
     code, out, _ = run(capsys, "witness", "--system", C2C2, "(0,0:1,1)", "(3,1:1,2)")
     assert code == 0

@@ -1,7 +1,7 @@
 import pytest
 
 from brext import verify
-from brext.bruck_reilly import brmul, parse_elem
+from brext.bruck_reilly import brmul, brmul_rows, parse_elem
 from brext.clifford import CliffordElement
 from brext.verify import SuiteResult, run_all
 
@@ -88,14 +88,19 @@ def test_window_is_recorded_in_params(c2c2_results):
 
 
 def _corrupt(pair, change):
-    """brmul with the single product pair[0] * pair[1] changed."""
+    """brmul and brmul_rows with the single product pair[0] * pair[1]
+    changed, in every row it appears in."""
     x0, y0 = map(parse_elem, pair)
 
     def mul(B, x, y):
         p = brmul(B, x, y)
         return change(p) if (x, y) == (x0, y0) else p
 
-    return mul
+    def rows(B, xs, ys):
+        for x, row in zip(xs, brmul_rows(B, xs, ys)):
+            yield [change(p) if (x, y) == (x0, y0) else p for y, p in zip(ys, row)]
+
+    return mul, rows
 
 
 def _flip_group(p):
@@ -152,5 +157,7 @@ CORRUPTIONS = [
     "suite,arg,pair,change,expected", CORRUPTIONS, ids=[getattr(c, "id", c[0]) for c in CORRUPTIONS]
 )
 def test_window_suite_reports_a_corrupted_product(c2c2, monkeypatch, suite, arg, pair, change, expected):
-    monkeypatch.setattr(verify, "brmul", _corrupt(pair, change))
+    mul, rows = _corrupt(pair, change)
+    monkeypatch.setattr(verify, "brmul", mul)
+    monkeypatch.setattr(verify, "brmul_rows", rows)
     assert getattr(verify, f"suite_{suite}")(c2c2, arg).violations == expected

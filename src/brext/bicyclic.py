@@ -2,16 +2,21 @@
 
 Elements are normal forms q^k p^l stored as index pairs (k, l) with
 arbitrary-precision non-negative integers.  The adjoined zero is a separate
-sentinel, never a reserved pair.  bmul implements the closed-form index
-arithmetic; oracle_mul recomputes the product by composing the partial
-shifts of omega that the generators act by, so the two routes are
-independent and are checked against each other in the test suite.
+sentinel, never a reserved pair.  Three routes compute a product:
+bmul is the closed-form index arithmetic; rho_table maps each pair to a
+2x2 upper-triangular max-plus matrix, a faithful image in which a product
+is one tmul, built from the generator images by products alone; and
+oracle_mul composes the partial shifts of omega that the generators act
+by.  The verification suites check bmul against the max-plus image, and
+the test suite compares all three.
 """
 
 from __future__ import annotations
 
 import re
 from typing import NamedTuple, Union
+
+from .errors import WitnessVerificationFailed
 
 
 class BicyclicElem(NamedTuple):
@@ -88,12 +93,50 @@ def oracle_mul(x: Element, y: Element, pad: int = 4) -> Element:
     f = {t: t - x.l + x.k for t in range(x.l, hi)}
     g = {t: t - y.l + y.k for t in range(y.l, hi)}
     comp = {t: f[g[t]] for t in g if g[t] in f}
-    assert comp, "window too small for composite"
+    if not comp:
+        raise ValueError(f"window too small for composite (pad={pad})")
     lo = min(comp)
     k, l = comp[lo], lo
-    for t, v in comp.items():
-        assert v - t == k - l, "composite is not a uniform shift"
+    if any(v - t != k - l for t, v in comp.items()):
+        raise WitnessVerificationFailed(
+            f"composite of {format_elem(x)} and {format_elem(y)} is not a uniform shift"
+        )
     return BicyclicElem(k, l)
+
+
+# Upper-triangular 2x2 max-plus matrices [[a, b], [-inf, c]] are stored as
+# (a, b, c): the lower-left entry stays -inf under products, so the
+# arithmetic is exact on integers.  P and Q are the images of p and q, and
+# E, the image of 1, is a two-sided identity for both with P (x) Q = E.
+TROP_E = (0, -2, 0)
+TROP_P = (-2, -1, 1)
+TROP_Q = (2, 0, -1)
+
+
+def tmul(a: tuple, b: tuple) -> tuple:
+    """Max-plus product of two upper-triangular 2x2 matrices."""
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    return (a1 + b1, max(a1 + b2, a2 + b3), a3 + b3)
+
+
+def rho_table(n: int) -> dict:
+    """rho(q^k p^l) = E (x) Q^k (x) P^l for all k, l <= n, by products.
+
+    Each row starts from the previous row's start times Q and walks right
+    by P, so no index formula is used.  The image is
+    [[2(k-l), 2k+l-2], [-inf, l-k]], which is injective on the whole
+    monoid, so rho(z) == rho(x) (x) rho(y) proves z = xy.
+    """
+    table = {}
+    start = TROP_E
+    for k in range(n + 1):
+        m = start
+        for l in range(n + 1):
+            table[BicyclicElem(k, l)] = m
+            m = tmul(m, TROP_P)
+        start = tmul(start, TROP_Q)
+    return table
 
 
 _PAIR_RE = re.compile(r"^\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)$")

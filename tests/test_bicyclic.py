@@ -1,8 +1,14 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from brext.bicyclic import (
     IDENTITY,
+    TROP_E,
+    TROP_P,
+    TROP_Q,
     ZERO,
     BicyclicElem,
     bmul,
@@ -13,6 +19,8 @@ from brext.bicyclic import (
     is_zero,
     oracle_mul,
     parse_elem,
+    rho_table,
+    tmul,
 )
 
 small = st.integers(min_value=0, max_value=40)
@@ -47,19 +55,54 @@ def test_zero_is_not_a_pair():
 
 
 def test_oracle_agrees_exhaustively_small():
+    # all three routes: bmul, partial-shift composition, the max-plus image
+    rho = rho_table(16)
     for k in range(9):
         for l in range(9):
             x = BicyclicElem(k, l)
             for m in range(9):
                 for n in range(9):
                     y = BicyclicElem(m, n)
-                    assert bmul(x, y) == oracle_mul(x, y)
+                    z = bmul(x, y)
+                    assert z == oracle_mul(x, y)
+                    assert rho[z] == tmul(rho[x], rho[y]), (x, y)
 
 
 @given(small, small, small, small)
 def test_oracle_agrees_randomized(k, l, m, n):
     x, y = BicyclicElem(k, l), BicyclicElem(m, n)
     assert bmul(x, y) == oracle_mul(x, y)
+
+
+def test_oracle_refuses_a_window_too_small_under_python_O():
+    # the guard must not be an assert, which -O strips
+    code = (
+        "from brext.bicyclic import BicyclicElem, oracle_mul\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    oracle_mul(BicyclicElem(2, 3), BicyclicElem(1, 4), pad=-20)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\nwindow too small for composite (pad=-20)\n"
+
+
+def test_generator_images_satisfy_the_bicyclic_relation():
+    assert tmul(TROP_P, TROP_Q) == TROP_E
+    for m in (TROP_P, TROP_Q):
+        assert tmul(TROP_E, m) == m == tmul(m, TROP_E)
+    assert tmul(TROP_E, TROP_E) == TROP_E
+    assert tmul(TROP_Q, TROP_P) != TROP_E
+
+
+def test_rho_built_by_products_is_the_closed_form_and_injective():
+    rho = rho_table(24)
+    assert set(rho) == {BicyclicElem(k, l) for k in range(25) for l in range(25)}
+    for x, m in rho.items():
+        assert m == (2 * (x.k - x.l), 2 * x.k + x.l - 2, x.l - x.k), x
+    assert len(set(rho.values())) == len(rho)
 
 
 @given(huge, huge, huge, huge, huge, huge)

@@ -1,6 +1,7 @@
 import pytest
 
 from brext import verify
+from brext.bicyclic import BicyclicElem, ZERO, oracle_mul
 from brext.bruck_reilly import brmul, brmul_rows, parse_elem
 from brext.clifford import CliffordElement
 from brext.verify import SuiteResult, run_all
@@ -138,6 +139,10 @@ CORRUPTIONS = [
     ("idempotent_chain", 2, ("(1,0:0,1)", "(1,1:0,1)"), _flip_group, [
         "window 2: (1,1:0,1) not strictly below (1,0:0,1)",
     ]),
+    ("nat_order", 2, ("(0,0:1,1)", "(1,0:0,1)"), _flip_group, [
+        "closed form says False for (0,0:0,1) <= (0,0:1,1)",
+        "closed form says True for (0,0:1,1) <= (0,0:1,1)",
+    ]),
     ("hclass", 2, ("(1,1:1,0)", "(0,1:1,1)"), _flip_group, [
         "H-class mismatch at (0,1:0,1)",
         "H-class mismatch at (0,1:1,1)",
@@ -161,3 +166,54 @@ def test_window_suite_reports_a_corrupted_product(c2c2, monkeypatch, suite, arg,
     monkeypatch.setattr(verify, "brmul", mul)
     monkeypatch.setattr(verify, "brmul_rows", rows)
     assert getattr(verify, f"suite_{suite}")(c2c2, arg).violations == expected
+
+
+def _bmul_mutant(d):
+    """bmul with the cancelled index min(x.l, y.k) replaced by d(x, y)."""
+    def mul(x, y):
+        e = d(x, y)
+        return BicyclicElem(x.k + y.k - e, x.l + y.l - e)
+    return mul
+
+
+BMUL_MUTANTS = {
+    "min-to-max": _bmul_mutant(lambda x, y: max(x.l, y.k)),
+    "swapped-index": _bmul_mutant(lambda x, y: min(x.k, y.k)),
+    "off-by-one": _bmul_mutant(lambda x, y: min(x.l, y.k) - 1),
+}
+
+
+@pytest.mark.parametrize("name", BMUL_MUTANTS)
+def test_bicyclic_oracle_catches_bmul_mutants(monkeypatch, name):
+    mutant = BMUL_MUTANTS[name]
+    r = range(5)
+    elems = [BicyclicElem(k, l) for k in r for l in r]
+    wrong = [
+        f"({x.k},{x.l})*({y.k},{y.l}) disagrees"
+        for x in elems
+        for y in elems
+        if mutant(x, y) != oracle_mul(x, y)
+    ]
+    assert wrong
+    monkeypatch.setattr(verify, "bmul", mutant)
+    result = verify.suite_bicyclic_oracle("mutant", 4)
+    assert result.violations == wrong
+    assert result.checked == 5 ** 4
+
+
+def test_bicyclic_oracle_reports_products_outside_the_table(monkeypatch):
+    real = verify.bmul
+    odd = {
+        (BicyclicElem(1, 2), BicyclicElem(3, 0)): BicyclicElem(9, 0),
+        (BicyclicElem(2, 2), BicyclicElem(0, 1)): BicyclicElem(2, 9),
+        (BicyclicElem(3, 3), BicyclicElem(3, 3)): ZERO,
+        (BicyclicElem(4, 0), BicyclicElem(0, 4)): None,
+    }
+    monkeypatch.setattr(verify, "bmul", lambda x, y: odd[x, y] if (x, y) in odd else real(x, y))
+    result = verify.suite_bicyclic_oracle("mutant", 4)
+    assert result.violations == [
+        "(1,2)*(3,0) disagrees",
+        "(2,2)*(0,1) disagrees",
+        "(3,3)*(3,3) disagrees",
+        "(4,0)*(0,4) disagrees",
+    ]

@@ -11,7 +11,6 @@ from .bruck_reilly import (
     brmul,
     brmul_rows,
     eta,
-    eta_congruent,
     hclass,
     idempotents_window,
     nat_order,
@@ -28,7 +27,6 @@ from .clifford import (
     cmul,
     cmul_oracle,
     idempotents,
-    nat_order_idem,
     theta_pow,
     theta_pow_oracle,
     validate_system,
@@ -54,10 +52,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BicyclicElem", "bmul", "binv", "oracle_mul",
     "Box", "BRElem", "BRSystem", "brinv", "brmul", "brmul_rows", "eta",
-    "eta_congruent", "hclass", "idempotents_window", "nat_order", "nat_order_oracle",
+    "hclass", "idempotents_window", "nat_order", "nat_order_oracle",
     "simplicity_witness", "window_elements", "zero_divisor_scan",
     "ChainSemilattice", "CliffordElement", "CliffordSystem", "cinv", "cmul",
-    "cmul_oracle", "idempotents", "nat_order_idem", "theta_pow", "theta_pow_oracle",
+    "cmul_oracle", "idempotents", "theta_pow", "theta_pow_oracle",
     "validate_system",
     "load_system", "system_from_obj",
     "GroupHom", "GroupTable", "ValidationReport", "cyclic_group", "ginv",

@@ -71,10 +71,6 @@ def idempotent(k: int) -> BicyclicElem:
     return BicyclicElem(k, k)
 
 
-def is_idempotent(x: Element) -> bool:
-    return x is not ZERO and x.k == x.l
-
-
 def oracle_mul(x: Element, y: Element, pad: int = 4) -> Element:
     """Recompute bmul by composing the partial injections of omega.
 

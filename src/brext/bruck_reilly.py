@@ -178,13 +178,6 @@ def eta(x: Element) -> bicyclic.Element:
     return bicyclic.BicyclicElem(x.i, x.j)
 
 
-def eta_congruent(x: Element, y: Element) -> bool:
-    """Same fiber of eta, i.e. the same box."""
-    if x is ZERO or y is ZERO:
-        raise ValueError("congruence classes of nonzero elements only")
-    return x.i == y.i and x.j == y.j
-
-
 def window_elements(B: BRSystem, n: int) -> list[BRElem]:
     """All nonzero elements with both indices below n, in a fixed order."""
     if n > MAX_WINDOW:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .errors import MissingBond, NotIdempotent
+from .errors import MissingBond
 from .groups import GroupHom, GroupTable, ValidationReport, compose_homs, ginv, gmul, identity_hom, validate_group, validate_hom
 
 
@@ -207,14 +207,6 @@ def idempotents(sys: CliffordSystem) -> list[CliffordElement]:
     """Level identities, top level first; the compiled form verified that
     nothing else is idempotent."""
     return list(sys.compiled.idempotents)
-
-
-def nat_order_idem(sys: CliffordSystem, e: CliffordElement, f: CliffordElement) -> bool:
-    """e below f in the idempotent order: both products collapse to e."""
-    for x in (e, f):
-        if cmul(sys, x, x) != x:
-            raise NotIdempotent(f"{x} is not idempotent")
-    return cmul(sys, e, f) == e and cmul(sys, f, e) == e
 
 
 def validate_system(sys: CliffordSystem) -> ValidationReport:

@@ -94,10 +94,6 @@ def cyclic_group(n: int) -> GroupTable:
     return GroupTable.from_rows(rows, identity=0, labels=[str(i) for i in range(n)])
 
 
-def trivial_group() -> GroupTable:
-    return cyclic_group(1)
-
-
 def gmul(t: GroupTable, a: int, b: int) -> int:
     if not (0 <= a < t.order and 0 <= b < t.order):
         raise IndexOutOfRange(f"({a},{b}) outside group of order {t.order}")
@@ -169,11 +165,6 @@ def hom(domain: GroupTable, codomain: GroupTable, mapping) -> GroupHom:
 
 def identity_hom(g: GroupTable) -> GroupHom:
     return hom(g, g, range(g.order))
-
-
-def constant_hom(domain: GroupTable, codomain: GroupTable) -> GroupHom:
-    """The annihilating map sending everything to the codomain identity."""
-    return hom(domain, codomain, [codomain.identity] * domain.order)
 
 
 def compose_homs(first: GroupHom, second: GroupHom) -> GroupHom:

@@ -194,15 +194,22 @@ def verify_certificate(B: BRSystem, cert: ContinuityCertificate, fibers=None) ->
 
     On the left, a * x for x over box (i, j) lies in a box (t1, t2) with
     t2 >= j and t1 = max(a.i, i - a.j + a.i); the right side mirrors this.
-    Only the boxes that can reach the target and the `found` boxes can
-    fail, so walking them in (i, j) order covers all of BR(T, theta).
+    So the boxes that multiply into a target box lie in the rectangle
+    [0, hi] x [0, hj] under its corner, and only they and the `found`
+    boxes can fail, which covers all of BR(T, theta).
 
     Products come from brmul, never from box_solve, so the check stays
     independent of the route that built the certificate.  A product's box
-    ignores group coordinates, so one product decides a box and only a
-    failing box is walked element by element.  `fibers` maps (a, side) to
-    a dict from box to product box; pass one dict built for B to share it
-    across certificates (by default it is local to this call).
+    ignores the group parts of both factors, so one product decides a box
+    for every multiplier in a's box.  `fibers` maps (a.i, a.j, side) to an
+    inverted index: index sends each box under the corners seen so far to
+    its product box, and pre sends a product box back to those boxes.  A
+    certificate grows the index to its own corners; its failing boxes are
+    then the boxes of pre[t] for its target boxes t that U keeps, plus the
+    found boxes whose product box is not a target box.  Only those are
+    walked element by element, with the real a, in (i, j) order.  Pass one
+    dict built for B to share the index across certificates (by default
+    it is local to this call).
     """
     a, side = cert.a, cert.side
     _check_multiplier(B, a, side)
@@ -211,18 +218,25 @@ def verify_certificate(B: BRSystem, cert: ContinuityCertificate, fibers=None) ->
         corners = [(t1 - a.i + a.j, t2) for t1, t2 in target if t1 >= a.i]
     else:
         corners = [(t1, t2 - a.j + a.i) for t1, t2 in target if t2 >= a.j]
-    region = found.union((i, j) for hi, hj in corners for i in range(hi + 1) for j in range(hj + 1))
-    index = fibers.setdefault((a, side), {}) if fibers is not None else {}
-    elems = tuple(B.sys.elements())
+    s0 = B.sys.unit()  # any group part decides a product's box
     mul = (lambda x: brmul(B, a, x)) if side == "left" else (lambda x: brmul(B, x, a))
-    bad = []
-    for i, j in sorted(region):
-        inside = (i, j) in found
-        if (i, j) not in index:
-            index[(i, j)] = box(mul(BRElem(i, elems[0], j)))
-        if (index[(i, j)] in target) == inside:
+    index, pre, widths = ({} if fibers is None else fibers).setdefault((a.i, a.j, side), ({}, {}, {}))
+    # widths[i] is the last j indexed in row i; it never grows along i
+    for hi, hj in corners:
+        if widths.get(hi, -1) >= hj:
             continue
-        for s in elems:
+        for i in range(hi + 1):
+            w = widths.get(i, -1)
+            for j in range(w + 1, hj + 1):
+                t = index[(i, j)] = box(mul(BRElem(i, s0, j)))
+                pre.setdefault(t, []).append((i, j))
+            widths[i] = max(w, hj)
+    failing = set().union(*(pre.get(t, ()) for t in target)).difference(found)
+    failing.update(f for f in found if (index.get(f) or box(mul(BRElem(f[0], s0, f[1])))) not in target)
+    bad = []
+    for i, j in sorted(failing):
+        inside = (i, j) in found
+        for s in B.sys.elements():
             x = BRElem(i, s, j)
             if (box(mul(x)) in target) != inside:
                 bad.append(f"{x} was excluded but its product stays in the target" if inside

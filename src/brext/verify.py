@@ -11,9 +11,12 @@ compares whole rows of them, the eta suites walk rows of the window, and
 nat_order reads y * x^-1 x from rows against the distinct x^-1 x.
 Products are reused only where a suite's loops recompute them:
 inverse_axioms and idempotent_chain cache brmul with functools.cache for
-one call, and the others call brmul directly.  bicyclic_oracle checks
+one call, and continuity hands one dict to every certificate, so the
+certificates of one multiplier box and side share one inverted index of
+product boxes; the others call brmul directly.  bicyclic_oracle checks
 bmul against the faithful max-plus image of the bicyclic monoid, one
-matrix product per pair.
+matrix product per pair, and box_solver scans a grid built once per call
+with bmul.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 from . import bicyclic
 from .bicyclic import BicyclicElem, bmul, binv, rho_table, tmul
@@ -101,20 +106,22 @@ def suite_associativity(B: BRSystem, window: int) -> SuiteResult:
     """(x*y)*z against x*(y*z) for every window triple.
 
     Each distinct window product p gets an id; right[id] is the row p*z
-    over the window and, per x, left is the row x*p over the distinct
-    products.  A pair (x, y) compares right[id(x*y)] with left read at the
-    ids of the y*z, and only a row that differs is walked element by
-    element."""
+    over the window, kept as a tuple, and, per x, left is the row x*p over
+    the distinct products.  A pair (x, y) compares right[id(x*y)] with
+    left read at the ids of the y*z by one itemgetter per y, built once,
+    and only a row that differs is walked element by element."""
     elems = window_elements(B, window)
     ids = {}
     prod_ids = [[ids.setdefault(p, len(ids)) for p in row] for row in brmul_rows(B, elems, elems)]
     prods = list(ids)
-    right = list(brmul_rows(B, prods, elems))
+    right = [tuple(row) for row in brmul_rows(B, prods, elems)]
+    # itemgetter returns a bare item, not a tuple, for a one-element window
+    getters = [itemgetter(*yz_ids) if len(yz_ids) > 1 else (lambda row, k=yz_ids[0]: (row[k],))
+               for yz_ids in prod_ids]
     bad = []
     for x, xy_ids, left in zip(elems, prod_ids, brmul_rows(B, elems, prods)):
-        for y, xy_id, yz_ids in zip(elems, xy_ids, prod_ids):
-            xy_z = right[xy_id]
-            x_yz = [left[k] for k in yz_ids]
+        for y, xy_id, get_yz in zip(elems, xy_ids, getters):
+            xy_z, x_yz = right[xy_id], get_yz(left)
             if xy_z == x_yz:
                 continue
             for z, u, v in zip(elems, xy_z, x_yz):
@@ -339,32 +346,27 @@ def suite_bicyclic_oracle(system_name: str, max_index: int = 12) -> SuiteResult:
 def suite_box_solver(system_name: str, max_index: int = 6, brute_bound: int = 20) -> SuiteResult:
     """Closed-form box equation solutions against a full scan, both sides.
 
-    The scan still multiplies every box up to the brute bound; it is just
-    grouped by product instead of rescanned per target.
+    The scan still multiplies every box up to the brute bound by bmul; the
+    grid, its boxes and the multiplier and target pairs are built once per
+    call, and each multiplier's products are grouped by product instead of
+    rescanned per target.
     """
     bad = []
-    grid = [
-        bicyclic.BicyclicElem(i, j)
-        for i in range(brute_bound + 1)
-        for j in range(brute_bound + 1)
-    ]
+    r, m = range(brute_bound + 1), range(max_index + 1)
+    grid = [BicyclicElem(i, j) for i in r for j in r]
+    boxes = [Box(i, j) for i in r for j in r]
+    small = [(Box(i, j), BicyclicElem(i, j)) for i in m for j in m]  # multipliers and targets
     checked = 0
     for side in ("left", "right"):
-        for a1 in range(max_index + 1):
-            for a2 in range(max_index + 1):
-                a = Box(a1, a2)
-                ae = bicyclic.BicyclicElem(a1, a2)
-                hits = {}
-                for x in grid:
-                    prod = bmul(ae, x) if side == "left" else bmul(x, ae)
-                    hits.setdefault(prod, set()).add(Box(x.k, x.l))
-                for t1 in range(max_index + 1):
-                    for t2 in range(max_index + 1):
-                        t = Box(t1, t2)
-                        checked += 1
-                        brute = frozenset(hits.get(bicyclic.BicyclicElem(t1, t2), ()))
-                        if box_solve(a, t, side) != brute:
-                            bad.append(f"{side} solutions differ for a={tuple(a)}, target={tuple(t)}")
+        for a, ab in small:
+            ae = repeat(ab)
+            hits = {}
+            for prod, b in zip(map(bmul, ae, grid) if side == "left" else map(bmul, grid, ae), boxes):
+                hits.setdefault(prod, []).append(b)
+            for t, te in small:
+                checked += 1
+                if box_solve(a, t, side) != frozenset(hits.get(te, ())):
+                    bad.append(f"{side} solutions differ for a={tuple(a)}, target={tuple(t)}")
     return SuiteResult(
         "box_solver",
         system_name,
@@ -377,7 +379,8 @@ def suite_box_solver(system_name: str, max_index: int = 6, brute_bound: int = 20
 def suite_continuity(B: BRSystem, seed: int, samples: int = 100, a_window: int = 3) -> SuiteResult:
     """Random targets, every multiplier with indices below a_window, both
     sides; each certificate carries its own box-by-box re-verification,
-    which shares one product index across the whole suite."""
+    which shares one product-box index per multiplier box and side across
+    the whole suite."""
     rng = random.Random(seed)
     multipliers = window_elements(B, a_window)
     fibers = {}

@@ -10,13 +10,21 @@ from brext.clifford import (
     cmul,
     cmul_oracle,
     idempotents,
-    nat_order_idem,
     theta_pow,
     theta_pow_oracle,
     validate_system,
 )
 from brext.errors import IndexOutOfRange, MissingBond, NotIdempotent
-from brext.groups import constant_hom, cyclic_group, hom, identity_hom
+from brext.groups import cyclic_group, hom, identity_hom
+from test_groups import constant_hom
+
+
+def nat_order_idem(sys: CliffordSystem, e: CliffordElement, f: CliffordElement) -> bool:
+    """e below f in the idempotent order: both products collapse to e."""
+    for x in (e, f):
+        if cmul(sys, x, x) != x:
+            raise NotIdempotent(f"{x} is not idempotent")
+    return cmul(sys, e, f) == e and cmul(sys, f, e) == e
 
 
 def make_t2():

@@ -6,16 +6,23 @@ from brext.errors import IndexOutOfRange, MalformedMap, MalformedTable, OrderToo
 from brext.groups import (
     GroupTable,
     compose_homs,
-    constant_hom,
     cyclic_group,
     ginv,
     gmul,
     hom,
     identity_hom,
-    trivial_group,
     validate_group,
     validate_hom,
 )
+
+
+def trivial_group() -> GroupTable:
+    return cyclic_group(1)
+
+
+def constant_hom(domain: GroupTable, codomain: GroupTable):
+    """The annihilating map sending everything to the codomain identity."""
+    return hom(domain, codomain, [codomain.identity] * domain.order)
 
 
 def test_z2_is_a_group():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,11 +186,10 @@ def test_certificates_reject_bad_multipliers(c2c2):
 
 
 @st.composite
-def certificates(draw, B):
+def certificates(draw, B, small=st.integers(0, 6)):
     """A multiplier, a side and a target, with the box_solve exclusions
     or a set one box off from them."""
     lv = draw(st.integers(0, B.sys.chain.size - 1))
-    small = st.integers(0, 6)
     a = BRElem(draw(small), CE(lv, draw(st.integers(0, B.sys.group(lv).order - 1))), draw(small))
     side = draw(st.sampled_from(["left", "right"]))
     boxes = st.tuples(st.integers(0, 8), st.integers(0, 8))
@@ -231,6 +231,36 @@ def test_verify_certificate_matches_elementwise_oracle(c2c2, trivial, data):
     B = data.draw(st.sampled_from([c2c2, trivial]))
     cert = data.draw(certificates(B))
     assert verify_certificate(B, cert) == brute_violations(B, cert)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_shared_product_index_matches_fresh_verification(c2c2, trivial, data):
+    # multipliers from few boxes, each replayed with the next group part,
+    # so certificates keep reusing and growing one another's index entries
+    B = data.draw(st.sampled_from([c2c2, trivial]))
+    elems = list(B.sys.elements())
+    certs = data.draw(st.lists(certificates(B, st.integers(0, 2)), min_size=1, max_size=4))
+    fibers = {}
+    for cert in certs:
+        s = elems[(elems.index(cert.a.s) + 1) % len(elems)]
+        for c in (cert, replace(cert, a=cert.a._replace(s=s))):
+            assert verify_certificate(B, c, fibers=fibers) == verify_certificate(B, c) == brute_violations(B, c)
+    assert set(fibers) == {(c.a.i, c.a.j, c.side) for c in certs}
+
+
+def test_shared_index_grows_to_a_taller_corner(c2c2):
+    # the first certificate indexes row 0 out to j = 8; the second needs
+    # rows 0..6 up to j = 2, and keeps the one box it must exclude
+    a = BRElem(0, CE(1, 1), 0)
+    fibers = {}
+    assert continuity_cert_zero(c2c2, a, BasicZeroNbhd.excluding([(0, 8)]), "left", fibers=fibers).ok
+    tall = ContinuityCertificate(
+        a=a, side="left", target=BasicZeroNbhd.excluding([(6, 2)]), found=WHOLE_SPACE, trace={},
+    )
+    assert verify_certificate(c2c2, tall, fibers=fibers) == [
+        f"{BRElem(6, s, 2)} is in U but its product leaves the target" for s in c2c2.sys.elements()
+    ]
 
 
 def test_membership_is_box_lookup(c2c2):

@@ -201,6 +201,18 @@ def test_bicyclic_oracle_catches_bmul_mutants(monkeypatch, name):
     assert result.checked == 5 ** 4
 
 
+@pytest.mark.parametrize("name", BMUL_MUTANTS)
+def test_box_solver_catches_bmul_mutants(monkeypatch, name):
+    # the brute scan multiplies through verify.bmul, not an inlined formula
+    monkeypatch.setattr(verify, "bmul", BMUL_MUTANTS[name])
+    assert verify.suite_box_solver("mutant", 4).violations
+
+
+def test_associativity_on_a_one_element_window(trivial):
+    result = verify.suite_associativity(trivial, 1)
+    assert (result.checked, result.violations) == (1, [])
+
+
 def test_bicyclic_oracle_reports_products_outside_the_table(monkeypatch):
     real = verify.bmul
     odd = {

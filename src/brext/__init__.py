@@ -2,7 +2,7 @@
 verification of their arithmetic, order structure and zero-neighborhood
 certificates."""
 
-from .bicyclic import BicyclicElem, bmul, binv, oracle_mul
+from .bicyclic import BicyclicElem, bmul, bmul_rows, binv, oracle_mul
 from .bruck_reilly import (
     Box,
     BRElem,
@@ -50,7 +50,7 @@ from .topology import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BicyclicElem", "bmul", "binv", "oracle_mul",
+    "BicyclicElem", "bmul", "bmul_rows", "binv", "oracle_mul",
     "Box", "BRElem", "BRSystem", "brinv", "brmul", "brmul_rows", "eta",
     "hclass", "idempotents_window", "nat_order", "nat_order_oracle",
     "simplicity_witness", "window_elements", "zero_divisor_scan",

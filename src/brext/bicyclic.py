@@ -3,18 +3,19 @@
 Elements are normal forms q^k p^l stored as index pairs (k, l) with
 arbitrary-precision non-negative integers.  The adjoined zero is a separate
 sentinel, never a reserved pair.  Three routes compute a product:
-bmul is the closed-form index arithmetic; rho_table maps each pair to a
-2x2 upper-triangular max-plus matrix, a faithful image in which a product
-is one tmul, built from the generator images by products alone; and
-oracle_mul composes the partial shifts of omega that the generators act
-by.  The verification suites check bmul against the max-plus image, and
-the test suite compares all three.
+bmul is the closed-form index arithmetic, and bmul_rows streams whole rows
+of products by the same formula for the exhaustive scans; rho_table maps
+each pair to a 2x2 upper-triangular max-plus matrix, a faithful image in
+which a product is one tmul, built from the generator images by products
+alone; and oracle_mul composes the partial shifts of omega that the
+generators act by.  The verification suites check the row kernel against
+the max-plus image, and the test suite compares all three routes.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .errors import WitnessVerificationFailed
 
@@ -57,6 +58,29 @@ def bmul(x: Element, y: Element) -> Element:
         return ZERO
     d = min(x.l, y.k)
     return BicyclicElem(x.k + y.k - d, x.l + y.l - d)
+
+
+def bmul_rows(xs: Sequence[Element], ys: Sequence[Element]) -> Iterator[list[Element]]:
+    """Yield the row [x*y for y in ys] for each x in xs, by bmul's formula.
+
+    Every operand is checked as bmul checks it, xs first, before any row.
+    Against x = (k, l), a nonzero y = (m, n) gives (k, l - m + n) when
+    m <= l and (k - l + m, n) otherwise; a zero on either side gives zero.
+    Rows are streamed, never kept.
+    """
+    for x in xs:
+        _check(x)
+    for y in ys:
+        _check(y)
+    new = tuple.__new__
+    pairs = [(None, y) if y is ZERO else (y.k, y.l) for y in ys]
+    for x in xs:
+        if x is ZERO:
+            yield [ZERO] * len(pairs)
+            continue
+        k, l = x
+        yield [n if m is None else new(BicyclicElem, (k, l - m + n) if m <= l else (k - l + m, n))
+               for m, n in pairs]
 
 
 def binv(x: Element) -> Element:

@@ -169,7 +169,8 @@ def continuity_cert_zero(B: BRSystem, a: BRElem, target: BasicZeroNbhd, side: st
     A box of U lands in an excluded box of the target exactly when it solves
     the corresponding box equation, so excluding the union of solution sets
     is both sound and exact.  Such a U always exists: the union is finite.
-    `fibers` is handed on to verify_certificate.
+    `fibers` is handed on to verify_certificate's re-verification, which
+    skips the multiplier check made here.
     """
     _check_multiplier(B, a, side)
     trace = {}
@@ -181,7 +182,7 @@ def continuity_cert_zero(B: BRSystem, a: BRElem, target: BasicZeroNbhd, side: st
     cert = ContinuityCertificate(
         a=a, side=side, target=target, found=BasicZeroNbhd(frozenset(excl)), trace=trace
     )
-    cert.violations = verify_certificate(B, cert, fibers=fibers)
+    cert.violations = _reverify(B, cert, fibers)
     return cert
 
 
@@ -211,8 +212,13 @@ def verify_certificate(B: BRSystem, cert: ContinuityCertificate, fibers=None) ->
     dict built for B to share the index across certificates (by default
     it is local to this call).
     """
+    _check_multiplier(B, cert.a, cert.side)
+    return _reverify(B, cert, fibers)
+
+
+def _reverify(B: BRSystem, cert: ContinuityCertificate, fibers) -> list[str]:
+    """verify_certificate after its multiplier check."""
     a, side = cert.a, cert.side
-    _check_multiplier(B, a, side)
     found, target = cert.found.excluded, cert.target.excluded
     if side == "left":
         corners = [(t1 - a.i + a.j, t2) for t1, t2 in target if t1 >= a.i]

@@ -13,10 +13,12 @@ Products are reused only where a suite's loops recompute them:
 inverse_axioms and idempotent_chain cache brmul with functools.cache for
 one call, and continuity hands one dict to every certificate, so the
 certificates of one multiplier box and side share one inverted index of
-product boxes; the others call brmul directly.  bicyclic_oracle checks
-bmul against the faithful max-plus image of the bicyclic monoid, one
-matrix product per pair, and box_solver scans a grid built once per call
-with bmul.
+product boxes; the others call brmul directly.  The bicyclic scans take
+their products a row at a time from bmul_rows: bicyclic_oracle compares
+each row with the faithful max-plus image of the bicyclic monoid, one
+matrix product per pair, box_solver streams the rows of its multipliers
+against a grid built once per call, and eta_homomorphism reads the
+bicyclic row next to the brmul_rows row.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from . import bicyclic
-from .bicyclic import BicyclicElem, bmul, binv, rho_table, tmul
+from .bicyclic import BicyclicElem, bmul, bmul_rows, binv, rho_table, tmul
 from .bruck_reilly import (
     Box,
     BRElem,
@@ -157,10 +159,9 @@ def suite_eta_homomorphism(B: BRSystem, window: int) -> SuiteResult:
     elems = window_elements(B, window)
     images = [eta(y) for y in elems]
     bad = []
-    for x, row in zip(elems, brmul_rows(B, elems, elems)):
-        ex = eta(x)
-        for y, ey, p in zip(elems, images, row):
-            if eta(p) != bmul(ex, ey):
+    for x, row, etas in zip(elems, brmul_rows(B, elems, elems), bmul_rows(images, images)):
+        for y, p, e in zip(elems, row, etas):
+            if eta(p) != e:
                 bad.append(f"eta breaks at {format_elem(x)}, {format_elem(y)}")
     return SuiteResult("eta_homomorphism", B.name, {"window": window}, len(elems) ** 2, bad)
 
@@ -328,50 +329,72 @@ def suite_bicyclic_oracle(system_name: str, max_index: int = 12) -> SuiteResult:
 
     rho is built by products of the generator images for indices up to
     2 * max_index, which holds every product of two operands; a product
-    bmul places outside the table is a disagreement."""
+    bmul_rows places outside the table is a disagreement.  Each row of
+    products, read through rho, is compared whole with rho[x] times the
+    images of the ys, and only a row that differs is walked pair by pair."""
     rho = rho_table(2 * max_index)
     r = range(max_index + 1)
     elems = [BicyclicElem(k, l) for k in r for l in r]
+    images = [rho[y] for y in elems]
     bad = []
-    for x in elems:
-        rx = rho[x]
-        for y in elems:
-            if rho.get(bmul(x, y)) != tmul(rx, rho[y]):
-                bad.append(f"{bicyclic.format_elem(x)}*{bicyclic.format_elem(y)} disagrees")
+    for x, row in zip(elems, bmul_rows(elems, elems)):
+        want = list(map(tmul, repeat(rho[x]), images))
+        if list(map(rho.get, row)) != want:
+            bad += [f"{bicyclic.format_elem(x)}*{bicyclic.format_elem(y)} disagrees"
+                    for y, p, v in zip(elems, row, want) if rho.get(p) != v]
     return SuiteResult(
         "bicyclic_oracle", system_name, {"max_index": max_index}, (max_index + 1) ** 4, bad
     )
 
 
-def suite_box_solver(system_name: str, max_index: int = 6, brute_bound: int = 20) -> SuiteResult:
+def suite_box_solver(system_name: str, max_index: int = 6, brute_bound: int | None = None) -> SuiteResult:
     """Closed-form box equation solutions against a full scan, both sides.
 
-    The scan still multiplies every box up to the brute bound by bmul; the
-    grid, its boxes and the multiplier and target pairs are built once per
-    call, and each multiplier's products are grouped by product instead of
-    rescanned per target.
+    Multipliers and targets are the boxes with indices up to max_index.
+    A left solution (t1 - a1 + a2, t2) has a first index up to
+    2 * max_index, so the scan multiplies every box up to the brute bound,
+    by default max(20, 2 * max_index); a smaller explicit bound is refused
+    before any work.  The products come from bmul_rows as streamed rows and
+    only those that are targets are kept: a left multiplier is checked as
+    soon as its row arrives, a right one once the scan over the boxes ends.
     """
-    bad = []
+    if brute_bound is None:
+        brute_bound = max(20, 2 * max_index)
+    elif brute_bound < 2 * max_index:
+        raise ValueError(f"brute_bound must be at least 2 * max_index = {2 * max_index}")
     r, m = range(brute_bound + 1), range(max_index + 1)
     grid = [BicyclicElem(i, j) for i in r for j in r]
     boxes = [Box(i, j) for i in r for j in r]
-    small = [(Box(i, j), BicyclicElem(i, j)) for i in m for j in m]  # multipliers and targets
-    checked = 0
-    for side in ("left", "right"):
-        for a, ab in small:
-            ae = repeat(ab)
-            hits = {}
-            for prod, b in zip(map(bmul, ae, grid) if side == "left" else map(bmul, grid, ae), boxes):
-                hits.setdefault(prod, []).append(b)
-            for t, te in small:
-                checked += 1
-                if box_solve(a, t, side) != frozenset(hits.get(te, ())):
-                    bad.append(f"{side} solutions differ for a={tuple(a)}, target={tuple(t)}")
+    small = [Box(i, j) for i in m for j in m]  # multipliers and targets
+    elems = [BicyclicElem(*t) for t in small]
+    ids = {t: n for n, t in enumerate(elems)}
+    bad = []
+
+    def check(side, a, hits):
+        """hits: (target id, box) for every box whose product with a is a target."""
+        sols = [[] for _ in small]
+        for t, b in hits:
+            sols[t].append(b)
+        bad.extend(f"{side} solutions differ for a={tuple(a)}, target={tuple(t)}"
+                   for t, s in zip(small, sols) if box_solve(a, t, side) != frozenset(s))
+
+    for a, row in zip(small, bmul_rows(elems, grid)):
+        check("left", a, [(ids[p], b) for b, p in zip(boxes, row) if p in ids])
+    # right rows run over the boxes, so every multiplier's hits are kept until
+    # the scan ends, flat, without a tuple per hit
+    right = [[] for _ in small]
+    for b, row in zip(boxes, bmul_rows(grid, elems)):
+        for hits, p in zip(right, row):
+            if p in ids:
+                hits += ids[p], b
+    for a, hits in zip(small, right):
+        it = iter(hits)
+        check("right", a, zip(it, it))
     return SuiteResult(
         "box_solver",
         system_name,
         {"max_index": max_index, "brute_bound": brute_bound},
-        checked,
+        2 * len(small) ** 2,
         bad,
     )
 

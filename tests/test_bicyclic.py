@@ -12,6 +12,7 @@ from brext.bicyclic import (
     ZERO,
     BicyclicElem,
     bmul,
+    bmul_rows,
     binv,
     format_elem,
     idempotent,
@@ -75,6 +76,49 @@ def test_oracle_agrees_exhaustively_small():
 def test_oracle_agrees_randomized(k, l, m, n):
     x, y = BicyclicElem(k, l), BicyclicElem(m, n)
     assert bmul(x, y) == oracle_mul(x, y)
+
+
+def test_bmul_rows_matches_bmul_with_zeros_and_empty_lists():
+    r = range(6)
+    elems = [BicyclicElem(k, l) for k in r for l in r]
+    # zero rows and columns, unsorted and repeated operands
+    xs = [ZERO] + elems[::-1] + [ZERO, BicyclicElem(40, 3)]
+    ys = elems[5:] + [ZERO] + elems[:5] + [BicyclicElem(2, 40), ZERO]
+    got = list(bmul_rows(xs, ys))
+    assert got == [[bmul(x, y) for y in ys] for x in xs]
+    for x, row in zip(xs, got):
+        for y, p in zip(ys, row):
+            if x is ZERO or y is ZERO:
+                assert p is ZERO
+            else:
+                assert type(p) is BicyclicElem and p == oracle_mul(x, y), (x, y)
+    assert list(bmul_rows([], ys)) == []
+    assert list(bmul_rows(xs[:3], [])) == [[], [], []]
+
+
+bad_operands = st.sampled_from(
+    [BicyclicElem(-1, 0), BicyclicElem(2, -3), (1, 2), None, "(1,2)"]
+)
+operands = st.lists(st.builds(BicyclicElem, small, small) | st.just(ZERO), max_size=4)
+
+
+def _error(f, *args):
+    with pytest.raises(Exception) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+@given(operands, operands, bad_operands, bad_operands, st.data())
+def test_bmul_rows_refuses_bad_operands_like_bmul(xs, ys, bad_x, bad_y, data):
+    xs = xs + [bad_x]
+    ys = ys + [bad_y]
+    data.draw(st.randoms()).shuffle(xs)
+    good = BicyclicElem(1, 1)
+    rows = bmul_rows(xs, ys)
+    # xs are checked before ys, and both before any row is yielded
+    assert _error(next, rows) == _error(bmul, bad_x, good) == _error(bmul, bad_x, bad_y)
+    assert _error(next, bmul_rows(ys[:-1], ys)) == _error(bmul, good, bad_y)
+    assert list(rows) == []
 
 
 def test_oracle_refuses_a_window_too_small_under_python_O():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brext import topology
 from brext.bicyclic import BicyclicElem
 from brext.bruck_reilly import ZERO, Box, BRElem, box, brmul
 from brext.clifford import CliffordElement as CE
@@ -29,6 +30,7 @@ from brext.topology import (
     row_exceptions_finite,
     verify_certificate,
 )
+from brext.verify import suite_continuity
 
 idx = st.integers(min_value=0, max_value=12)
 
@@ -183,6 +185,14 @@ def test_certificates_reject_bad_multipliers(c2c2):
         cert.a = a
         with pytest.raises(ValueError, match=message):
             verify_certificate(c2c2, cert)
+
+
+def test_continuity_checks_each_multiplier_once(c2c2, monkeypatch):
+    calls = []
+    check = topology._check_multiplier
+    monkeypatch.setattr(topology, "_check_multiplier", lambda *args: calls.append(args) or check(*args))
+    result = suite_continuity(c2c2, 0)
+    assert result.ok and result.checked == len(calls) == 3600
 
 
 @st.composite

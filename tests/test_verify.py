@@ -1,8 +1,8 @@
 import pytest
 
 from brext import verify
-from brext.bicyclic import BicyclicElem, ZERO, oracle_mul
-from brext.bruck_reilly import brmul, brmul_rows, parse_elem
+from brext.bicyclic import BicyclicElem, ZERO, bmul, oracle_mul
+from brext.bruck_reilly import brmul, brmul_rows, eta, format_elem, parse_elem, window_elements
 from brext.clifford import CliffordElement
 from brext.verify import SuiteResult, run_all
 
@@ -176,6 +176,11 @@ def _bmul_mutant(d):
     return mul
 
 
+def _rows(mul):
+    """bmul_rows built from a pairwise product."""
+    return lambda xs, ys: ([mul(x, y) for y in ys] for x in xs)
+
+
 BMUL_MUTANTS = {
     "min-to-max": _bmul_mutant(lambda x, y: max(x.l, y.k)),
     "swapped-index": _bmul_mutant(lambda x, y: min(x.k, y.k)),
@@ -195,7 +200,7 @@ def test_bicyclic_oracle_catches_bmul_mutants(monkeypatch, name):
         if mutant(x, y) != oracle_mul(x, y)
     ]
     assert wrong
-    monkeypatch.setattr(verify, "bmul", mutant)
+    monkeypatch.setattr(verify, "bmul_rows", _rows(mutant))
     result = verify.suite_bicyclic_oracle("mutant", 4)
     assert result.violations == wrong
     assert result.checked == 5 ** 4
@@ -203,9 +208,41 @@ def test_bicyclic_oracle_catches_bmul_mutants(monkeypatch, name):
 
 @pytest.mark.parametrize("name", BMUL_MUTANTS)
 def test_box_solver_catches_bmul_mutants(monkeypatch, name):
-    # the brute scan multiplies through verify.bmul, not an inlined formula
-    monkeypatch.setattr(verify, "bmul", BMUL_MUTANTS[name])
+    # the brute scan multiplies through verify.bmul_rows, not an inlined formula
+    monkeypatch.setattr(verify, "bmul_rows", _rows(BMUL_MUTANTS[name]))
     assert verify.suite_box_solver("mutant", 4).violations
+
+
+@pytest.mark.parametrize("name", BMUL_MUTANTS)
+def test_eta_homomorphism_catches_bmul_mutants(c2c2, monkeypatch, name):
+    mutant = BMUL_MUTANTS[name]
+    elems = window_elements(c2c2, 2)
+    wrong = [
+        f"eta breaks at {format_elem(x)}, {format_elem(y)}"
+        for x in elems
+        for y in elems
+        if mutant(eta(x), eta(y)) != bmul(eta(x), eta(y))
+    ]
+    assert wrong
+    monkeypatch.setattr(verify, "bmul_rows", _rows(mutant))
+    result = verify.suite_eta_homomorphism(c2c2, 2)
+    assert result.violations == wrong
+    assert result.checked == len(elems) ** 2
+
+
+def test_box_solver_bound_sees_every_solution():
+    assert verify.suite_box_solver("bicyclic", 6).params["brute_bound"] == 20
+    assert verify.suite_box_solver("bicyclic", 4, brute_bound=8).ok
+    with pytest.raises(ValueError, match=r"at least 2 \* max_index = 24"):
+        verify.suite_box_solver("bicyclic", 12, brute_bound=23)
+
+
+@pytest.mark.parametrize("window", [6, 8])
+@pytest.mark.parametrize("system", ["c2c2", "trivial"])
+def test_verify_all_passes_past_the_golden_window(request, system, window):
+    results = {r.suite: r for r in run_all(request.getfixturevalue(system), window=window)}
+    assert all(r.ok for r in results.values()), [(n, r.violations[:2]) for n, r in results.items() if not r.ok]
+    assert results["box_solver"].params == {"max_index": 2 * window, "brute_bound": 4 * window}
 
 
 def test_associativity_on_a_one_element_window(trivial):
@@ -214,14 +251,13 @@ def test_associativity_on_a_one_element_window(trivial):
 
 
 def test_bicyclic_oracle_reports_products_outside_the_table(monkeypatch):
-    real = verify.bmul
     odd = {
         (BicyclicElem(1, 2), BicyclicElem(3, 0)): BicyclicElem(9, 0),
         (BicyclicElem(2, 2), BicyclicElem(0, 1)): BicyclicElem(2, 9),
         (BicyclicElem(3, 3), BicyclicElem(3, 3)): ZERO,
         (BicyclicElem(4, 0), BicyclicElem(0, 4)): None,
     }
-    monkeypatch.setattr(verify, "bmul", lambda x, y: odd[x, y] if (x, y) in odd else real(x, y))
+    monkeypatch.setattr(verify, "bmul_rows", _rows(lambda x, y: odd[x, y] if (x, y) in odd else bmul(x, y)))
     result = verify.suite_bicyclic_oracle("mutant", 4)
     assert result.violations == [
         "(1,2)*(3,0) disagrees",

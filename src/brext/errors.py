@@ -6,7 +6,7 @@ class BrextError(Exception):
 
 
 class OrderTooLarge(BrextError):
-    """Group order exceeds the exhaustive-validation cap."""
+    """Group order exceeds the validation cap, MAX_ORDER."""
 
 
 class MalformedTable(BrextError):
@@ -23,10 +23,6 @@ class IndexOutOfRange(BrextError, IndexError):
 
 class MissingBond(BrextError):
     """No bonding homomorphism recorded for a requested pair of levels."""
-
-
-class NotIdempotent(BrextError):
-    """Operand of an idempotent-only comparison is not an idempotent."""
 
 
 class ZeroNotAdjoined(BrextError):

@@ -27,7 +27,6 @@ import functools
 import random
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
 
 from . import bicyclic
 from .bicyclic import BicyclicElem, bmul, bmul_rows, binv, rho_table, tmul
@@ -51,6 +50,7 @@ from .bruck_reilly import (
 )
 from .clifford import CliffordElement, idempotents, validate_system
 from .errors import MalformedDescriptor, WitnessVerificationFailed
+from .groups import row_reader
 from .topology import (
     BasicZeroNbhd,
     BoxFamily,
@@ -110,16 +110,14 @@ def suite_associativity(B: BRSystem, window: int) -> SuiteResult:
     Each distinct window product p gets an id; right[id] is the row p*z
     over the window, kept as a tuple, and, per x, left is the row x*p over
     the distinct products.  A pair (x, y) compares right[id(x*y)] with
-    left read at the ids of the y*z by one itemgetter per y, built once,
+    left read at the ids of the y*z by one row_reader per y, built once,
     and only a row that differs is walked element by element."""
     elems = window_elements(B, window)
     ids = {}
     prod_ids = [[ids.setdefault(p, len(ids)) for p in row] for row in brmul_rows(B, elems, elems)]
     prods = list(ids)
     right = [tuple(row) for row in brmul_rows(B, prods, elems)]
-    # itemgetter returns a bare item, not a tuple, for a one-element window
-    getters = [itemgetter(*yz_ids) if len(yz_ids) > 1 else (lambda row, k=yz_ids[0]: (row[k],))
-               for yz_ids in prod_ids]
+    getters = [row_reader(yz_ids) for yz_ids in prod_ids]
     bad = []
     for x, xy_ids, left in zip(elems, prod_ids, brmul_rows(B, elems, prods)):
         for y, xy_id, get_yz in zip(elems, xy_ids, getters):

@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from brext import clifford, groups
 from brext.clifford import (
     ChainSemilattice,
     CliffordElement,
@@ -14,7 +16,7 @@ from brext.clifford import (
     theta_pow_oracle,
     validate_system,
 )
-from brext.errors import IndexOutOfRange, MissingBond, NotIdempotent
+from brext.errors import IndexOutOfRange, MissingBond
 from brext.groups import cyclic_group, hom, identity_hom
 from test_groups import constant_hom
 
@@ -23,7 +25,7 @@ def nat_order_idem(sys: CliffordSystem, e: CliffordElement, f: CliffordElement) 
     """e below f in the idempotent order: both products collapse to e."""
     for x in (e, f):
         if cmul(sys, x, x) != x:
-            raise NotIdempotent(f"{x} is not idempotent")
+            raise ValueError(f"{x} is not idempotent")
     return cmul(sys, e, f) == e and cmul(sys, f, e) == e
 
 
@@ -227,7 +229,7 @@ def test_idempotent_chain_order():
     assert nat_order_idem(sys, es[1], es[0])
     assert not nat_order_idem(sys, es[0], es[1])
     assert nat_order_idem(sys, es[0], es[0])
-    with pytest.raises(NotIdempotent):
+    with pytest.raises(ValueError, match="not idempotent"):
         nat_order_idem(sys, CliffordElement(0, 1), es[0])
 
 
@@ -346,3 +348,89 @@ def test_compiled_once_and_never_by_validation():
     assert validate_system(sys).ok
     assert "compiled" not in vars(sys)
     assert sys.compiled is sys.compiled
+
+
+def reference_system_violations(sys: CliffordSystem) -> list[str]:
+    """Coherence over every descending triple, then, if that holds, the
+    theta law over every element pair, on systems whose groups, bonds and
+    theta maps are valid."""
+    k, g = sys.chain.size, sys.groups
+
+    def phi(a, b):
+        return range(g[a].order) if a == b else sys.bonds[(a, b)].map
+
+    out = [
+        f"bond composition violated for levels ({a},{b},{c}) at element {x}"
+        for a, b, c in itertools.combinations(range(k), 3)
+        for x in range(g[a].order)
+        if phi(b, c)[phi(a, b)[x]] != phi(a, c)[x]
+    ]
+    if out:
+        return out
+    th, top = [t.map for t in sys.theta], g[0].table
+    elems = [(level, x) for level in range(k) for x in range(g[level].order)]
+    for (la, x), (lb, y) in itertools.product(elems, repeat=2):
+        m = max(la, lb)
+        xy = g[m].table[phi(la, m)[x]][phi(lb, m)[y]]
+        if th[m][xy] != top[th[la][x]][th[lb][y]]:
+            out.append(f"theta law violated for a={(la, x)}, b={(lb, y)}")
+    return out
+
+
+def cyclic_chain(orders, mults, theta_mults) -> CliffordSystem:
+    """Cyclic levels, bond (a,b) x -> mults[a,b]*x, theta[a] x -> theta_mults[a]*x."""
+    gs = tuple(cyclic_group(n) for n in orders)
+    return CliffordSystem(
+        chain=ChainSemilattice(len(gs)),
+        groups=gs,
+        bonds={(a, b): hom(gs[a], gs[b], [c * x % orders[b] for x in range(orders[a])]) for (a, b), c in mults.items()},
+        theta=tuple(hom(g, gs[0], [t * x % orders[0] for x in range(g.order)]) for g, t in zip(gs, theta_mults)),
+    )
+
+
+@st.composite
+def cyclic_chains(draw):
+    """2-3 cyclic levels, each order dividing the one above, so every
+    x -> c*x is a bond.  The (0,2) bond is the composite or drawn freely;
+    each theta[a] is drawn among all homomorphisms into the top group, or
+    derived from the level below so that the law can hold."""
+    orders = [draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12]))]
+    for _ in range(draw(st.integers(1, 2))):
+        orders.append(draw(st.sampled_from([d for d in range(1, orders[-1] + 1) if orders[-1] % d == 0])))
+    k = len(orders)
+    mults = {(a, b): draw(st.integers(0, orders[b] - 1)) for a, b in itertools.combinations(range(k), 2)}
+    if k == 3 and draw(st.booleans()):
+        mults[(0, 2)] = mults[(0, 1)] * mults[(1, 2)] % orders[2]
+    theta = [0] * k
+    for a in reversed(range(k)):
+        if a < k - 1 and draw(st.booleans()):
+            theta[a] = theta[a + 1] * mults[(a, a + 1)] % orders[0]
+        else:  # the homomorphisms Z_n -> Z_top are x -> j*(top/n)*x
+            theta[a] = draw(st.integers(0, orders[a] - 1)) * (orders[0] // orders[a])
+    return cyclic_chain(orders, mults, theta)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sys=cyclic_chains())
+def test_fast_routes_agree_with_the_exhaustive_scans(sys):
+    assert validate_system(sys).violations == reference_system_violations(sys)
+
+
+def test_coherence_of_a_long_chain_reports_every_triple():
+    k = 6
+    mults = {(a, b): 1 for a, b in itertools.combinations(range(k), 2)}
+    mults[(1, 4)] = 0
+    sys = cyclic_chain([2] * k, mults, [1] * k)
+    rep = validate_system(sys)
+    assert rep.violations == reference_system_violations(sys)
+    assert len(rep.violations) == 4  # (1,2,4), (1,3,4), (1,4,5) and (0,1,4)
+
+
+def test_valid_systems_never_reach_the_oracles(c2c2, trivial, monkeypatch):
+    def oracle(*args):
+        raise AssertionError("validation of a valid system reached an oracle")
+
+    for mod, name in ((clifford, "cmul_oracle"), (clifford, "theta_pow_oracle"), (clifford, "gmul"), (groups, "gmul")):
+        monkeypatch.setattr(mod, name, oracle)
+    for sys in [*table_systems(c2c2, trivial), cyclic_chain([12, 6, 3], {(0, 1): 5, (0, 2): 2, (1, 2): 1}, [8, 4, 4])]:
+        assert validate_system(sys).ok

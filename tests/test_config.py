@@ -35,6 +35,54 @@ def test_fault_corpus_fails_validation_with_named_violation(path, fragment):
     assert any(fragment in v for v in exc.value.report.violations), exc.value.report.violations
 
 
+# Every violation of every fault config, in order, as the exhaustive scans
+# list them: a fast check that passes a faulty system would shorten a list.
+FAULT_VIOLATIONS = {
+    "bad_bond_composition.json": [
+        "bond composition violated for levels (0,1,2) at element 1",
+    ],
+    "bad_bond_hom.json": [
+        "bond (0,1): not a homomorphism at (0,0)",
+        "bond (0,1): not a homomorphism at (0,1)",
+        "bond (0,1): not a homomorphism at (1,0)",
+        "bond (0,1): not a homomorphism at (1,1)",
+    ],
+    "bad_group_assoc.json": [
+        "group 0: associativity violated at (1,1,2)",
+        "group 0: associativity violated at (1,2,2)",
+        "group 0: associativity violated at (2,1,1)",
+        "group 0: associativity violated at (2,2,1)",
+    ],
+    "bad_group_inverse.json": [
+        "group 1: inverse axiom violated for element 1",
+        "bond (0,1): not a homomorphism at (1,1)",
+        "theta[1]: not a homomorphism at (1,1)",
+    ],
+    "bad_theta.json": [
+        "theta[1]: not a homomorphism at (0,0)",
+        "theta[1]: not a homomorphism at (0,1)",
+        "theta[1]: not a homomorphism at (1,0)",
+        "theta[1]: not a homomorphism at (1,1)",
+    ],
+    "bad_theta_law.json": [
+        "theta law violated for a=(0, 1), b=(1, 0)",
+        "theta law violated for a=(0, 1), b=(1, 1)",
+        "theta law violated for a=(1, 0), b=(0, 1)",
+        "theta law violated for a=(1, 1), b=(0, 1)",
+    ],
+    "missing_bond.json": [
+        "missing bonding map for levels (0,2)",
+    ],
+}
+
+
+@pytest.mark.parametrize("path", [path for path, _ in fault_files()], ids=lambda v: v.stem)
+def test_fault_corpus_reports_the_full_violation_list(path):
+    with pytest.raises(ValidationFailed) as exc:
+        load_system(path)
+    assert exc.value.report.violations == FAULT_VIOLATIONS[path.name]
+
+
 def test_ragged_table_is_a_parse_error():
     with pytest.raises(ParseError, match="row 1"):
         load_system(FIXTURES / "malformed_table.json")

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brext.errors import IndexOutOfRange, MalformedMap, MalformedTable, OrderTooLarge
 from brext.groups import (
@@ -129,3 +131,104 @@ def test_hom_composition_and_constant():
     assert comp.map == (0, 0, 0, 0)
     assert validate_hom(comp).ok
     assert identity_hom(z4).map == (0, 1, 2, 3)
+
+
+def reference_inverse(tbl, e):
+    return tuple(next((b for b in range(len(tbl)) if tbl[a][b] == e and tbl[b][a] == e), None) for a in range(len(tbl)))
+
+
+def reference_group_violations(g: GroupTable) -> list[str]:
+    """validate_group by definition, on a closed table: every triple."""
+    n, tbl, e = g.order, g.table, g.identity
+    inv = reference_inverse(tbl, e)
+    return (
+        [f"identity axiom violated for element {a}" for a in range(n) if tbl[e][a] != a or tbl[a][e] != a]
+        + [f"inverse axiom violated for element {a}" for a in range(n) if inv[a] is None]
+        + [
+            f"associativity violated at ({a},{b},{c})"
+            for a, b, c in itertools.product(range(n), repeat=3)
+            if tbl[tbl[a][b]][c] != tbl[a][tbl[b][c]]
+        ]
+    )
+
+
+def reference_hom_violations(h) -> list[str]:
+    dom, cod, m = h.domain.table, h.codomain.table, h.map
+    return [
+        f"not a homomorphism at ({a},{b})"
+        for a, b in itertools.product(range(h.domain.order), repeat=2)
+        if m[dom[a][b]] != cod[m[a]][m[b]]
+    ]
+
+
+@st.composite
+def loops(draw):
+    """Tables with identity 0 whose rows are permutations; most of them are
+    not associative, and some are not groups."""
+    n = draw(st.integers(1, 7))
+    rows = [list(range(n))]
+    for a in range(1, n):
+        rows.append([a, *draw(st.permutations([v for v in range(n) if v != a]))])
+    return GroupTable.from_rows(rows, identity=0)
+
+
+@st.composite
+def relabelled_groups(draw):
+    """Z_p x Z_q with its elements renamed, the identity kept at 0."""
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = p * q
+    name = [0, *draw(st.permutations(range(1, n)))]
+    rows = [[0] * n for _ in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        rows[name[a]][name[b]] = name[(a // q + b // q) % p * q + (a + b) % q]
+    return GroupTable.from_rows(rows, identity=0)
+
+
+@st.composite
+def magmas(draw):
+    """Any closed table with any identity claim."""
+    n = draw(st.integers(1, 4))
+    cell = st.integers(0, n - 1)
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    return GroupTable.from_rows(rows, identity=draw(cell))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(g=st.one_of(loops(), relabelled_groups()))
+def test_light_test_agrees_with_every_triple_on_loops(g):
+    assert validate_group(g).violations == reference_group_violations(g)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(g=magmas())
+def test_magmas_validate_and_invert_as_by_definition(g):
+    assert g.inverse == reference_inverse(g.table, g.identity)
+    assert validate_group(g).violations == reference_group_violations(g)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    g=st.one_of(st.integers(1, 6).map(cyclic_group), loops()),
+    n=st.integers(1, 6),
+    data=st.data(),
+)
+def test_hom_rows_agree_with_every_pair(g, n, data):
+    h = hom(g, cyclic_group(n), data.draw(st.lists(st.integers(0, n - 1), min_size=g.order, max_size=g.order)))
+    assert validate_hom(h).violations == reference_hom_violations(h)
+
+
+def test_from_rows_messages_name_the_first_bad_entry():
+    class Small(int):
+        pass
+
+    assert GroupTable.from_rows([[0, Small(1)], [1, 0]], identity=0).inverse == (0, 1)
+    for bad, msg in (
+        ([[0, 1], [1, True]], "entry (1,1) = True outside 0..1"),
+        ([[0, 1.0], [1, 0]], "entry (0,1) = 1.0 outside 0..1"),
+        ([[0, 1], [-1, 2]], "entry (1,0) = -1 outside 0..1"),
+        ([[0, "1"], [1, 0]], "entry (0,1) = '1' outside 0..1"),
+    ):
+        with pytest.raises(MalformedTable) as exc:
+            GroupTable.from_rows(bad, identity=0)
+        assert str(exc.value) == msg
+

@@ -13,11 +13,12 @@ group, one per level, which together must form a monoid endomorphism of the
 whole semigroup into its unit group.  theta_pow iterates it; iterates beyond
 the first all happen inside the top group.
 
-A system is compiled on first use into a product table and a table of theta
-over shared element objects, plus its list of idempotents, so cmul and the
-first step of theta_pow are lookups.  The bond-and-Cayley product stays as
-cmul_oracle and the plain loop over the theta maps as theta_pow_oracle;
-validate_system's failure path uses only those.
+A system's shape is checked when it is built; validate_system checks only
+the laws.  A system is compiled on first use into a product table and a
+table of theta over shared element objects, plus its list of idempotents,
+so cmul and the first step of theta_pow are lookups.  The bond-and-Cayley
+product stays as cmul_oracle and the plain loop over the theta maps as
+theta_pow_oracle; validate_system's failure path uses only those.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .errors import MissingBond
+from .errors import MalformedMap, MissingBond
 from .groups import GroupHom, GroupTable, ValidationReport, compose_homs, ginv, gmul, identity_hom, row_reader, validate_group, validate_hom
 
 
@@ -72,12 +73,29 @@ class CompiledSystem(NamedTuple):
 
 @dataclass(frozen=True)
 class CliffordSystem:
-    """Groups on a chain plus bonds and the theta family into the top group."""
+    """Groups on the chain of len(groups) levels plus bonds and the theta
+    family into the top group, refused here unless shaped as that data."""
 
-    chain: ChainSemilattice
     groups: tuple[GroupTable, ...]
-    bonds: dict = field(compare=False)  # (upper, lower) -> GroupHom, upper < lower
-    theta: tuple[GroupHom, ...] = ()
+    bonds: dict = field(compare=False)  # (upper, lower) -> GroupHom, upper <= lower
+    theta: tuple[GroupHom, ...]
+
+    def __post_init__(self):
+        k, groups = self.chain.size, self.groups  # an empty chain raises here
+        for (upper, lower), b in self.bonds.items():
+            if not 0 <= upper <= lower < k:
+                raise MalformedMap(f"bond ({upper},{lower}) outside 0 <= upper <= lower < {k}")
+            if b.domain != groups[upper] or b.codomain != groups[lower]:
+                raise MalformedMap(f"bond ({upper},{lower}) endpoints disagree with chain groups")
+        if len(self.theta) != k:
+            raise MalformedMap(f"{len(self.theta)} theta maps for chain of size {k}")
+        for level, th in enumerate(self.theta):
+            if th.domain != groups[level] or th.codomain != groups[0]:
+                raise MalformedMap(f"theta[{level}] endpoints must be group {level} -> group 0")
+
+    @cached_property
+    def chain(self) -> ChainSemilattice:
+        return ChainSemilattice(len(self.groups))
 
     def group(self, level: int) -> GroupTable:
         if not 0 <= level < self.chain.size:
@@ -116,9 +134,8 @@ class CliffordSystem:
         """The product and theta tables and idempotents, built on first use.
 
         Each level pair fills its block of the table from the bond maps and
-        the Cayley table at the meet level.  theta is tabled only when every
-        map runs from its level into the top group, as validate_system
-        demands; otherwise theta_pow leaves it to the oracle.  Only level
+        the Cayley table at the meet level, and theta is read off its maps,
+        which construction guarantees run into the top group.  Only level
         identities may be idempotent; that is checked here, once.
         """
         elems = [
@@ -135,13 +152,8 @@ class CliffordSystem:
                     row, ta = products[a], table[down_a[a.elem]]
                     for b in col_elems:
                         row[b] = out[ta[down_b[b.elem]]]
-        top, theta = elems[0], {}
-        if len(self.theta) == len(self.groups) and all(
-            th.domain == g and th.codomain == self.groups[0] for th, g in zip(self.theta, self.groups)
-        ):
-            for th, level in zip(self.theta, elems):
-                for a in level:
-                    theta[a] = top[th.map[a.elem]]
+        top = elems[0]
+        theta = {a: top[th.map[a.elem]] for th, level in zip(self.theta, elems) for a in level}
         idem = tuple(e for e, row in products.items() if row[e] == e)
         for e in idem:
             assert e.elem == self.groups[e.level].identity, f"non-identity idempotent {e} in a group"
@@ -239,41 +251,34 @@ def _theta_compatible(sys: CliffordSystem) -> bool:
 
 
 def validate_system(sys: CliffordSystem) -> ValidationReport:
-    """Check groups, bonds, bond coherence and the theta law.  Coherence and
-    the theta law are read off consecutive bonds and level pairs; the triple
-    and element-pair scans run only when those fail, to list violations."""
+    """Check the laws: groups, bond presence, the (a,a) identity rule, the
+    hom law of bonds and theta maps, bond coherence and the theta law.
+    Coherence and the theta law are read off consecutive bonds and level
+    pairs; the triple and element-pair scans run only when those fail."""
     rep = ValidationReport()
     k = sys.chain.size
-    if len(sys.groups) != k:
-        rep.add(f"{len(sys.groups)} groups for chain of size {k}")
-        return rep
     for level, g in enumerate(sys.groups):
         rep.merge(validate_group(g), prefix=f"group {level}: ")
 
-    # bond presence, endpoints, hom law, and the identity convention on (a,a)
-    bonds_checked = True
+    # bond presence, hom law, and the identity convention on (a,a)
+    bonds_present = True
     for upper in range(k):
         for lower in range(upper, k):
             if upper == lower:
                 explicit = sys.bonds.get((upper, lower))
-                if explicit is not None and tuple(explicit.map) != tuple(range(sys.groups[upper].order)):
+                if explicit is not None and explicit.map != tuple(range(sys.groups[upper].order)):
                     rep.add(f"bond ({upper},{lower}) must be the identity map")
                 continue
             try:
                 b = sys.bond(upper, lower)
             except MissingBond as exc:
                 rep.add(str(exc))
-                bonds_checked = False
+                bonds_present = False
                 continue
-            if b.domain != sys.groups[upper] or b.codomain != sys.groups[lower]:
-                rep.add(f"bond ({upper},{lower}) endpoints disagree with chain groups")
-                bonds_checked = False
-                continue
-            sub = validate_hom(b)
-            rep.merge(sub, prefix=f"bond ({upper},{lower}): ")
+            rep.merge(validate_hom(b), prefix=f"bond ({upper},{lower}): ")
 
     # composition coherence along every descending triple
-    if not (bonds_checked and _coherent_by_steps(sys)):
+    if not (bonds_present and _coherent_by_steps(sys)):
         for a in range(k):
             for b in range(a + 1, k):
                 for c in range(b + 1, k):
@@ -289,13 +294,7 @@ def validate_system(sys: CliffordSystem) -> ValidationReport:
                                     f"bond composition violated for levels ({a},{b},{c}) at element {x}"
                                 )
 
-    if len(sys.theta) != k:
-        rep.add(f"{len(sys.theta)} theta maps for chain of size {k}")
-        return rep
     for level, th in enumerate(sys.theta):
-        if th.domain != sys.groups[level] or th.codomain != sys.groups[0]:
-            rep.add(f"theta[{level}] endpoints must be group {level} -> group 0")
-            continue
         rep.merge(validate_hom(th), prefix=f"theta[{level}]: ")
     if not rep.ok:
         return rep

@@ -27,7 +27,7 @@ import re
 from pathlib import Path
 
 from .bruck_reilly import BRSystem
-from .clifford import ChainSemilattice, CliffordSystem, validate_system
+from .clifford import CliffordSystem, validate_system
 from .errors import MalformedMap, MalformedTable, OrderTooLarge, ParseError, ValidationFailed
 from .groups import GroupHom, GroupTable, hom, is_int
 
@@ -110,9 +110,7 @@ def system_from_obj(obj, name: str = "") -> BRSystem:
         except (MalformedMap, TypeError) as exc:
             raise ParseError(f"theta[{level}]: {exc}") from exc
 
-    sys = CliffordSystem(
-        chain=ChainSemilattice(k), groups=groups, bonds=bonds, theta=tuple(theta)
-    )
+    sys = CliffordSystem(groups=groups, bonds=bonds, theta=tuple(theta))
     report = validate_system(sys)
     if not report.ok:
         raise ValidationFailed(report)

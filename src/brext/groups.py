@@ -1,10 +1,13 @@
 """Finite groups as explicit Cayley tables, plus homomorphisms between them.
 
-Elements are indices 0..order-1.  The inverse array is always derived from
-the table when a group is built; it is never taken from external input.
-Validation compares whole rows: associativity by Light's test on a greedy
-generating set, the hom law one domain row at a time.  The pair and triple
-scans run only on a table or map that fails those, to list the violations.
+Elements are indices 0..order-1.  Shape is checked once, where a table or a
+map is built: a GroupTable holds a square table of in-range entries and
+derives its order and inverse array from it, never from input, and a
+GroupHom holds one in-range value per domain element.  The validators check
+only the laws, comparing whole rows: associativity by Light's test on a
+greedy generating set, the hom law one domain row at a time.  The row and
+pair scans run only on a table or map that fails those, to list the
+violations.
 """
 
 from __future__ import annotations
@@ -49,33 +52,24 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class GroupTable:
-    """A finite group: n x n Cayley table of element indices."""
+    """A finite group: n x n Cayley table of element indices, with order and
+    inverse derived from it.  Elements with no two-sided inverse get None
+    there; validate_group reports them.  A table that is not square and in
+    range raises, since nothing else can be checked on it."""
 
-    order: int
     table: tuple[tuple[int, ...], ...]
     identity: int
-    inverse: tuple[int | None, ...]
     labels: tuple[str, ...] | None = None
+    order: int = field(init=False)
+    inverse: tuple[int | None, ...] = field(init=False)
 
-    @classmethod
-    def from_rows(
-        cls,
-        rows,
-        identity: int,
-        labels=None,
-    ) -> "GroupTable":
-        """Build a table, deriving the inverse array by scanning rows.
-
-        Elements with no two-sided inverse get None there; validate_group
-        reports them.  Raises on structural damage rather than reporting it,
-        since nothing else can be checked on a ragged table.
-        """
-        n = len(rows)
+    def __post_init__(self):
+        n = len(self.table)
         if n == 0:
             raise MalformedTable("empty table")
         if n > MAX_ORDER:
             raise OrderTooLarge(f"order {n} exceeds cap {MAX_ORDER}")
-        tbl = tuple(tuple(row) for row in rows)
+        tbl = tuple(tuple(row) for row in self.table)
         for a, row in enumerate(tbl):
             if len(row) != n:
                 raise MalformedTable(f"row {a} has length {len(row)}, expected {n}")
@@ -84,13 +78,19 @@ class GroupTable:
             for b, v in enumerate(row):
                 if not is_int(v) or not 0 <= v < n:
                     raise MalformedTable(f"entry ({a},{b}) = {v!r} outside 0..{n - 1}")
-        if not is_int(identity) or not 0 <= identity < n:
-            raise MalformedTable(f"identity {identity!r} outside 0..{n - 1}")
-        inv = tuple(_two_sided_inverse(tbl, a, identity) for a in range(n))
-        lab = tuple(str(x) for x in labels) if labels is not None else None
+        e = self.identity
+        if not is_int(e) or not 0 <= e < n:
+            raise MalformedTable(f"identity {e!r} outside 0..{n - 1}")
+        inv = tuple(_two_sided_inverse(tbl, a, e) for a in range(n))
+        lab = tuple(str(x) for x in self.labels) if self.labels is not None else None
         if lab is not None and len(lab) != n:
             raise MalformedTable(f"{len(lab)} labels for {n} elements")
-        return cls(order=n, table=tbl, identity=identity, inverse=inv, labels=lab)
+        for name, value in (("table", tbl), ("labels", lab), ("order", n), ("inverse", inv)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_rows(cls, rows, identity: int, labels=None) -> "GroupTable":
+        return cls(rows, identity, labels)
 
 
 def _two_sided_inverse(tbl, a: int, e: int) -> int | None:
@@ -169,47 +169,49 @@ def _light_associative(tbl) -> bool:
 
 
 def validate_group(t: GroupTable) -> ValidationReport:
-    """Check every group axiom and list each violation.  Associativity is
-    Light's test; the triple scan runs only when it fails."""
-    if t.order > MAX_ORDER:
-        raise OrderTooLarge(f"order {t.order} exceeds cap {MAX_ORDER}")
-    n = t.order
-    if len(t.table) != n or any(len(row) != n for row in t.table):
-        raise MalformedTable("table dimensions disagree with order")
+    """Check the identity, inverse and associativity laws and list each
+    violation.  Associativity is Light's test; only when it fails are the
+    rows (a*b)*c and a*(b*c) over all c compared for every pair (a, b), and
+    just the rows that differ walked entry by entry."""
     rep = ValidationReport()
-    for a, row in enumerate(t.table):
-        if 0 <= min(row) and max(row) < n:
-            continue
-        for b in range(n):
-            if not 0 <= row[b] < n:
-                rep.add(f"closure violated at ({a},{b})")
-    if rep.violations:
-        return rep  # arithmetic below would index out of the carrier
-    e = t.identity
+    n, tbl, e = t.order, t.table, t.identity
     for a in range(n):
-        if t.table[e][a] != a or t.table[a][e] != a:
+        if tbl[e][a] != a or tbl[a][e] != a:
             rep.add(f"identity axiom violated for element {a}")
     for a in range(n):
         inv = t.inverse[a]
-        if inv is None or t.table[a][inv] != e or t.table[inv][a] != e:
+        if inv is None or tbl[a][inv] != e or tbl[inv][a] != e:
             rep.add(f"inverse axiom violated for element {a}")
-    if _light_associative(t.table):
+    if _light_associative(tbl):
         return rep
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if t.table[t.table[a][b]][c] != t.table[a][t.table[b][c]]:
-                    rep.add(f"associativity violated at ({a},{b},{c})")
+    readers = [row_reader(row) for row in tbl]
+    for a, row in enumerate(tbl):
+        for b, read_b in enumerate(readers):
+            lhs, rhs = tbl[row[b]], read_b(row)
+            if lhs != rhs:
+                for c in range(n):
+                    if lhs[c] != rhs[c]:
+                        rep.add(f"associativity violated at ({a},{b},{c})")
     return rep
 
 
 @dataclass(frozen=True)
 class GroupHom:
-    """A map between groups given by its value on every domain element."""
+    """A map between groups given by its value on every domain element,
+    checked here to have one in-range entry per domain element."""
 
     domain: GroupTable
     codomain: GroupTable
     map: tuple[int, ...]
+
+    def __post_init__(self):
+        m, n = tuple(self.map), self.codomain.order
+        if len(m) != self.domain.order:
+            raise MalformedMap(f"map has {len(m)} entries for domain of order {self.domain.order}")
+        for a, v in enumerate(m):
+            if not is_int(v) or not 0 <= v < n:
+                raise MalformedMap(f"map[{a}] = {v!r} outside codomain of order {n}")
+        object.__setattr__(self, "map", m)
 
     def __call__(self, a: int) -> int:
         if not 0 <= a < self.domain.order:
@@ -218,13 +220,7 @@ class GroupHom:
 
 
 def hom(domain: GroupTable, codomain: GroupTable, mapping) -> GroupHom:
-    m = tuple(mapping)
-    if len(m) != domain.order:
-        raise MalformedMap(f"map has {len(m)} entries for domain of order {domain.order}")
-    for a, v in enumerate(m):
-        if not is_int(v) or not 0 <= v < codomain.order:
-            raise MalformedMap(f"map[{a}] = {v!r} outside codomain of order {codomain.order}")
-    return GroupHom(domain=domain, codomain=codomain, map=m)
+    return GroupHom(domain, codomain, mapping)
 
 
 def identity_hom(g: GroupTable) -> GroupHom:
@@ -241,13 +237,6 @@ def compose_homs(first: GroupHom, second: GroupHom) -> GroupHom:
 def validate_hom(h: GroupHom) -> ValidationReport:
     """The homomorphism law a domain row at a time: h(a*b) over all b against
     h(a)*h(b).  Only a row that differs is walked pair by pair."""
-    if len(h.map) != h.domain.order:
-        raise MalformedMap(
-            f"map has {len(h.map)} entries for domain of order {h.domain.order}"
-        )
-    for a, v in enumerate(h.map):
-        if not 0 <= v < h.codomain.order:
-            raise MalformedMap(f"map[{a}] = {v!r} outside codomain")
     rep = ValidationReport()
     m, dom, cod = h.map, h.domain.table, h.codomain.table
     read_m = row_reader(m)

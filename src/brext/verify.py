@@ -345,21 +345,18 @@ def suite_bicyclic_oracle(system_name: str, max_index: int = 12) -> SuiteResult:
     )
 
 
-def suite_box_solver(system_name: str, max_index: int = 6, brute_bound: int | None = None) -> SuiteResult:
+def suite_box_solver(system_name: str, max_index: int = 6) -> SuiteResult:
     """Closed-form box equation solutions against a full scan, both sides.
 
     Multipliers and targets are the boxes with indices up to max_index.
     A left solution (t1 - a1 + a2, t2) has a first index up to
-    2 * max_index, so the scan multiplies every box up to the brute bound,
-    by default max(20, 2 * max_index); a smaller explicit bound is refused
-    before any work.  The products come from bmul_rows as streamed rows and
-    only those that are targets are kept: a left multiplier is checked as
-    soon as its row arrives, a right one once the scan over the boxes ends.
+    2 * max_index, so the scan multiplies every box up to the brute bound
+    max(20, 2 * max_index).  The products come from bmul_rows as streamed
+    rows and only those that are targets are kept: a left multiplier is
+    checked as soon as its row arrives, a right one once the scan over the
+    boxes ends.
     """
-    if brute_bound is None:
-        brute_bound = max(20, 2 * max_index)
-    elif brute_bound < 2 * max_index:
-        raise ValueError(f"brute_bound must be at least 2 * max_index = {2 * max_index}")
+    brute_bound = max(20, 2 * max_index)
     r, m = range(brute_bound + 1), range(max_index + 1)
     grid = [BicyclicElem(i, j) for i in r for j in r]
     boxes = [Box(i, j) for i in r for j in r]

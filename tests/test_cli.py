@@ -297,6 +297,17 @@ def test_classify_matches_goldens(capsys):
     assert code == 0 and json.loads(out)["verdict"] == "isolated_zero"
 
 
+def test_classify_reads_a_descriptor_file_and_refuses_bad_input(capsys, tmp_path):
+    desc = tmp_path / "desc.json"
+    desc.write_text('{"kind": "isolated"}')
+    code, out, _ = run(capsys, "classify", str(desc), "--json")
+    assert (code, out) == (0, golden("classify_isolated.ndjson"))
+    code, _, err = run(capsys, "classify", '{"kind": "isolated"')
+    assert code == 2 and "error: descriptor:" in err
+    code, _, err = run(capsys, "classify", str(tmp_path))
+    assert code == 2 and f"error: descriptor file {tmp_path}:" in err
+
+
 def test_classify_unknown_descriptor_exits_two(capsys):
     code, _, err = run(capsys, "classify", "open_sesame")
     assert code == 2

@@ -16,7 +16,7 @@ from brext.clifford import (
     theta_pow_oracle,
     validate_system,
 )
-from brext.errors import IndexOutOfRange, MissingBond
+from brext.errors import IndexOutOfRange, MalformedMap, MissingBond
 from brext.groups import cyclic_group, hom, identity_hom
 from test_groups import constant_hom
 
@@ -33,7 +33,6 @@ def make_t2():
     """Two Z2 levels, bonded by the isomorphism, theta the same maps."""
     z2a, z2b = cyclic_group(2), cyclic_group(2)
     return CliffordSystem(
-        chain=ChainSemilattice(2),
         groups=(z2a, z2b),
         bonds={(0, 1): hom(z2a, z2b, [0, 1])},
         theta=(identity_hom(z2a), hom(z2b, z2a, [0, 1])),
@@ -44,7 +43,6 @@ def make_z4z2():
     """Z4 over Z2 via mod 2, with a doubling theta."""
     z4, z2 = cyclic_group(4), cyclic_group(2)
     return CliffordSystem(
-        chain=ChainSemilattice(2),
         groups=(z4, z2),
         bonds={(0, 1): hom(z4, z2, [0, 1, 0, 1])},
         theta=(hom(z4, z4, [0, 2, 0, 2]), hom(z2, z4, [0, 2])),
@@ -53,14 +51,13 @@ def make_z4z2():
 
 def make_z4():
     z4 = cyclic_group(4)
-    return CliffordSystem(chain=ChainSemilattice(1), groups=(z4,), bonds={}, theta=(identity_hom(z4),))
+    return CliffordSystem(groups=(z4,), bonds={}, theta=(identity_hom(z4),))
 
 
 def make_c12_c6_c3():
     """C12 > C6 > C3 with reduction bonds and theta x -> 8x into C12."""
     c12, c6, c3 = cyclic_group(12), cyclic_group(6), cyclic_group(3)
     return CliffordSystem(
-        chain=ChainSemilattice(3),
         groups=(c12, c6, c3),
         bonds={
             (0, 1): hom(c12, c6, [x % 6 for x in range(12)]),
@@ -76,7 +73,6 @@ def make_c4_twisted():
     lower level is x -> 3x, so the per-level maps differ as index maps."""
     top, low = cyclic_group(4), cyclic_group(4)
     return CliffordSystem(
-        chain=ChainSemilattice(2),
         groups=(top, low),
         bonds={(0, 1): hom(top, low, [0, 3, 2, 1])},
         theta=(identity_hom(top), hom(low, top, [0, 3, 2, 1])),
@@ -110,7 +106,6 @@ def test_single_level_validates():
 def test_swapped_bond_is_not_a_hom():
     z2 = cyclic_group(2)
     sys = CliffordSystem(
-        chain=ChainSemilattice(2),
         groups=(z2, cyclic_group(2)),
         bonds={(0, 1): hom(z2, cyclic_group(2), [1, 0])},
         theta=(identity_hom(z2), hom(cyclic_group(2), z2, [0, 1])),
@@ -124,7 +119,6 @@ def test_mixed_theta_breaks_the_cross_level_law():
     # own level, yet theta fails to be a homomorphism of the whole monoid
     t2 = make_t2()
     sys = CliffordSystem(
-        chain=t2.chain,
         groups=t2.groups,
         bonds=t2.bonds,
         theta=(identity_hom(t2.groups[0]), constant_hom(t2.groups[1], t2.groups[0])),
@@ -136,7 +130,6 @@ def test_mixed_theta_breaks_the_cross_level_law():
 def test_fully_annihilating_theta_is_fine():
     t2 = make_t2()
     sys = CliffordSystem(
-        chain=t2.chain,
         groups=t2.groups,
         bonds=t2.bonds,
         theta=(
@@ -151,7 +144,6 @@ def test_missing_bond_reported_and_raised():
     z2 = cyclic_group(2)
     groups = (z2, cyclic_group(2), cyclic_group(2))
     sys = CliffordSystem(
-        chain=ChainSemilattice(3),
         groups=groups,
         bonds={(0, 1): hom(groups[0], groups[1], [0, 1]), (1, 2): hom(groups[1], groups[2], [0, 1])},
         theta=(identity_hom(z2), hom(groups[1], z2, [0, 1]), hom(groups[2], z2, [0, 1])),
@@ -168,7 +160,6 @@ def test_incoherent_bond_composition_reported():
     z2 = cyclic_group(2)
     groups = (z2, cyclic_group(2), cyclic_group(2))
     sys = CliffordSystem(
-        chain=ChainSemilattice(3),
         groups=groups,
         bonds={
             (0, 1): hom(groups[0], groups[1], [0, 1]),
@@ -316,23 +307,42 @@ def test_theta_pow_errors_match_the_oracle():
     assert "compiled" not in vars(fresh)
 
 
-def test_theta_outside_the_top_group_is_left_to_the_oracle():
-    # systems validate_system rejects still compile their product table;
-    # theta_pow then answers, or raises, exactly as the oracle does
+def test_theta_outside_the_top_group_is_refused_at_construction():
+    # theta is one map per level into group 0 or no system is built, so
+    # compiled always tables it
     c2, c4 = cyclic_group(2), cyclic_group(4)
-    chain, bonds = ChainSemilattice(2), {(0, 1): hom(c2, c4, [0, 2])}
-    no_theta = CliffordSystem(chain=chain, groups=(c2, c4), bonds=bonds)
-    wrong_codomain = CliffordSystem(
-        chain=chain, groups=(c2, c4), bonds=bonds, theta=(identity_hom(c2), identity_hom(c4))
-    )
-    for sys in (no_theta, wrong_codomain):
-        assert not validate_system(sys).ok
-        assert cmul(sys, CliffordElement(0, 1), CliffordElement(1, 1)) == CliffordElement(1, 3)
-        assert sys.compiled.theta == {}
-    with pytest.raises(IndexError):
-        theta_pow(no_theta, CliffordElement(0, 1), 1)
-    for a in wrong_codomain.elements():
-        assert theta_pow(wrong_codomain, a, 1) == theta_pow_oracle(wrong_codomain, a, 1)
+    groups, bonds = (c2, c4), {(0, 1): hom(c2, c4, [0, 2])}
+    for theta, msg in (
+        ((), "0 theta maps for chain of size 2"),
+        ((identity_hom(c2),), "1 theta maps for chain of size 2"),
+        ((identity_hom(c2), identity_hom(c4)), "theta[1] endpoints must be group 1 -> group 0"),
+        ((hom(c2, c4, [0, 2]), hom(c4, c2, [0, 1, 0, 1])), "theta[0] endpoints must be group 0 -> group 0"),
+    ):
+        with pytest.raises(MalformedMap) as exc:
+            CliffordSystem(groups=groups, bonds=bonds, theta=theta)
+        assert str(exc.value) == msg
+    sys = CliffordSystem(groups=groups, bonds=bonds, theta=(identity_hom(c2), hom(c4, c2, [0, 1, 0, 1])))
+    assert sys.compiled.theta == {a: theta_pow_oracle(sys, a, 1) for a in sys.elements()}
+
+
+def test_misplaced_bonds_and_empty_chains_are_refused_at_construction():
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    groups = (c2, c2, c2)
+    theta = tuple(hom(g, c2, [0, 1]) for g in groups)
+    good = {(0, 1): identity_hom(c2), (0, 2): identity_hom(c2), (1, 2): identity_hom(c2)}
+    for bonds, msg in (
+        # a bond into C4 on a chain of C2s: validation used to crash on it
+        ({**good, (0, 1): hom(c2, c4, [0, 2])}, "bond (0,1) endpoints disagree with chain groups"),
+        ({**good, (1, 2): hom(c4, c2, [0, 1, 0, 1])}, "bond (1,2) endpoints disagree with chain groups"),
+        ({**good, (1, 0): identity_hom(c2)}, "bond (1,0) outside 0 <= upper <= lower < 3"),
+        ({**good, (0, 3): identity_hom(c2)}, "bond (0,3) outside 0 <= upper <= lower < 3"),
+    ):
+        with pytest.raises(MalformedMap) as exc:
+            CliffordSystem(groups=groups, bonds=bonds, theta=theta)
+        assert str(exc.value) == msg
+    assert validate_system(CliffordSystem(groups=groups, bonds=good, theta=theta)).ok
+    with pytest.raises(ValueError, match="chain needs at least one level"):
+        CliffordSystem(groups=(), bonds={}, theta=())
 
 
 def test_same_level_bond_is_one_shared_identity():
@@ -381,7 +391,6 @@ def cyclic_chain(orders, mults, theta_mults) -> CliffordSystem:
     """Cyclic levels, bond (a,b) x -> mults[a,b]*x, theta[a] x -> theta_mults[a]*x."""
     gs = tuple(cyclic_group(n) for n in orders)
     return CliffordSystem(
-        chain=ChainSemilattice(len(gs)),
         groups=gs,
         bonds={(a, b): hom(gs[a], gs[b], [c * x % orders[b] for x in range(orders[a])]) for (a, b), c in mults.items()},
         theta=tuple(hom(g, gs[0], [t * x % orders[0] for x in range(g.order)]) for g, t in zip(gs, theta_mults)),

@@ -58,6 +58,9 @@ FAULT_VIOLATIONS = {
         "bond (0,1): not a homomorphism at (1,1)",
         "theta[1]: not a homomorphism at (1,1)",
     ],
+    "bad_self_bond.json": [
+        "bond (0,0) must be the identity map",
+    ],
     "bad_theta.json": [
         "theta[1]: not a homomorphism at (0,0)",
         "theta[1]: not a homomorphism at (0,1)",

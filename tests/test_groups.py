@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from brext.errors import IndexOutOfRange, MalformedMap, MalformedTable, OrderTooLarge
 from brext.groups import (
+    MAX_ORDER,
+    GroupHom,
     GroupTable,
     compose_homs,
     cyclic_group,
@@ -232,3 +234,43 @@ def test_from_rows_messages_name_the_first_bad_entry():
             GroupTable.from_rows(bad, identity=0)
         assert str(exc.value) == msg
 
+
+
+def test_group_tables_are_refused_at_construction_as_by_from_rows():
+    z2 = [[0, 1], [1, 0]]
+    for args, exc, msg in (
+        (([], 0), MalformedTable, "empty table"),
+        (([[0]] * (MAX_ORDER + 1), 0), OrderTooLarge, f"order {MAX_ORDER + 1} exceeds cap {MAX_ORDER}"),
+        (([[0, 1], [1]], 0), MalformedTable, "row 1 has length 1, expected 2"),
+        (([[0, 1], [1, 2]], 0), MalformedTable, "entry (1,1) = 2 outside 0..1"),
+        (([[0, False], [1, 0]], 0), MalformedTable, "entry (0,1) = False outside 0..1"),
+        ((z2, 2), MalformedTable, "identity 2 outside 0..1"),
+        ((z2, True), MalformedTable, "identity True outside 0..1"),
+        ((z2, 0, ["e"]), MalformedTable, "1 labels for 2 elements"),
+    ):
+        for build in (GroupTable, GroupTable.from_rows):
+            with pytest.raises(exc) as info:
+                build(*args)
+            assert str(info.value) == msg, (build, args)
+    g = GroupTable([[0, 1], [1, 0]], 0, ["e", "g"])
+    assert (g.order, g.table, g.inverse, g.labels) == (2, ((0, 1), (1, 0)), (0, 1), ("e", "g"))
+    assert g == GroupTable.from_rows(z2, 0, "eg")
+    with pytest.raises(TypeError):
+        GroupTable(z2, 0, order=2)
+    with pytest.raises(TypeError):
+        GroupTable(z2, 0, inverse=(0, 1))
+
+
+def test_group_homs_are_refused_at_construction():
+    z2, z4 = cyclic_group(2), cyclic_group(4)
+    for mapping, msg in (
+        ([0, 1, 0], "map has 3 entries for domain of order 2"),
+        ([0, 2], "map[1] = 2 outside codomain of order 2"),
+        ([0, -1], "map[1] = -1 outside codomain of order 2"),
+        ([True, 0], "map[0] = True outside codomain of order 2"),
+    ):
+        with pytest.raises(MalformedMap) as info:
+            GroupHom(z2, z2, mapping)
+        assert str(info.value) == msg
+    h = GroupHom(z4, z2, [0, 1, 0, 1])
+    assert h.map == (0, 1, 0, 1) and h == hom(z4, z2, iter([0, 1, 0, 1]))

@@ -9,7 +9,7 @@ from .bruck_reilly import (
     BRSystem,
     brinv,
     brmul,
-    brmul_rows,
+    brmul_ids,
     eta,
     hclass,
     idempotents_window,
@@ -51,7 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BicyclicElem", "bmul", "bmul_rows", "binv", "oracle_mul",
-    "Box", "BRElem", "BRSystem", "brinv", "brmul", "brmul_rows", "eta",
+    "Box", "BRElem", "BRSystem", "brinv", "brmul", "brmul_ids", "eta",
     "hclass", "idempotents_window", "nat_order", "nat_order_oracle",
     "simplicity_witness", "window_elements", "zero_divisor_scan",
     "ChainSemilattice", "CliffordElement", "CliffordSystem", "cinv", "cmul",

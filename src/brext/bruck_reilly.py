@@ -8,19 +8,20 @@ factors with theta before multiplying in T:
         = (i + k - d,  theta^(k-d)(s) * theta^(j-d)(t),  j + l - d)
 
 which collapses to the bicyclic index arithmetic on the outer coordinates.
-brmul computes one product; brmul_rows streams whole rows of products by
-the same formula for the window scans, reading one row of T's product
-table per shift instead of shifting per pair.  Systems may adjoin a zero;
-products of nonzero elements are never zero, and zero_divisor_scan
-certifies that on a window.  Exhaustive window operations are capped at
-window 16.
+brmul computes one product; brmul_ids streams whole rows of products by
+the same formula, as ints that pack a box and an id in T (see encode).  A
+system compiles each window once from those rows (BRSystem.window) for the
+verification suites.  Systems may adjoin a zero; products of nonzero
+elements are never zero, and zero_divisor_scan certifies that on a window.
+Exhaustive window operations are capped at window 16.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import groupby, repeat
+from dataclasses import dataclass, field
+from itertools import groupby
+from operator import add
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from . import bicyclic
@@ -67,6 +68,17 @@ class BRSystem:
     with_zero: bool = False
     name: str = ""
 
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def window(self, n: int) -> "Window":
+        """The window of size n, compiled on first use and kept per size and
+        row kernel: a kernel bound later (a tracer, an injected fault) gets a
+        window of its own."""
+        key = n, brmul_ids
+        if key not in self._windows:
+            self._windows[key] = compile_window(self, n)
+        return self._windows[key]
+
 
 def _check(B: BRSystem, x: Element) -> None:
     if x is ZERO:
@@ -103,59 +115,119 @@ def brmul(B: BRSystem, x: Element, y: Element) -> Element:
     return BRElem(i, products[s][t], l)
 
 
-def brmul_rows(B: BRSystem, xs: Sequence[Element], ys: Sequence[Element]) -> Iterator[list[Element]]:
-    """Yield the row [x*y for y in ys] for each x in xs, by brmul's formula.
+ZERO_ID = -1  # encode(ZERO)
+
+
+def _spread(v: int) -> int:
+    """v's bits moved to the even positions: its binary digits read in base 4."""
+    return int(f"{v:b}", 4)
+
+
+def encode(B: BRSystem, x: Element) -> int:
+    """x as one int, t + |T| * (spread(i) + 2 * spread(j)) with t the id of
+    x.s in T: the bits of i and j interleave, so every box packs; zero is
+    ZERO_ID."""
+    _check(B, x)
+    if x is ZERO:
+        return ZERO_ID
+    ids = B.sys.compiled.ids
+    return ids[x.s] + len(ids) * (_spread(x.i) + 2 * _spread(x.j))
+
+
+def decode(B: BRSystem, code: int) -> Element:
+    """The element that encode packed into code."""
+    if code == ZERO_ID:
+        return ZERO
+    compiled = B.sys.compiled
+    z, t = divmod(code, len(compiled.ids))
+    bits = f"{z:b}"[::-1]  # least significant first: i's bits, then j's, alternating
+    return BRElem(int(bits[::2][::-1], 2), compiled.elements[t], int(bits[1::2][::-1] or "0", 2))
+
+
+def brmul_ids(B: BRSystem, xs: Sequence[Element], ys: Sequence[Element]) -> Iterator[list[int]]:
+    """Yield the row [encode(x*y) for y in ys] for each x in xs, by brmul's
+    formula.
 
     Every operand is checked as brmul checks it, xs first, before any
     product.  The ys are cut into maximal runs with one left index k (or
-    of zeros).  Against x = (i, s, j), a run with k > j reads the one table
-    row products[theta^(k-j)(s)], and a run with k <= j reads x's own row
-    at theta^(j-k) of each group part, taken from a table built once per
-    call one theta step at a time.  So each product is one table read and
-    one BRElem; rows are streamed, never kept.
+    of zeros).  Against x = (i, s, j), a run with k > j reads T's product
+    row at theta^(k-j)(s), and a run with k <= j reads x's own row at
+    theta^(j-k) of each group part, shifted once per call.  Product rows
+    carry the packed left index of the result and runs their packed right
+    indices, so each product is one table read and one addition.
     """
     for x in xs:
         _check(B, x)
     for y in ys:
         _check(B, y)
-    sys = B.sys
-    products = sys.compiled.products
-    new = tuple.__new__
+    compiled = B.sys.compiled
+    ids, table, step = compiled.ids, compiled.id_products, compiled.id_theta
+    n = len(table)
     js = {x.j for x in xs if x is not ZERO}
     runs = []
     for k, run in groupby(ys, key=lambda y: None if y is ZERO else y.i):
         run = list(run)
         if k is None:
-            runs.append((k, run, None))
+            runs.append((k, [ZERO_ID] * len(run)))
             continue
-        ts, ls = [y.s for y in run], [y.j for y in run]
-        # shifted[d]: theta^d of the group parts, and the right indices + d
-        shifted, keys, d = {0: (ts, ls)}, ts, 0
-        for target in sorted(j - k for j in js if j > k):
-            while d < target:
-                keys = [theta_pow(sys, t, 1) for t in keys]
-                d += 1
-            shifted[d] = keys, [l + d for l in ls]
-        runs.append((k, run, shifted))
+        # shifted[d]: theta^d of the group ids, and the packed right indices + d
+        ts, shifted, d = [ids[y.s] for y in run], {}, 0
+        for target in sorted({0} | {j - k for j in js if j > k}):
+            for _ in range(target - d):
+                ts = [step[t] for t in ts]
+            d = target
+            shifted[d] = ts, [2 * n * _spread(y.j + d) for y in run]
+        runs.append((k, shifted))
+    rows = {}  # (id of s, d, i): T's product row at theta^d(s), plus i packed
+
+    def row_at(s: int, d: int, i: int) -> list[int]:
+        if (s, d, i) not in rows:
+            t = s
+            for _ in range(d):
+                t = step[t]
+            rows[s, d, i] = [n * _spread(i) + p for p in table[t]]
+        return rows[s, d, i]
+
     for x in xs:
         if x is ZERO:
-            yield [ZERO] * len(ys)
+            yield [ZERO_ID] * len(ys)
             continue
         i, s, j = x
-        own = products[s].__getitem__
-        row = []
-        for k, run, shifted in runs:
+        s, row = ids[s], []
+        for k, shifted in runs:
             if k is None:
-                row += run
+                row += shifted
                 continue
-            if k > j:
-                ts, ls = shifted[0]
-                cells = zip(repeat(i + k - j), map(products[theta_pow(sys, s, k - j)].__getitem__, ts), ls)
-            else:
-                keys, ls = shifted[j - k]
-                cells = zip(repeat(i), map(own, keys), ls)
-            row += map(new, repeat(BRElem), cells)
+            ts, ls = shifted[max(j - k, 0)]
+            up = max(k - j, 0)
+            row += map(add, map(row_at(s, up, i + up).__getitem__, ts), ls)
         yield row
+
+
+class Window(NamedTuple):
+    """Every product of two window elements, numbered by id, the window's
+    elements first: prods[p] has id p and encode codes[p]; table[x][y] is
+    the id of x*y, inv[x] that of x^-1, and right[p] the tuple of encoded
+    prods[p]*z over the window's z."""
+
+    elems: list[BRElem]
+    prods: list[BRElem]
+    codes: list[int]
+    inv: list[int]
+    table: list[list[int]]
+    right: list[tuple[int, ...]]
+
+
+def compile_window(B: BRSystem, n: int) -> Window:
+    """Both products through brmul_ids, inverses from brinv; the products
+    are decoded once, as operands of the second pass."""
+    elems = window_elements(B, n)
+    ids = {encode(B, x): p for p, x in enumerate(elems)}
+    table = [[ids.setdefault(c, len(ids)) for c in row] for row in brmul_ids(B, elems, elems)]
+    codes = list(ids)
+    prods = elems + [decode(B, c) for c in codes[len(elems):]]
+    right = [tuple(row) for row in brmul_ids(B, prods, elems)]
+    return Window(elems, prods, codes, [ids[encode(B, brinv(B, x))] for x in elems], table, right)
 
 
 def brinv(B: BRSystem, x: Element) -> Element:
@@ -298,9 +370,9 @@ def zero_divisor_scan(B: BRSystem, n: int) -> ZeroDivisorReport:
         raise ZeroNotAdjoined("zero divisor scan needs the adjoined zero")
     elems = window_elements(B, n)
     bad = []
-    for x, row in zip(elems, brmul_rows(B, elems, elems)):
-        if ZERO in row:
-            bad.extend((x, y) for y, p in zip(elems, row) if p is ZERO)
+    for x, row in zip(elems, brmul_ids(B, elems, elems)):
+        if ZERO_ID in row:
+            bad.extend((x, y) for y, p in zip(elems, row) if p == ZERO_ID)
     return ZeroDivisorReport(window=n, checked=len(elems) ** 2, counterexamples=bad)
 
 

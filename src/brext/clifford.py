@@ -16,7 +16,8 @@ the first all happen inside the top group.
 A system's shape is checked when it is built; validate_system checks only
 the laws.  A system is compiled on first use into a product table and a
 table of theta over shared element objects, plus its list of idempotents,
-so cmul and the first step of theta_pow are lookups.  The bond-and-Cayley
+so cmul and the first step of theta_pow are lookups; the two tables are
+also kept on ids 0..|T|-1 for bruck_reilly's row kernel.  The bond-and-Cayley
 product stays as cmul_oracle and the plain loop over the theta maps as
 theta_pow_oracle; validate_system's failure path uses only those.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .errors import MalformedMap, MissingBond
+from .errors import MalformedMap, MissingBond, NotAGroup
 from .groups import GroupHom, GroupTable, ValidationReport, compose_homs, ginv, gmul, identity_hom, row_reader, validate_group, validate_hom
 
 
@@ -63,12 +64,20 @@ class CompiledSystem(NamedTuple):
     products are exactly the elements of T.  theta[a] is theta(a), again a
     shared object, and top[x] is the shared top-level element with group
     coordinate x.  idempotents holds the level identities, top level first.
+
+    elements numbers T level by level from the top, so a top element's id
+    is its group coordinate, and ids maps each element back to its id.
+    id_products and id_theta are products and theta on those ids.
     """
 
     products: dict
     theta: dict
     top: tuple[CliffordElement, ...]
     idempotents: tuple[CliffordElement, ...]
+    elements: tuple[CliffordElement, ...]
+    ids: dict
+    id_products: list[list[int]]
+    id_theta: list[int]
 
 
 @dataclass(frozen=True)
@@ -136,7 +145,8 @@ class CliffordSystem:
         Each level pair fills its block of the table from the bond maps and
         the Cayley table at the meet level, and theta is read off its maps,
         which construction guarantees run into the top group.  Only level
-        identities may be idempotent; that is checked here, once.
+        identities may be idempotent; that is checked here, once, and any
+        other idempotent raises NotAGroup.
         """
         elems = [
             tuple(CliffordElement(level, x) for x in range(g.order))
@@ -156,8 +166,13 @@ class CliffordSystem:
         theta = {a: top[th.map[a.elem]] for th, level in zip(self.theta, elems) for a in level}
         idem = tuple(e for e, row in products.items() if row[e] == e)
         for e in idem:
-            assert e.elem == self.groups[e.level].identity, f"non-identity idempotent {e} in a group"
-        return CompiledSystem(products, theta, top, idem)
+            if e.elem != self.groups[e.level].identity:
+                raise NotAGroup(f"non-identity idempotent {e} in a group")
+        ids = {e: n for n, e in enumerate(products)}
+        id_products = [[ids[row[b]] for b in products] for row in products.values()]
+        return CompiledSystem(
+            products, theta, top, idem, tuple(products), ids, id_products, [ids[theta[a]] for a in products]
+        )
 
 
 def cmul(sys: CliffordSystem, a: CliffordElement, b: CliffordElement) -> CliffordElement:

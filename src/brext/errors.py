@@ -17,6 +17,10 @@ class MalformedMap(BrextError):
     """Homomorphism map has the wrong length or out-of-range entries."""
 
 
+class NotAGroup(BrextError):
+    """A level's table has an idempotent other than its identity."""
+
+
 class IndexOutOfRange(BrextError, IndexError):
     """Element index outside a group's carrier."""
 

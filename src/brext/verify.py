@@ -5,25 +5,15 @@ SuiteResult whose record serializes to one NDJSON line.  The CLI verify
 command and the acceptance tests both drive these functions, so the counts
 and violation strings here are the single source of truth for what was
 checked.  Seeded randomness only ever comes from random.Random(seed).
-Exhaustive pair scans take their products a row at a time from
-brmul_rows: associativity numbers its distinct window products and
-compares whole rows of them, the eta suites walk rows of the window, and
-nat_order reads y * x^-1 x from rows against the distinct x^-1 x.
-Products are reused only where a suite's loops recompute them:
-inverse_axioms and idempotent_chain cache brmul with functools.cache for
-one call, and continuity hands one dict to every certificate, so the
-certificates of one multiplier box and side share one inverted index of
-product boxes; the others call brmul directly.  The bicyclic scans take
-their products a row at a time from bmul_rows: bicyclic_oracle compares
-each row with the faithful max-plus image of the bicyclic monoid, one
-matrix product per pair, box_solver streams the rows of its multipliers
-against a grid built once per call, and eta_homomorphism reads the
-bicyclic row next to the brmul_rows row.
+The window suites read the system's compiled window (BRSystem.window) and
+check it against a second route each: bmul_rows for eta, the closed form
+for nat_order, the group fibers for hclass.  The bicyclic scans take their
+products a row at a time from bmul_rows; continuity shares one product-box
+index per multiplier box and side across its certificates.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from itertools import repeat
@@ -38,7 +28,8 @@ from .bruck_reilly import (
     box,
     brinv,
     brmul,
-    brmul_rows,
+    brmul_ids,
+    encode,
     eta,
     format_elem,
     hclass,
@@ -99,6 +90,13 @@ class SuiteResult:
         }
 
 
+def predicted_checked(B: BRSystem, suite: str, window: int) -> int:
+    """A window suite's checked count, in closed form from |W| = window^2 |T|."""
+    w = window * window * B.sys.order()
+    squares = dict.fromkeys(("eta_homomorphism", "eta_congruence", "nat_order", "zero_divisors"), w * w)
+    return {"associativity": w ** 3, "inverse_axioms": w * w + w, "hclass": w, **squares}[suite]
+
+
 def suite_structure(B: BRSystem) -> SuiteResult:
     rep = validate_system(B.sys)
     return SuiteResult("structure", B.name, {}, 1, list(rep.violations))
@@ -107,75 +105,75 @@ def suite_structure(B: BRSystem) -> SuiteResult:
 def suite_associativity(B: BRSystem, window: int) -> SuiteResult:
     """(x*y)*z against x*(y*z) for every window triple.
 
-    Each distinct window product p gets an id; right[id] is the row p*z
-    over the window, kept as a tuple, and, per x, left is the row x*p over
-    the distinct products.  A pair (x, y) compares right[id(x*y)] with
-    left read at the ids of the y*z by one row_reader per y, built once,
-    and only a row that differs is walked element by element."""
-    elems = window_elements(B, window)
-    ids = {}
-    prod_ids = [[ids.setdefault(p, len(ids)) for p in row] for row in brmul_rows(B, elems, elems)]
-    prods = list(ids)
-    right = [tuple(row) for row in brmul_rows(B, prods, elems)]
-    getters = [row_reader(yz_ids) for yz_ids in prod_ids]
+    (x*y)*z is the window's row right[id(x*y)], and, per x, left is the row
+    x*p over the window's distinct products p.  A pair (x, y) compares that
+    row with left read at the ids of the y*z by one row_reader per y, built
+    once, and only a row that differs is walked element by element."""
+    w = B.window(window)
+    getters = [row_reader(yz_ids) for yz_ids in w.table]
     bad = []
-    for x, xy_ids, left in zip(elems, prod_ids, brmul_rows(B, elems, prods)):
-        for y, xy_id, get_yz in zip(elems, xy_ids, getters):
-            xy_z, x_yz = right[xy_id], get_yz(left)
+    for x, xy_ids, left in zip(w.elems, w.table, brmul_ids(B, w.elems, w.prods)):
+        for y, xy_id, get_yz in zip(w.elems, xy_ids, getters):
+            xy_z, x_yz = w.right[xy_id], get_yz(left)
             if xy_z == x_yz:
                 continue
-            for z, u, v in zip(elems, xy_z, x_yz):
+            for z, u, v in zip(w.elems, xy_z, x_yz):
                 if u != v:
                     bad.append(
                         f"({format_elem(x)}*{format_elem(y)})*{format_elem(z)} "
                         f"!= {format_elem(x)}*({format_elem(y)}*{format_elem(z)})"
                     )
-    return SuiteResult("associativity", B.name, {"window": window}, len(elems) ** 3, bad)
+    return SuiteResult("associativity", B.name, {"window": window}, len(w.elems) ** 3, bad)
 
 
 def suite_inverse_axioms(B: BRSystem, window: int) -> SuiteResult:
-    elems = window_elements(B, window)
-    mul = functools.cache(functools.partial(brmul, B))
+    """x x' x = x and x' x x' = x' for x' = brinv(x), and no other y of the
+    window satisfies both; (x y) x is read as right[id(x*y)] at x."""
+    w = B.window(window)
+    elems, codes, inv, table, right = w.elems, w.codes, w.inv, w.table, w.right
     bad = []
-    for x in elems:
-        xi = brinv(B, x)
-        if mul(mul(x, xi), x) != x or mul(mul(xi, x), xi) != xi:
-            bad.append(f"inverse axioms fail for {format_elem(x)}")
-        if brinv(B, xi) != x:
-            bad.append(f"inverse is not an involution at {format_elem(x)}")
+    for x, xi in enumerate(inv):
+        if right[table[x][xi]][x] != codes[x] or right[table[xi][x]][xi] != codes[xi]:
+            bad.append(f"inverse axioms fail for {format_elem(elems[x])}")
+        if inv[xi] != x:
+            bad.append(f"inverse is not an involution at {format_elem(elems[x])}")
     # uniqueness: the only generalized inverse of x is brinv(x)
-    for x in elems:
-        for y in elems:
-            if mul(mul(x, y), x) == x and mul(mul(y, x), y) == y and y != brinv(B, x):
-                bad.append(f"second inverse {format_elem(y)} for {format_elem(x)}")
+    for x, xy_ids in enumerate(table):
+        for y, xy in enumerate(xy_ids):
+            if right[xy][x] == codes[x] and right[table[y][x]][y] == codes[y] and y != inv[x]:
+                bad.append(f"second inverse {format_elem(elems[y])} for {format_elem(elems[x])}")
     return SuiteResult(
         "inverse_axioms", B.name, {"window": window}, len(elems) ** 2 + len(elems), bad
     )
 
 
 def suite_eta_homomorphism(B: BRSystem, window: int) -> SuiteResult:
-    elems = window_elements(B, window)
-    images = [eta(y) for y in elems]
+    """The box of each window product against bmul of the two boxes."""
+    w = B.window(window)
+    images = [eta(x) for x in w.elems]
+    prod_images = [eta(p) for p in w.prods]
     bad = []
-    for x, row, etas in zip(elems, brmul_rows(B, elems, elems), bmul_rows(images, images)):
-        for y, p, e in zip(elems, row, etas):
-            if eta(p) != e:
+    for x, xy_ids, etas in zip(w.elems, w.table, bmul_rows(images, images)):
+        for y, xy, e in zip(w.elems, xy_ids, etas):
+            if prod_images[xy] != e:
                 bad.append(f"eta breaks at {format_elem(x)}, {format_elem(y)}")
-    return SuiteResult("eta_homomorphism", B.name, {"window": window}, len(elems) ** 2, bad)
+    return SuiteResult("eta_homomorphism", B.name, {"window": window}, len(w.elems) ** 2, bad)
 
 
 def suite_eta_congruence(B: BRSystem, window: int) -> SuiteResult:
     """Same input boxes must force the same product box, whatever the
     group parts are; that is exactly saying the eta fibers form a
     congruence."""
+    w = B.window(window)
+    boxes = [box(p) for p in w.prods]
     fibers = {}
-    for x in window_elements(B, window):
-        fibers.setdefault(box(x), []).append(x)
+    for x, e in enumerate(w.elems):
+        fibers.setdefault(box(e), []).append(x)
     bad = []
     checked = 0
     for b1, f1 in fibers.items():
         for b2, f2 in fibers.items():
-            prods = {box(p) for row in brmul_rows(B, f1, f2) for p in row}
+            prods = {boxes[w.table[x][y]] for x in f1 for y in f2}
             checked += len(f1) * len(f2)
             if len(prods) != 1:
                 bad.append(f"product box of {tuple(b1)}*{tuple(b2)} not constant: {sorted(map(tuple, prods))}")
@@ -187,7 +185,6 @@ def suite_idempotent_chain(B: BRSystem, max_window: int = 8) -> SuiteResult:
     every window up to max_window, matching an initial segment of the
     naturals under the reversed order."""
     ne = len(idempotents(B.sys))
-    mul = functools.cache(functools.partial(brmul, B))
     bad = []
     checked = 0
     for n in range(1, max_window + 1):
@@ -195,40 +192,37 @@ def suite_idempotent_chain(B: BRSystem, max_window: int = 8) -> SuiteResult:
         if len(lst) != n * ne:
             bad.append(f"window {n}: {len(lst)} idempotents, expected {n * ne}")
             continue
+        codes = [encode(B, e) for e in lst]
+        rows = list(brmul_ids(B, lst, lst))
         for a in range(len(lst)):
             for b in range(a + 1, len(lst)):
-                hi, lo = lst[a], lst[b]
                 checked += 1
-                prods = mul(hi, lo), mul(lo, hi)
-                below = prods == (lo, lo)
-                above = prods == (hi, hi)
+                prods = rows[a][b], rows[b][a]
+                below = prods == (codes[b], codes[b])
+                above = prods == (codes[a], codes[a])
                 if not below or above:
                     bad.append(
-                        f"window {n}: {format_elem(lo)} not strictly below {format_elem(hi)}"
+                        f"window {n}: {format_elem(lst[b])} not strictly below {format_elem(lst[a])}"
                     )
     return SuiteResult("idempotent_chain", B.name, {"max_window": max_window}, checked, bad)
 
 
 def suite_nat_order(B: BRSystem, window: int) -> SuiteResult:
-    """Closed form against the canonical witness x = y * x^-1 x, all pairs.
-
-    x^-1 x is computed once per x and numbered; witness holds, for each
-    window element y, the row of y times every distinct x^-1 x."""
-    elems = window_elements(B, window)
-    ids = {}
-    e_ids = [ids.setdefault(brmul(B, brinv(B, x), x), len(ids)) for x in elems]
-    witness = list(brmul_rows(B, elems, list(ids)))
+    """Closed form against the canonical witness x = y * x^-1 x, all pairs,
+    the witness read from the window's product ids."""
+    w = B.window(window)
+    elems, table = w.elems, w.table
     bad = []
-    for x, e_id in zip(elems, e_ids):
-        for y, y_row in zip(elems, witness):
-            fast = nat_order(B, x, y)
-            slow = y_row[e_id] == x
-            if fast != slow:
+    for x, (xe, xi) in enumerate(zip(elems, w.inv)):
+        e = table[xi][x]  # x^-1 x
+        for y, ye in enumerate(elems):
+            fast = nat_order(B, xe, ye)
+            if fast != (table[y][e] == x):
                 bad.append(
-                    f"closed form says {fast} for {format_elem(x)} <= {format_elem(y)}"
+                    f"closed form says {fast} for {format_elem(xe)} <= {format_elem(ye)}"
                 )
-            if fast and nat_order(B, y, x) and x != y:
-                bad.append(f"antisymmetry fails at {format_elem(x)}, {format_elem(y)}")
+            if fast and nat_order(B, ye, xe) and x != y:
+                bad.append(f"antisymmetry fails at {format_elem(xe)}, {format_elem(ye)}")
     if B.with_zero:
         probe = elems[: min(4, len(elems))]
         for x in probe:
@@ -240,17 +234,19 @@ def suite_nat_order(B: BRSystem, window: int) -> SuiteResult:
 def suite_hclass(B: BRSystem, window: int) -> SuiteResult:
     """The group fiber answer against the idempotent-pair criterion, which
     is scanned over the whole window."""
-    elems = window_elements(B, window)
-    ends = {y: (brmul(B, y, brinv(B, y)), brmul(B, brinv(B, y), y)) for y in elems}
+    w = B.window(window)
+    ends = [(w.table[y][yi], w.table[yi][y]) for y, yi in enumerate(w.inv)]
+    classes = {}
+    for y, key in zip(w.elems, ends):
+        classes.setdefault(key, set()).add(y)
     bad = []
-    for x in elems:
+    for x, key in zip(w.elems, ends):
         claimed = set(hclass(B, x))
-        scanned = {y for y in elems if ends[y] == ends[x]}
-        if claimed != scanned:
+        if claimed != classes[key]:
             bad.append(f"H-class mismatch at {format_elem(x)}")
         if len(claimed) != B.sys.group(x.s.level).order:
             bad.append(f"H-class size off at {format_elem(x)}")
-    return SuiteResult("hclass", B.name, {"window": window}, len(elems), bad)
+    return SuiteResult("hclass", B.name, {"window": window}, len(w.elems), bad)
 
 
 def _random_elem(B: BRSystem, rng: random.Random, max_index: int) -> BRElem:

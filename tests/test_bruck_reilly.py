@@ -7,13 +7,16 @@ from brext.bicyclic import BicyclicElem, bmul
 from brext.bicyclic import is_zero as b_is_zero
 from brext.bruck_reilly import (
     ZERO,
+    ZERO_ID,
     Box,
     BRElem,
     BRSystem,
     box,
     brinv,
     brmul,
-    brmul_rows,
+    brmul_ids,
+    decode,
+    encode,
     eta,
     format_elem,
     hclass,
@@ -102,7 +105,7 @@ def test_brmul_refuses_bad_operands_x_first(c2c2, case):
 
     def rows(B, x, y):
         # every operand of both lists is checked before any product
-        return next(brmul_rows(B, [good, x], [y, good]))
+        return next(brmul_ids(B, [good, x], [y, good]))
 
     # as x, as y, and as x next to every bad y, where x's error wins; the
     # row and order routes check their operands exactly as brmul does
@@ -135,33 +138,63 @@ def test_brmul_matches_the_defining_formula(c2c2, trivial):
             assert brmul(B, x, y) == _brmul_by_definition(B, x, y), (x, y)
 
 
-def test_brmul_rows_matches_brmul_and_the_defining_formula(c2c2, trivial):
+def test_brmul_ids_matches_brmul_and_the_defining_formula(c2c2, trivial):
     chain3 = BRSystem(sys=make_c12_c6_c3(), with_zero=True, name="chain3")
     rng = random.Random(7)
     for B in (c2c2, trivial, chain3):
-        elems = window_elements(B, 4)
-        rows = brmul_rows(B, elems, elems)
-        for x, row in zip(elems, rows):
-            assert len(row) == len(elems)
-            for y, p in zip(elems, row):
-                assert p == brmul(B, x, y) == _brmul_by_definition(B, x, y), (x, y)
-                assert type(p) is BRElem
+        for n in range(1, 5):
+            elems = window_elements(B, n)
+            rows = brmul_ids(B, elems, elems)
+            for x, row in zip(elems, rows):
+                assert len(row) == len(elems)
+                for y, p in zip(elems, row):
+                    assert type(p) is int
+                    assert decode(B, p) == brmul(B, x, y) == _brmul_by_definition(B, x, y), (x, y)
+                    assert p == encode(B, brmul(B, x, y))
         T = list(B.sys.elements())
         # unsorted, repeated and far apart indices, ZERO in both lists
         xs = [BRElem(rng.randrange(41), rng.choice(T), rng.randrange(41)) for _ in range(40)]
         ys = [BRElem(rng.randrange(41), rng.choice(T), rng.randrange(41)) for _ in range(40)]
         xs[3:3], ys[5:5], ys[20:20] = [ZERO], [ZERO], [ZERO, ZERO]
-        got = list(brmul_rows(B, xs, ys))
+        got = list(brmul_ids(B, xs, ys))
         assert len(got) == len(xs)
         for x, row in zip(xs, got):
-            assert row == [brmul(B, x, y) for y in ys], x
+            assert [decode(B, p) for p in row] == [brmul(B, x, y) for y in ys], x
             for y, p in zip(ys, row):
                 if x is ZERO or y is ZERO:
-                    assert p is ZERO
+                    assert p == ZERO_ID and decode(B, p) is ZERO
                 else:
-                    assert p == _brmul_by_definition(B, x, y), (x, y)
-    assert list(brmul_rows(chain3, [], elems)) == []
-    assert list(brmul_rows(chain3, elems[:2], [])) == [[], []]
+                    assert decode(B, p) == _brmul_by_definition(B, x, y), (x, y)
+    assert list(brmul_ids(chain3, [], elems)) == []
+    assert list(brmul_ids(chain3, elems[:2], [])) == [[], []]
+
+
+def test_encode_is_injective_and_decode_undoes_it(c2c2):
+    rng = random.Random(11)
+    T = list(c2c2.sys.elements())
+    xs = {BRElem(i, s, j) for i in range(20) for j in range(20) for s in T}
+    xs |= {BRElem(rng.randrange(10**30), rng.choice(T), rng.randrange(10**30)) for _ in range(200)}
+    codes = {encode(c2c2, x): x for x in xs}
+    assert len(codes) == len(xs)
+    assert all(decode(c2c2, c) == x for c, x in codes.items())
+    assert encode(c2c2, ZERO) == ZERO_ID and decode(c2c2, ZERO_ID) is ZERO
+
+
+def test_window_holds_every_product_of_two_window_elements(c2c2, trivial):
+    chain3 = BRSystem(sys=make_c12_c6_c3(), name="chain3")
+    for B in (c2c2, trivial, chain3):
+        for n in (1, 2, 3):
+            w = B.window(n)
+            assert B.window(n) is w
+            assert w.elems == window_elements(B, n) == w.prods[: len(w.elems)]
+            assert w.codes == [encode(B, p) for p in w.prods]
+            assert len(set(w.codes)) == len(w.codes)
+            for x, xe in enumerate(w.elems):
+                assert w.elems[w.inv[x]] == brinv(B, xe)
+                for y, ye in enumerate(w.elems):
+                    assert w.prods[w.table[x][y]] == brmul(B, xe, ye)
+            for p, pe in enumerate(w.prods):
+                assert [decode(B, c) for c in w.right[p]] == [brmul(B, pe, z) for z in w.elems]
 
 
 def test_inverse_swaps_indices(c2c2):
@@ -342,13 +375,13 @@ def test_zero_divisor_scan_clean(c2c2, trivial):
 
 def test_zero_divisor_scan_catches_corruption(c2c2, monkeypatch):
     culprit = BRElem(0, CE(0, 1), 1)
-    original = brmul_rows
+    original = brmul_ids
 
     def corrupted(B, xs, ys):
         for x, row in zip(xs, original(B, xs, ys)):
-            yield [ZERO if (x, y) == (culprit, culprit) else p for y, p in zip(ys, row)]
+            yield [ZERO_ID if (x, y) == (culprit, culprit) else p for y, p in zip(ys, row)]
 
-    monkeypatch.setattr("brext.bruck_reilly.brmul_rows", corrupted)
+    monkeypatch.setattr("brext.bruck_reilly.brmul_ids", corrupted)
     rep = zero_divisor_scan(c2c2, 2)
     assert not rep.ok
     assert (culprit, culprit) in rep.counterexamples

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from brext.clifford import (
     theta_pow_oracle,
     validate_system,
 )
-from brext.errors import IndexOutOfRange, MalformedMap, MissingBond
+from brext.errors import IndexOutOfRange, MalformedMap, MissingBond, NotAGroup
 from brext.groups import cyclic_group, hom, identity_hom
 from test_groups import constant_hom
 
@@ -351,6 +353,40 @@ def test_same_level_bond_is_one_shared_identity():
     assert sys.bond(1, 1).map == tuple(range(6))
     with pytest.raises(ValueError):
         sys.bond(3, 3)
+
+
+def test_non_identity_idempotent_is_refused_under_python_O():
+    # a one-level system on the magma [[0,1],[1,1]], where 1 * 1 = 1 but the
+    # identity is 0; the guard must not be an assert, which -O strips
+    code = (
+        "from brext.clifford import CliffordSystem, idempotents\n"
+        "from brext.errors import NotAGroup\n"
+        "from brext.groups import GroupTable, identity_hom\n"
+        "m = GroupTable.from_rows([[0, 1], [1, 1]], identity=0)\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    idempotents(CliffordSystem(groups=(m,), bonds={}, theta=(identity_hom(m),)))\n"
+        "except NotAGroup as exc:\n"
+        "    print(exc)\n"
+    )
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\nnon-identity idempotent CliffordElement(level=0, elem=1) in a group\n"
+    m = groups.GroupTable.from_rows([[0, 1], [1, 1]], identity=0)
+    with pytest.raises(NotAGroup):
+        idempotents(CliffordSystem(groups=(m,), bonds={}, theta=(identity_hom(m),)))
+
+
+def test_compiled_numbers_T_level_by_level(c2c2, trivial):
+    for system in table_systems(c2c2, trivial):
+        c = system.compiled
+        assert c.elements == tuple(system.elements())
+        assert c.ids == {a: n for n, a in enumerate(c.elements)}
+        assert all(c.elements[n] == CliffordElement(0, n) for n in range(system.groups[0].order))
+        for a in c.elements:
+            assert c.elements[c.id_theta[c.ids[a]]] == theta_pow_oracle(system, a, 1)
+            for b in c.elements:
+                assert c.elements[c.id_products[c.ids[a]][c.ids[b]]] == cmul_oracle(system, a, b)
 
 
 def test_compiled_once_and_never_by_validation():

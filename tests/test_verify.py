@@ -1,10 +1,11 @@
 import pytest
 
-from brext import verify
+from brext import bruck_reilly, verify
 from brext.bicyclic import BicyclicElem, ZERO, bmul, oracle_mul
-from brext.bruck_reilly import brmul, brmul_rows, eta, format_elem, parse_elem, window_elements
+from brext.bruck_reilly import BRSystem, brmul_ids, decode, encode, eta, format_elem, parse_elem, window_elements
 from brext.clifford import CliffordElement
 from brext.verify import SuiteResult, run_all
+from test_clifford import make_c12_c6_c3
 
 C2C2_SUITES = [
     "structure",
@@ -89,19 +90,22 @@ def test_window_is_recorded_in_params(c2c2_results):
 
 
 def _corrupt(pair, change):
-    """brmul and brmul_rows with the single product pair[0] * pair[1]
-    changed, in every row it appears in."""
+    """brmul_ids with the single product pair[0] * pair[1] changed, in every
+    row it appears in."""
     x0, y0 = map(parse_elem, pair)
 
-    def mul(B, x, y):
-        p = brmul(B, x, y)
-        return change(p) if (x, y) == (x0, y0) else p
-
     def rows(B, xs, ys):
-        for x, row in zip(xs, brmul_rows(B, xs, ys)):
-            yield [change(p) if (x, y) == (x0, y0) else p for y, p in zip(ys, row)]
+        for x, row in zip(xs, brmul_ids(B, xs, ys)):
+            yield [encode(B, change(decode(B, p))) if (x, y) == (x0, y0) else p for y, p in zip(ys, row)]
 
-    return mul, rows
+    return rows
+
+
+def _patch_kernel(monkeypatch, rows):
+    """Bind rows as the id kernel wherever the suites and the window
+    builder look it up."""
+    for module in (bruck_reilly, verify):
+        monkeypatch.setattr(module, "brmul_ids", rows)
 
 
 def _flip_group(p):
@@ -162,10 +166,21 @@ CORRUPTIONS = [
     "suite,arg,pair,change,expected", CORRUPTIONS, ids=[getattr(c, "id", c[0]) for c in CORRUPTIONS]
 )
 def test_window_suite_reports_a_corrupted_product(c2c2, monkeypatch, suite, arg, pair, change, expected):
-    mul, rows = _corrupt(pair, change)
-    monkeypatch.setattr(verify, "brmul", mul)
-    monkeypatch.setattr(verify, "brmul_rows", rows)
+    _patch_kernel(monkeypatch, _corrupt(pair, change))
     assert getattr(verify, f"suite_{suite}")(c2c2, arg).violations == expected
+
+
+def test_a_cached_window_cannot_hide_a_patched_kernel(c2c2, monkeypatch):
+    # c2c2 is session-scoped: compile its window with the real kernel first
+    _, arg, pair, change, expected = CORRUPTIONS[0]
+    assert verify.suite_associativity(c2c2, arg).ok
+    cached = c2c2.window(arg)
+    _patch_kernel(monkeypatch, _corrupt(pair, change))
+    assert verify.suite_associativity(c2c2, arg).violations == expected
+    assert c2c2.window(arg) is not cached
+    monkeypatch.undo()
+    assert c2c2.window(arg) is cached
+    assert verify.suite_associativity(c2c2, arg).ok
 
 
 def _bmul_mutant(d):
@@ -241,6 +256,20 @@ def test_verify_all_passes_past_the_golden_window(request, system, window):
     results = {r.suite: r for r in run_all(request.getfixturevalue(system), window=window)}
     assert all(r.ok for r in results.values()), [(n, r.violations[:2]) for n, r in results.items() if not r.ok]
     assert results["box_solver"].params == {"max_index": 2 * window, "brute_bound": 4 * window}
+
+
+@pytest.mark.parametrize("system", ["c2c2", "trivial", "chain3"])
+def test_window_suites_check_what_their_closed_forms_predict(request, system):
+    if system == "chain3":
+        B = BRSystem(sys=make_c12_c6_c3(), with_zero=True, name="chain3")
+    else:
+        B = request.getfixturevalue(system)
+    suites = ["associativity", "inverse_axioms", "eta_homomorphism", "eta_congruence", "nat_order", "hclass",
+              "zero_divisors"]
+    for window in range(1, 5):
+        for suite in suites:
+            result = getattr(verify, f"suite_{suite}")(B, window)
+            assert result.checked == verify.predicted_checked(B, suite, window), (suite, window)
 
 
 def test_associativity_on_a_one_element_window(trivial):

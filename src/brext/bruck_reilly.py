@@ -118,9 +118,15 @@ def brmul(B: BRSystem, x: Element, y: Element) -> Element:
 ZERO_ID = -1  # encode(ZERO)
 
 
+# a product of two elements of a capped window has indices below 2 * MAX_WINDOW
+_SPREAD = tuple(int(f"{v:b}", 4) for v in range(2 * MAX_WINDOW))
+
+
 def _spread(v: int) -> int:
-    """v's bits moved to the even positions: its binary digits read in base 4."""
-    return int(f"{v:b}", 4)
+    """v's bits moved to the even positions: its binary digits read in base 4.
+    Values below len(_SPREAD) are read from a table and larger ones are
+    computed, so packed ids stay unbounded."""
+    return _SPREAD[v] if v < len(_SPREAD) else int(f"{v:b}", 4)
 
 
 def encode(B: BRSystem, x: Element) -> int:
@@ -289,20 +295,33 @@ def nat_order(B: BRSystem, x: Element, y: Element) -> bool:
     """x below y in the natural partial order, by the closed form.
 
     Writing x = (i, s, j) and y = (m, t, n): both index gaps must agree and
-    be non-negative, d = i - m = j - n >= 0, and s must equal t (d = 0) or
-    theta^d(t) (d > 0) multiplied by some idempotent of T.  The product
-    route nat_order_oracle checks x = y * x^-1 x in the extension instead.
+    be non-negative, d = i - m = j - n >= 0, and s must lie in the compiled
+    below-set of u = t (d = 0) or u = theta^d(t) (d > 0), that is
+    s = u * e for an idempotent e of T: x <= y iff x lies in y * E(S).
+    Plain BRElem operands are validated once against the product table,
+    x first, as brmul validates them.  The product route nat_order_oracle
+    checks x = y * x^-1 x in the extension instead.
     """
-    _check(B, x)
-    _check(B, y)
-    if x is ZERO or y is ZERO:
-        # zero is the least element once adjoined
-        return x is ZERO
-    d = x.i - y.i
-    if d != x.j - y.j or d < 0:
+    compiled = B.sys.compiled
+    # brmul's prologue, inline in both: as a shared call it slows this suite
+    # and brmul by about a fifth; test_brmul_refuses_bad_operands_x_first
+    # holds the two to the same errors
+    if type(x) is not BRElem or type(y) is not BRElem:
+        _check(B, x)
+        _check(B, y)
+        if x is ZERO or y is ZERO:
+            # zero is the least element once adjoined
+            return x is ZERO
+    i, s, j = x
+    m, t, n = y
+    if i < 0 or j < 0 or s not in compiled.products:
+        _check(B, x)  # raises
+    if m < 0 or n < 0 or t not in compiled.products:
+        _check(B, y)  # raises
+    d = i - m
+    if d != j - n or d < 0:
         return False
-    base = y.s if d == 0 else theta_pow(B.sys, y.s, d)
-    return any(x.s == cmul(B.sys, base, e) for e in idempotents(B.sys))
+    return s in compiled.below[t if d == 0 else theta_pow(B.sys, t, d)]
 
 
 def nat_order_oracle(B: BRSystem, x: Element, y: Element) -> bool:
@@ -325,10 +344,11 @@ def hclass(B: BRSystem, x: Element) -> list[Element]:
         return [ZERO]
     g = B.sys.group(x.s.level)
     out = [BRElem(x.i, CliffordElement(x.s.level, u), x.j) for u in range(g.order)]
-    left = brmul(B, x, brinv(B, x))
-    right = brmul(B, brinv(B, x), x)
+    xi = brinv(B, x)
+    left, right = brmul(B, x, xi), brmul(B, xi, x)
     for y in out:
-        if brmul(B, y, brinv(B, y)) != left or brmul(B, brinv(B, y), y) != right:
+        yi = brinv(B, y)
+        if brmul(B, y, yi) != left or brmul(B, yi, y) != right:
             raise WitnessVerificationFailed(f"{format_elem(y)} is not H-related to {format_elem(x)}")
     return out
 

@@ -15,8 +15,9 @@ the first all happen inside the top group.
 
 A system's shape is checked when it is built; validate_system checks only
 the laws.  A system is compiled on first use into a product table and a
-table of theta over shared element objects, plus its list of idempotents,
-so cmul and the first step of theta_pow are lookups; the two tables are
+table of theta over shared element objects, plus its list of idempotents
+and T's natural order as below-sets, so cmul, the first step of theta_pow
+and the order of T are lookups; the two tables are
 also kept on ids 0..|T|-1 for bruck_reilly's row kernel.  The bond-and-Cayley
 product stays as cmul_oracle and the plain loop over the theta maps as
 theta_pow_oracle; validate_system's failure path uses only those.
@@ -65,6 +66,10 @@ class CompiledSystem(NamedTuple):
     shared object, and top[x] is the shared top-level element with group
     coordinate x.  idempotents holds the level identities, top level first.
 
+    below[t] is T's natural order as sets: the set t * E(T) of the shared
+    elements t * e over the idempotents e, which are exactly the elements
+    below t.
+
     elements numbers T level by level from the top, so a top element's id
     is its group coordinate, and ids maps each element back to its id.
     id_products and id_theta are products and theta on those ids.
@@ -74,6 +79,7 @@ class CompiledSystem(NamedTuple):
     theta: dict
     top: tuple[CliffordElement, ...]
     idempotents: tuple[CliffordElement, ...]
+    below: dict
     elements: tuple[CliffordElement, ...]
     ids: dict
     id_products: list[list[int]]
@@ -140,7 +146,8 @@ class CliffordSystem:
 
     @cached_property
     def compiled(self) -> CompiledSystem:
-        """The product and theta tables and idempotents, built on first use.
+        """The product and theta tables, idempotents and below-sets, built
+        on first use.
 
         Each level pair fills its block of the table from the bond maps and
         the Cayley table at the meet level, and theta is read off its maps,
@@ -168,10 +175,11 @@ class CliffordSystem:
         for e in idem:
             if e.elem != self.groups[e.level].identity:
                 raise NotAGroup(f"non-identity idempotent {e} in a group")
+        below = {t: frozenset(row[e] for e in idem) for t, row in products.items()}
         ids = {e: n for n, e in enumerate(products)}
         id_products = [[ids[row[b]] for b in products] for row in products.values()]
         return CompiledSystem(
-            products, theta, top, idem, tuple(products), ids, id_products, [ids[theta[a]] for a in products]
+            products, theta, top, idem, below, tuple(products), ids, id_products, [ids[theta[a]] for a in products]
         )
 
 

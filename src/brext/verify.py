@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import repeat
+from math import comb
 
 from . import bicyclic
 from .bicyclic import BicyclicElem, bmul, bmul_rows, binv, rho_table, tmul
@@ -90,11 +91,25 @@ class SuiteResult:
         }
 
 
-def predicted_checked(B: BRSystem, suite: str, window: int) -> int:
-    """A window suite's checked count, in closed form from |W| = window^2 |T|."""
-    w = window * window * B.sys.order()
+def predicted_checked(B: BRSystem, suite: str, arg: int) -> int:
+    """A suite's checked count in closed form from its argument: a window,
+    with |W| = window^2 |T|; max_window for idempotent_chain, whose window
+    n holds n |E(T)| idempotents; or max_index for the system-free suites,
+    which run over (max_index + 1)^2 elements or boxes."""
+    w = arg * arg * B.sys.order()
+    ne = len(idempotents(B.sys))
     squares = dict.fromkeys(("eta_homomorphism", "eta_congruence", "nat_order", "zero_divisors"), w * w)
-    return {"associativity": w ** 3, "inverse_axioms": w * w + w, "hclass": w, **squares}[suite]
+    pairs = (arg + 1) ** 4
+    return {
+        "associativity": w ** 3,
+        "inverse_axioms": w * w + w,
+        "hclass": w,
+        **squares,
+        "idempotent_chain": sum(comb(n * ne, 2) for n in range(1, arg + 1)),
+        "bicyclic_axioms": pairs,
+        "bicyclic_oracle": pairs,
+        "box_solver": 2 * pairs,
+    }[suite]
 
 
 def suite_structure(B: BRSystem) -> SuiteResult:
@@ -183,17 +198,25 @@ def suite_eta_congruence(B: BRSystem, window: int) -> SuiteResult:
 def suite_idempotent_chain(B: BRSystem, max_window: int = 8) -> SuiteResult:
     """idempotents_window gives a strict chain of the promised length for
     every window up to max_window, matching an initial segment of the
-    naturals under the reversed order."""
+    naturals under the reversed order.
+
+    The max_window chain is encoded and multiplied in one brmul_ids pass;
+    each shorter window that is a prefix of it reads its pairs from that
+    pass, and a window that is not such a prefix is a violation."""
     ne = len(idempotents(B.sys))
+    windows = [idempotents_window(B, n) for n in range(1, max_window + 1)]
+    chain = windows[-1] if windows else []
+    codes = [encode(B, e) for e in chain]
+    rows = list(brmul_ids(B, chain, chain))
     bad = []
     checked = 0
-    for n in range(1, max_window + 1):
-        lst = idempotents_window(B, n)
+    for n, lst in enumerate(windows, 1):
         if len(lst) != n * ne:
             bad.append(f"window {n}: {len(lst)} idempotents, expected {n * ne}")
             continue
-        codes = [encode(B, e) for e in lst]
-        rows = list(brmul_ids(B, lst, lst))
+        if lst != chain[: len(lst)]:
+            bad.append(f"window {n}: not a prefix of window {max_window}")
+            continue
         for a in range(len(lst)):
             for b in range(a + 1, len(lst)):
                 checked += 1

@@ -174,10 +174,18 @@ def test_encode_is_injective_and_decode_undoes_it(c2c2):
     T = list(c2c2.sys.elements())
     xs = {BRElem(i, s, j) for i in range(20) for j in range(20) for s in T}
     xs |= {BRElem(rng.randrange(10**30), rng.choice(T), rng.randrange(10**30)) for _ in range(200)}
+    edge = len(bruck_reilly._SPREAD)  # indices on both sides of the spread table's edge
+    xs |= {BRElem(i, s, j) for i in (edge - 1, edge) for j in (0, edge - 1, edge, edge + 1) for s in T}
     codes = {encode(c2c2, x): x for x in xs}
     assert len(codes) == len(xs)
     assert all(decode(c2c2, c) == x for c, x in codes.items())
     assert encode(c2c2, ZERO) == ZERO_ID and decode(c2c2, ZERO_ID) is ZERO
+
+
+def test_spread_reads_binary_digits_in_base_4_on_both_sides_of_its_table():
+    edge = len(bruck_reilly._SPREAD)
+    for v in [*range(edge + 3), 2**40 - 1, 2**40, 2**40 + 1]:
+        assert bruck_reilly._spread(v) == int(f"{v:b}", 4), v
 
 
 def test_window_holds_every_product_of_two_window_elements(c2c2, trivial):
@@ -294,6 +302,38 @@ def test_natural_order_routes_agree_on_window(c2c2, trivial):
             assert fast == nat_order_oracle(B, x, y) == _nat_order_by_search(B, x, y), (x, y)
             verdicts.add(fast)
         assert verdicts == {True, False}
+
+
+def test_natural_order_on_chain3_matches_the_witness_past_theta_s_period():
+    B = BRSystem(sys=make_c12_c6_c3(), with_zero=True, name="chain3")
+    step = B.sys.theta[0].map
+    tail = cycle = 0
+    for x in range(len(step)):
+        orbit = []
+        while x not in orbit:
+            orbit.append(x)
+            x = step[x]
+        tail, cycle = max(tail, orbit.index(x)), max(cycle, len(orbit) - orbit.index(x))
+    assert (tail, cycle) == (1, 2)  # x -> 8x on C12: 1 -> 8 -> 4 -> 8
+    elems = window_elements(B, 3)
+    for x in elems:
+        for y in elems:
+            assert nat_order(B, x, y) == nat_order_oracle(B, x, y), (x, y)
+    T = list(B.sys.elements())
+    for d in range(tail + cycle + 3):
+        verdicts = set()
+        for m, n in ((0, 0), (0, 2), (3, 1)):
+            for t in B.sys.compiled.top:
+                y = BRElem(m, t, n)
+                for s in T:
+                    x = BRElem(m + d, s, n + d)
+                    fast = nat_order(B, x, y)
+                    assert fast == nat_order_oracle(B, x, y), (x, y)
+                    verdicts.add(fast)
+        assert verdicts == {True, False}, d
+    for x in [ZERO, *elems]:
+        assert nat_order(B, ZERO, x) and nat_order_oracle(B, ZERO, x)
+        assert nat_order(B, x, ZERO) == nat_order_oracle(B, x, ZERO) == (x is ZERO)
 
 
 def test_natural_order_oracle_is_two_products(c2c2, monkeypatch):

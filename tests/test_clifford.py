@@ -269,6 +269,15 @@ def test_idempotents_match_oracle(c2c2, trivial):
         assert idempotents(sys) is not idempotents(sys)
 
 
+def test_below_sets_are_each_element_times_the_idempotents(c2c2, trivial):
+    for sys in (c2c2.sys, trivial.sys, make_c12_c6_c3()):
+        es = [e for e in sys.elements() if cmul_oracle(sys, e, e) == e]
+        below = sys.compiled.below
+        assert list(below) == list(sys.elements())
+        for t in sys.elements():
+            assert below[t] == {cmul_oracle(sys, t, e) for e in es}, t
+
+
 def test_invalid_operands_raise_as_the_oracle_does():
     sys = make_z4z2()
     one = CliffordElement(0, 0)

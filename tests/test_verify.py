@@ -119,7 +119,8 @@ def _shift_index(p):
 # One corrupted product per window suite: an index change for the eta
 # suites, a group-part change for the others.  Associativity has a second
 # case, at window 2, whose corrupted product is one of the (x*y)*z with
-# x*y outside the window.
+# x*y outside the window; idempotent_chain has one for each of hi*lo and
+# lo*hi, the two products it reads per pair.
 CORRUPTIONS = [
     ("associativity", 1, ("(0,0:1,0)", "(0,1:1,0)"), _flip_group, [
         "((0,0:1,0)*(0,0:1,0))*(0,1:0,0) != (0,0:1,0)*((0,0:1,0)*(0,1:0,0))",
@@ -143,6 +144,9 @@ CORRUPTIONS = [
     ("idempotent_chain", 2, ("(1,0:0,1)", "(1,1:0,1)"), _flip_group, [
         "window 2: (1,1:0,1) not strictly below (1,0:0,1)",
     ]),
+    pytest.param("idempotent_chain", 2, ("(1,1:0,1)", "(1,0:0,1)"), _flip_group, [
+        "window 2: (1,1:0,1) not strictly below (1,0:0,1)",
+    ], id="idempotent_chain-lo-times-hi"),
     ("nat_order", 2, ("(0,0:1,1)", "(1,0:0,1)"), _flip_group, [
         "closed form says False for (0,0:0,1) <= (0,0:1,1)",
         "closed form says True for (0,0:1,1) <= (0,0:1,1)",
@@ -168,6 +172,12 @@ CORRUPTIONS = [
 def test_window_suite_reports_a_corrupted_product(c2c2, monkeypatch, suite, arg, pair, change, expected):
     _patch_kernel(monkeypatch, _corrupt(pair, change))
     assert getattr(verify, f"suite_{suite}")(c2c2, arg).violations == expected
+
+
+def test_idempotent_chain_reports_a_window_that_is_not_a_prefix_of_the_longest(c2c2, monkeypatch):
+    real = verify.idempotents_window
+    monkeypatch.setattr(verify, "idempotents_window", lambda B, n: real(B, n)[::-1] if n == 1 else real(B, n))
+    assert verify.suite_idempotent_chain(c2c2, 2).violations == ["window 1: not a prefix of window 2"]
 
 
 def test_a_cached_window_cannot_hide_a_patched_kernel(c2c2, monkeypatch):
@@ -270,6 +280,13 @@ def test_window_suites_check_what_their_closed_forms_predict(request, system):
         for suite in suites:
             result = getattr(verify, f"suite_{suite}")(B, window)
             assert result.checked == verify.predicted_checked(B, suite, window), (suite, window)
+        # the system-free suites at the arguments run_all gives them
+        for suite, arg in (("bicyclic_axioms", 6), ("bicyclic_oracle", 4 * window), ("box_solver", 2 * window)):
+            result = getattr(verify, f"suite_{suite}")(B.name, arg)
+            assert result.checked == verify.predicted_checked(B, suite, arg), (suite, arg)
+    for max_window in range(1, 9):
+        result = verify.suite_idempotent_chain(B, max_window)
+        assert result.checked == verify.predicted_checked(B, "idempotent_chain", max_window), max_window
 
 
 def test_associativity_on_a_one_element_window(trivial):

@@ -20,7 +20,6 @@ from .bruck_reilly import (
     zero_divisor_scan,
 )
 from .clifford import (
-    ChainSemilattice,
     CliffordElement,
     CliffordSystem,
     cinv,
@@ -35,7 +34,6 @@ from .config import load_system, system_from_obj
 from .groups import GroupHom, GroupTable, ValidationReport, cyclic_group, ginv, gmul, hom, validate_group, validate_hom
 from .topology import (
     BasicZeroNbhd,
-    BoxFamily,
     ContinuityCertificate,
     ZeroNbhdDescriptor,
     box_solve,
@@ -54,15 +52,14 @@ __all__ = [
     "Box", "BRElem", "BRSystem", "brinv", "brmul", "brmul_ids", "eta",
     "hclass", "idempotents_window", "nat_order", "nat_order_oracle",
     "simplicity_witness", "window_elements", "zero_divisor_scan",
-    "ChainSemilattice", "CliffordElement", "CliffordSystem", "cinv", "cmul",
-    "cmul_oracle", "idempotents", "theta_pow", "theta_pow_oracle",
-    "validate_system",
+    "CliffordElement", "CliffordSystem", "cinv", "cmul", "cmul_oracle",
+    "idempotents", "theta_pow", "theta_pow_oracle", "validate_system",
     "load_system", "system_from_obj",
     "GroupHom", "GroupTable", "ValidationReport", "cyclic_group", "ginv",
     "gmul", "hom", "validate_group", "validate_hom",
-    "BasicZeroNbhd", "BoxFamily", "ContinuityCertificate",
-    "ZeroNbhdDescriptor", "box_solve", "classify_descriptor",
-    "continuity_cert_zero", "meets_almost_all_boxes", "pushforward_basic",
-    "pushforward_descriptor", "row_exceptions_finite",
+    "BasicZeroNbhd", "ContinuityCertificate", "ZeroNbhdDescriptor",
+    "box_solve", "classify_descriptor", "continuity_cert_zero",
+    "meets_almost_all_boxes", "pushforward_basic", "pushforward_descriptor",
+    "row_exceptions_finite",
     "__version__",
 ]

@@ -87,16 +87,17 @@ def _check(B: BRSystem, x: Element) -> None:
         return
     if not isinstance(x, BRElem) or x.i < 0 or x.j < 0:
         raise ValueError(f"not an extension element: {x!r}")
-    if x.s not in B.sys.compiled.products:
+    if x.s not in B.sys.compiled.ids:
         raise ValueError(f"group coordinate {tuple(x.s)} is not an element of T")
 
 
 def brmul(B: BRSystem, x: Element, y: Element) -> Element:
     """The product in one pass: plain BRElem operands are validated once
-    against the product table, x first (anything else goes through _check),
-    theta runs only on the factor that is shifted, and T's product is read
-    from the table."""
-    products = B.sys.compiled.products
+    against T's ids, x first (anything else goes through _check), theta runs
+    only on the factor that is shifted, and T's product is read from the
+    table; a theta result is a top element, so its id is its .elem."""
+    compiled = B.sys.compiled
+    ids, products = compiled.ids, compiled.products
     if type(x) is not BRElem or type(y) is not BRElem:
         _check(B, x)
         _check(B, y)
@@ -104,15 +105,15 @@ def brmul(B: BRSystem, x: Element, y: Element) -> Element:
             return ZERO
     i, s, j = x
     k, t, l = y
-    if i < 0 or j < 0 or s not in products:
+    if i < 0 or j < 0 or (a := ids.get(s)) is None:
         _check(B, x)  # raises
-    if k < 0 or l < 0 or t not in products:
+    if k < 0 or l < 0 or (b := ids.get(t)) is None:
         _check(B, y)  # raises
     if j < k:
-        return BRElem(i + k - j, products[theta_pow(B.sys, s, k - j)][t], l)
+        return BRElem(i + k - j, compiled.elements[products[theta_pow(B.sys, s, k - j).elem][b]], l)
     if k < j:
-        return BRElem(i, products[s][theta_pow(B.sys, t, j - k)], j + l - k)
-    return BRElem(i, products[s][t], l)
+        return BRElem(i, compiled.elements[products[a][theta_pow(B.sys, t, j - k).elem]], j + l - k)
+    return BRElem(i, compiled.elements[products[a][b]], l)
 
 
 ZERO_ID = -1  # encode(ZERO)
@@ -167,7 +168,7 @@ def brmul_ids(B: BRSystem, xs: Sequence[Element], ys: Sequence[Element]) -> Iter
     for y in ys:
         _check(B, y)
     compiled = B.sys.compiled
-    ids, table, step = compiled.ids, compiled.id_products, compiled.id_theta
+    ids, table, step = compiled.ids, compiled.products, compiled.theta
     n = len(table)
     js = {x.j for x in xs if x is not ZERO}
     runs = []
@@ -298,11 +299,12 @@ def nat_order(B: BRSystem, x: Element, y: Element) -> bool:
     be non-negative, d = i - m = j - n >= 0, and s must lie in the compiled
     below-set of u = t (d = 0) or u = theta^d(t) (d > 0), that is
     s = u * e for an idempotent e of T: x <= y iff x lies in y * E(S).
-    Plain BRElem operands are validated once against the product table,
-    x first, as brmul validates them.  The product route nat_order_oracle
-    checks x = y * x^-1 x in the extension instead.
+    Plain BRElem operands are validated once against T's ids, x first, as
+    brmul validates them.  The product route nat_order_oracle checks
+    x = y * x^-1 x in the extension instead.
     """
     compiled = B.sys.compiled
+    ids = compiled.ids
     # brmul's prologue, inline in both: as a shared call it slows this suite
     # and brmul by about a fifth; test_brmul_refuses_bad_operands_x_first
     # holds the two to the same errors
@@ -314,14 +316,14 @@ def nat_order(B: BRSystem, x: Element, y: Element) -> bool:
             return x is ZERO
     i, s, j = x
     m, t, n = y
-    if i < 0 or j < 0 or s not in compiled.products:
+    if i < 0 or j < 0 or (a := ids.get(s)) is None:
         _check(B, x)  # raises
-    if m < 0 or n < 0 or t not in compiled.products:
+    if m < 0 or n < 0 or (b := ids.get(t)) is None:
         _check(B, y)  # raises
     d = i - m
     if d != j - n or d < 0:
         return False
-    return s in compiled.below[t if d == 0 else theta_pow(B.sys, t, d)]
+    return a in compiled.below[b if d == 0 else theta_pow(B.sys, t, d).elem]
 
 
 def nat_order_oracle(B: BRSystem, x: Element, y: Element) -> bool:

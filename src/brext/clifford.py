@@ -14,13 +14,13 @@ whole semigroup into its unit group.  theta_pow iterates it; iterates beyond
 the first all happen inside the top group.
 
 A system's shape is checked when it is built; validate_system checks only
-the laws.  A system is compiled on first use into a product table and a
-table of theta over shared element objects, plus its list of idempotents
-and T's natural order as below-sets, so cmul, the first step of theta_pow
-and the order of T are lookups; the two tables are
-also kept on ids 0..|T|-1 for bruck_reilly's row kernel.  The bond-and-Cayley
-product stays as cmul_oracle and the plain loop over the theta maps as
-theta_pow_oracle; validate_system's failure path uses only those.
+the laws.  A system is compiled on first use into one form of T on integer
+ids 0..|T|-1: the product table, the first step of theta, the idempotents
+and T's natural order as below-sets.  cmul, theta_pow, idempotents and
+bruck_reilly read only that form, and take and return the shared element
+objects it numbers.  The bond-and-Cayley product stays as cmul_oracle and
+the plain loop over the theta maps as theta_pow_oracle; validate_system's
+failure path uses only those.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .errors import MalformedMap, MissingBond, NotAGroup
+from .errors import IndexOutOfRange, MalformedMap, MissingBond, NotAGroup
 from .groups import GroupHom, GroupTable, ValidationReport, compose_homs, ginv, gmul, identity_hom, row_reader, validate_group, validate_hom
 
 
@@ -38,52 +38,24 @@ class CliffordElement(NamedTuple):
     elem: int
 
 
-@dataclass(frozen=True)
-class ChainSemilattice:
-    """The chain 0 > 1 > ... > size-1 under the dominance order."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("chain needs at least one level")
-
-    def meet(self, a: int, b: int) -> int:
-        if not (0 <= a < self.size and 0 <= b < self.size):
-            raise ValueError(f"levels ({a},{b}) outside chain of size {self.size}")
-        return max(a, b)
-
-    def below(self, a: int, b: int) -> bool:
-        """True iff level a is dominated by level b (a lower or equal)."""
-        return a >= b
-
-
 class CompiledSystem(NamedTuple):
-    """A chain of groups flattened for lookup.
-
-    products[a][b] is a * b, one of the shared element objects; the keys of
-    products are exactly the elements of T.  theta[a] is theta(a), again a
-    shared object, and top[x] is the shared top-level element with group
-    coordinate x.  idempotents holds the level identities, top level first.
-
-    below[t] is T's natural order as sets: the set t * E(T) of the shared
-    elements t * e over the idempotents e, which are exactly the elements
-    below t.
+    """A chain of groups flattened for lookup, on integer ids.
 
     elements numbers T level by level from the top, so a top element's id
-    is its group coordinate, and ids maps each element back to its id.
-    id_products and id_theta are products and theta on those ids.
+    is its group coordinate, and ids maps each element back to its id; the
+    keys of ids are exactly the elements of T.  products[a][b] is the id of
+    a * b and theta[a] that of theta(a), for ids a and b.  idempotents holds
+    the ids of the level identities, top level first.  below[t] is T's
+    natural order as sets: the ids of t * E(T), the products t * e over the
+    idempotents e, which are exactly the elements below t.
     """
 
-    products: dict
-    theta: dict
-    top: tuple[CliffordElement, ...]
-    idempotents: tuple[CliffordElement, ...]
-    below: dict
     elements: tuple[CliffordElement, ...]
     ids: dict
-    id_products: list[list[int]]
-    id_theta: list[int]
+    products: list[list[int]]
+    theta: list[int]
+    below: list[frozenset[int]]
+    idempotents: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -96,7 +68,9 @@ class CliffordSystem:
     theta: tuple[GroupHom, ...]
 
     def __post_init__(self):
-        k, groups = self.chain.size, self.groups  # an empty chain raises here
+        k, groups = len(self.groups), self.groups
+        if not k:
+            raise ValueError("chain needs at least one level")
         for (upper, lower), b in self.bonds.items():
             if not 0 <= upper <= lower < k:
                 raise MalformedMap(f"bond ({upper},{lower}) outside 0 <= upper <= lower < {k}")
@@ -108,13 +82,9 @@ class CliffordSystem:
             if th.domain != groups[level] or th.codomain != groups[0]:
                 raise MalformedMap(f"theta[{level}] endpoints must be group {level} -> group 0")
 
-    @cached_property
-    def chain(self) -> ChainSemilattice:
-        return ChainSemilattice(len(self.groups))
-
     def group(self, level: int) -> GroupTable:
-        if not 0 <= level < self.chain.size:
-            raise ValueError(f"level {level} outside chain of size {self.chain.size}")
+        if not 0 <= level < len(self.groups):
+            raise ValueError(f"level {level} outside chain of size {len(self.groups)}")
         return self.groups[level]
 
     def bond(self, upper: int, lower: int) -> GroupHom:
@@ -122,7 +92,7 @@ class CliffordSystem:
         if upper == lower:
             self.group(upper)  # raises for a level outside the chain
             return self._identity_homs[upper]
-        if not self.chain.below(lower, upper):
+        if lower < upper:
             raise MissingBond(f"no bond upward from level {upper} to {lower}")
         try:
             return self.bonds[(upper, lower)]
@@ -146,54 +116,58 @@ class CliffordSystem:
 
     @cached_property
     def compiled(self) -> CompiledSystem:
-        """The product and theta tables, idempotents and below-sets, built
-        on first use.
+        """T on ids with its product and theta tables, idempotents and
+        below-sets, built on first use.
 
         Each level pair fills its block of the table from the bond maps and
         the Cayley table at the meet level, and theta is read off its maps,
-        which construction guarantees run into the top group.  Only level
-        identities may be idempotent; that is checked here, once, and any
-        other idempotent raises NotAGroup.
+        which construction guarantees run into the top group, whose ids are
+        its group coordinates.  Only level identities may be idempotent;
+        that is checked here, once, and any other idempotent raises
+        NotAGroup.
         """
-        elems = [
-            tuple(CliffordElement(level, x) for x in range(g.order))
-            for level, g in enumerate(self.groups)
-        ]
-        products = {e: {} for level in elems for e in level}
-        for la, row_elems in enumerate(elems):
-            for lb, col_elems in enumerate(elems):
-                lvl = self.chain.meet(la, lb)
+        elements = tuple(self.elements())
+        ids = {e: n for n, e in enumerate(elements)}
+        products = []
+        for la, ga in enumerate(self.groups):
+            rows = [[] for _ in range(ga.order)]
+            for lb, gb in enumerate(self.groups):
+                lvl = max(la, lb)
                 down_a, down_b = self.bond(la, lvl).map, self.bond(lb, lvl).map
-                table, out = self.groups[lvl].table, elems[lvl]
-                for a in row_elems:
-                    row, ta = products[a], table[down_a[a.elem]]
-                    for b in col_elems:
-                        row[b] = out[ta[down_b[b.elem]]]
-        top = elems[0]
-        theta = {a: top[th.map[a.elem]] for th, level in zip(self.theta, elems) for a in level}
-        idem = tuple(e for e, row in products.items() if row[e] == e)
+                table, base = self.groups[lvl].table, ids[CliffordElement(lvl, 0)]
+                for x, row in enumerate(rows):
+                    ta = table[down_a[x]]
+                    row += [base + ta[down_b[y]] for y in range(gb.order)]
+            products += rows
+        idem = tuple(e for e, row in enumerate(products) if row[e] == e)
         for e in idem:
-            if e.elem != self.groups[e.level].identity:
-                raise NotAGroup(f"non-identity idempotent {e} in a group")
-        below = {t: frozenset(row[e] for e in idem) for t, row in products.items()}
-        ids = {e: n for n, e in enumerate(products)}
-        id_products = [[ids[row[b]] for b in products] for row in products.values()]
+            if elements[e].elem != self.groups[elements[e].level].identity:
+                raise NotAGroup(f"non-identity idempotent {elements[e]} in a group")
         return CompiledSystem(
-            products, theta, top, idem, below, tuple(products), ids, id_products, [ids[theta[a]] for a in products]
+            elements,
+            ids,
+            products,
+            [v for th in self.theta for v in th.map],
+            [frozenset(row[e] for e in idem) for row in products],
+            idem,
         )
 
 
 def cmul(sys: CliffordSystem, a: CliffordElement, b: CliffordElement) -> CliffordElement:
     """Product, looked up in the compiled table."""
+    compiled = sys.compiled
     try:
-        return sys.compiled.products[a][b]
+        return compiled.elements[compiled.products[compiled.ids[a]][compiled.ids[b]]]
     except KeyError:
         return cmul_oracle(sys, a, b)  # raises the oracle's error for operands outside T
 
 
 def cmul_oracle(sys: CliffordSystem, a: CliffordElement, b: CliffordElement) -> CliffordElement:
     """Oracle product: push both factors to the meet level, multiply there."""
-    lvl = sys.chain.meet(a.level, b.level)
+    k = len(sys.groups)
+    if not (0 <= a.level < k and 0 <= b.level < k):
+        raise ValueError(f"levels ({a.level},{b.level}) outside chain of size {k}")
+    lvl = max(a.level, b.level)
     x = sys.bond(a.level, lvl)(a.elem)
     y = sys.bond(b.level, lvl)(b.elem)
     return CliffordElement(lvl, gmul(sys.group(lvl), x, y))
@@ -214,15 +188,13 @@ def theta_pow(sys: CliffordSystem, a: CliffordElement, n: int) -> CliffordElemen
         return a
     compiled = sys.compiled
     try:
-        v = compiled.theta[a]
+        v = compiled.theta[compiled.ids[a]]
     except KeyError:
         return theta_pow_oracle(sys, a, n)  # raises the oracle's error for operands outside T
-    if n == 1:
-        return v
-    e = v.elem
-    for _ in range(n - 1):
-        e = sys.theta[0](e)
-    return compiled.top[e]
+    if n > 1:
+        for _ in range(n - 1):
+            v = sys.theta[0](v)
+    return compiled.elements[v]  # a top element's id is its group coordinate
 
 
 def theta_pow_oracle(sys: CliffordSystem, a: CliffordElement, n: int) -> CliffordElement:
@@ -232,6 +204,8 @@ def theta_pow_oracle(sys: CliffordSystem, a: CliffordElement, n: int) -> Cliffor
         raise ValueError("negative theta power")
     if n == 0:
         return a
+    if not 0 <= a.level < len(sys.theta):
+        raise IndexOutOfRange(f"level {a.level} outside chain of size {len(sys.theta)}")
     v = sys.theta[a.level](a.elem)
     for _ in range(n - 1):
         v = sys.theta[0](v)
@@ -241,7 +215,8 @@ def theta_pow_oracle(sys: CliffordSystem, a: CliffordElement, n: int) -> Cliffor
 def idempotents(sys: CliffordSystem) -> list[CliffordElement]:
     """Level identities, top level first; the compiled form verified that
     nothing else is idempotent."""
-    return list(sys.compiled.idempotents)
+    compiled = sys.compiled
+    return [compiled.elements[e] for e in compiled.idempotents]
 
 
 def _coherent_by_steps(sys: CliffordSystem) -> bool:
@@ -249,7 +224,7 @@ def _coherent_by_steps(sys: CliffordSystem) -> bool:
 
     By induction on b - a this gives bond(a, b) then bond(b, c) = bond(a, c)
     for every a < b < c.  Every bond must be present and validated."""
-    k, bonds = sys.chain.size, sys.bonds
+    k, bonds = len(sys.groups), sys.bonds
     for a in range(k - 2):
         read_step = row_reader(bonds[(a, a + 1)].map)
         for c in range(a + 2, k):
@@ -279,7 +254,7 @@ def validate_system(sys: CliffordSystem) -> ValidationReport:
     Coherence and the theta law are read off consecutive bonds and level
     pairs; the triple and element-pair scans run only when those fail."""
     rep = ValidationReport()
-    k = sys.chain.size
+    k = len(sys.groups)
     for level, g in enumerate(sys.groups):
         rep.merge(validate_group(g), prefix=f"group {level}: ")
 

@@ -273,7 +273,7 @@ def suite_hclass(B: BRSystem, window: int) -> SuiteResult:
 
 
 def _random_elem(B: BRSystem, rng: random.Random, max_index: int) -> BRElem:
-    level = rng.randrange(B.sys.chain.size)
+    level = rng.randrange(len(B.sys.groups))
     elem = rng.randrange(B.sys.group(level).order)
     return BRElem(
         rng.randrange(max_index + 1),

@@ -323,7 +323,7 @@ def test_natural_order_on_chain3_matches_the_witness_past_theta_s_period():
     for d in range(tail + cycle + 3):
         verdicts = set()
         for m, n in ((0, 0), (0, 2), (3, 1)):
-            for t in B.sys.compiled.top:
+            for t in B.sys.compiled.elements[: B.sys.groups[0].order]:
                 y = BRElem(m, t, n)
                 for s in T:
                     x = BRElem(m + d, s, n + d)
@@ -380,7 +380,7 @@ def test_simplicity_witness_worked_example(c2c2):
 def test_simplicity_witness_randomized(c2c2, trivial):
     rng = random.Random(11)
     for B in (c2c2, trivial):
-        levels = B.sys.chain.size
+        levels = len(B.sys.groups)
         for _ in range(200):
             def rand():
                 lv = rng.randrange(levels)

@@ -366,3 +366,11 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_every_exported_name_resolves():
+    import brext
+
+    assert len(set(brext.__all__)) == len(brext.__all__)
+    for name in brext.__all__:
+        assert hasattr(brext, name), name

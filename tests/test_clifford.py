@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from brext import clifford, groups
 from brext.clifford import (
-    ChainSemilattice,
     CliffordElement,
     CliffordSystem,
     cinv,
@@ -85,15 +84,28 @@ def table_systems(c2c2, trivial):
     return [make_t2(), make_z4z2(), make_z4(), c2c2.sys, trivial.sys, make_c12_c6_c3(), make_c4_twisted()]
 
 
-def test_chain_meet_is_max():
-    ch = ChainSemilattice(4)
-    assert ch.meet(1, 3) == 3
-    assert ch.meet(2, 2) == 2
-    assert ch.below(3, 1) and not ch.below(1, 3)
-    with pytest.raises(ValueError):
-        ChainSemilattice(0)
-    with pytest.raises(ValueError):
-        ch.meet(0, 4)
+def test_levels_outside_the_chain_and_upward_bonds_are_refused():
+    # the meet of two levels is their max, and only levels 0..k-1 exist
+    sys = make_c12_c6_c3()
+    assert cmul(sys, CliffordElement(1, 5), CliffordElement(2, 1)) == CliffordElement(2, 0)
+    one = sys.unit()
+    for level in (-1, 3):
+        for route in (cmul, cmul_oracle):
+            with pytest.raises(ValueError) as exc:
+                route(sys, CliffordElement(level, 0), one)
+            assert str(exc.value) == f"levels ({level},0) outside chain of size 3"
+            with pytest.raises(ValueError) as exc:
+                route(sys, one, CliffordElement(level, 0))
+            assert str(exc.value) == f"levels (0,{level}) outside chain of size 3"
+        with pytest.raises(ValueError) as exc:
+            sys.group(level)
+        assert str(exc.value) == f"level {level} outside chain of size 3"
+    with pytest.raises(ValueError) as exc:
+        CliffordSystem(groups=(), bonds={}, theta=())
+    assert str(exc.value) == "chain needs at least one level"
+    with pytest.raises(MissingBond) as exc:
+        sys.bond(2, 1)
+    assert str(exc.value) == "no bond upward from level 2 to 1"
 
 
 def test_t2_validates():
@@ -272,10 +284,10 @@ def test_idempotents_match_oracle(c2c2, trivial):
 def test_below_sets_are_each_element_times_the_idempotents(c2c2, trivial):
     for sys in (c2c2.sys, trivial.sys, make_c12_c6_c3()):
         es = [e for e in sys.elements() if cmul_oracle(sys, e, e) == e]
-        below = sys.compiled.below
-        assert list(below) == list(sys.elements())
-        for t in sys.elements():
-            assert below[t] == {cmul_oracle(sys, t, e) for e in es}, t
+        c = sys.compiled
+        assert len(c.below) == len(c.elements)
+        for t, below in zip(c.elements, c.below):
+            assert {c.elements[p] for p in below} == {cmul_oracle(sys, t, e) for e in es}, t
 
 
 def test_invalid_operands_raise_as_the_oracle_does():
@@ -293,25 +305,28 @@ def test_invalid_operands_raise_as_the_oracle_does():
 
 def test_theta_pow_matches_oracle(c2c2, trivial):
     for sys in table_systems(c2c2, trivial):
-        shared = {id(key) for key in sys.compiled.products}
+        shared = {id(t) for t in sys.compiled.elements}
         powers = [*range(3 * sys.groups[0].order + 3), 1000, 10001]
         for a in sys.elements():
             for n in powers:
                 v = theta_pow(sys, a, n)
                 assert v == theta_pow_oracle(sys, a, n), (a, n)
-                assert n == 0 or id(v) in shared, (a, n)  # a key object of the table
+                assert n == 0 or id(v) in shared, (a, n)  # an element object of the compiled form
 
 
 def test_theta_pow_errors_match_the_oracle():
     sys = make_z4z2()
-    for a, exc in ((CliffordElement(5, 0), IndexError), (CliffordElement(0, 7), IndexOutOfRange)):
-        for n in (1, 2, 1000):
+    # a negative level is refused, not read by Python's negative indexing
+    for a in [CliffordElement(*p) for p in ((-1, 0), (-1, 1), (2, 0), (5, 0), (0, 7))]:
+        for n in (1, 2, 3, 1000):
             raised = []
             for route in (theta_pow, theta_pow_oracle):
                 with pytest.raises(Exception) as info:
                     route(sys, a, n)
                 raised.append((type(info.value), str(info.value)))
-            assert raised[0] == raised[1] and raised[0][0] is exc, (a, n)
+            assert raised[0] == raised[1] and raised[0][0] is IndexOutOfRange, (a, n)
+            if a.level != 0:
+                assert raised[0][1] == f"level {a.level} outside chain of size 2", (a, n)
     fresh = make_z4z2()
     with pytest.raises(ValueError):
         theta_pow(fresh, CliffordElement(0, 1), -1)
@@ -333,7 +348,8 @@ def test_theta_outside_the_top_group_is_refused_at_construction():
             CliffordSystem(groups=groups, bonds=bonds, theta=theta)
         assert str(exc.value) == msg
     sys = CliffordSystem(groups=groups, bonds=bonds, theta=(identity_hom(c2), hom(c4, c2, [0, 1, 0, 1])))
-    assert sys.compiled.theta == {a: theta_pow_oracle(sys, a, 1) for a in sys.elements()}
+    c = sys.compiled
+    assert [c.elements[v] for v in c.theta] == [theta_pow_oracle(sys, a, 1) for a in sys.elements()]
 
 
 def test_misplaced_bonds_and_empty_chains_are_refused_at_construction():
@@ -393,9 +409,10 @@ def test_compiled_numbers_T_level_by_level(c2c2, trivial):
         assert c.ids == {a: n for n, a in enumerate(c.elements)}
         assert all(c.elements[n] == CliffordElement(0, n) for n in range(system.groups[0].order))
         for a in c.elements:
-            assert c.elements[c.id_theta[c.ids[a]]] == theta_pow_oracle(system, a, 1)
+            assert c.elements[c.theta[c.ids[a]]] == theta_pow_oracle(system, a, 1)
             for b in c.elements:
-                assert c.elements[c.id_products[c.ids[a]][c.ids[b]]] == cmul_oracle(system, a, b)
+                assert c.elements[c.products[c.ids[a]][c.ids[b]]] == cmul_oracle(system, a, b)
+        assert [c.elements[e] for e in c.idempotents] == idempotents(system)
 
 
 def test_compiled_once_and_never_by_validation():
@@ -409,7 +426,7 @@ def reference_system_violations(sys: CliffordSystem) -> list[str]:
     """Coherence over every descending triple, then, if that holds, the
     theta law over every element pair, on systems whose groups, bonds and
     theta maps are valid."""
-    k, g = sys.chain.size, sys.groups
+    k, g = len(sys.groups), sys.groups
 
     def phi(a, b):
         return range(g[a].order) if a == b else sys.bonds[(a, b)].map

@@ -13,7 +13,7 @@ from conftest import FIXTURES, fault_files
 
 def test_shipped_trivial_loads():
     B = load_system(data_path("trivial"))
-    assert B.sys.chain.size == 1
+    assert len(B.sys.groups) == 1
     assert B.sys.order() == 1
     assert B.with_zero
     assert B.name == "trivial"
@@ -21,7 +21,7 @@ def test_shipped_trivial_loads():
 
 def test_shipped_c2c2_loads():
     B = load_system(data_path("c2c2"))
-    assert B.sys.chain.size == 2
+    assert len(B.sys.groups) == 2
     assert B.sys.order() == 4
     assert [g.order for g in B.sys.groups] == [2, 2]
     assert B.sys.groups[0].labels == ("e", "g")
@@ -186,7 +186,7 @@ def _with_group(obj, **changes):
 
 
 def test_one_level_cut_of_c2c2_loads(c2c2_obj):
-    assert system_from_obj(_one_level(c2c2_obj)).sys.chain.size == 1
+    assert len(system_from_obj(_one_level(c2c2_obj)).sys.groups) == 1
 
 
 @pytest.mark.parametrize(

@@ -128,7 +128,7 @@ def test_continuity_certificates_randomized(c2c2, trivial):
             target = BasicZeroNbhd.excluding(
                 (rng.randrange(8), rng.randrange(8)) for _ in range(rng.randint(0, 3))
             )
-            lv = rng.randrange(B.sys.chain.size)
+            lv = rng.randrange(len(B.sys.groups))
             a = BRElem(
                 rng.randrange(3), CE(lv, rng.randrange(B.sys.group(lv).order)), rng.randrange(3)
             )
@@ -199,7 +199,7 @@ def test_continuity_checks_each_multiplier_once(c2c2, monkeypatch):
 def certificates(draw, B, small=st.integers(0, 6)):
     """A multiplier, a side and a target, with the box_solve exclusions
     or a set one box off from them."""
-    lv = draw(st.integers(0, B.sys.chain.size - 1))
+    lv = draw(st.integers(0, len(B.sys.groups) - 1))
     a = BRElem(draw(small), CE(lv, draw(st.integers(0, B.sys.group(lv).order - 1))), draw(small))
     side = draw(st.sampled_from(["left", "right"]))
     boxes = st.tuples(st.integers(0, 8), st.integers(0, 8))

@@ -184,13 +184,13 @@ def theta_pow(sys: CliffordSystem, a: CliffordElement, n: int) -> CliffordElemen
     n >= 1 is a shared top-level element object."""
     if n < 0:
         raise ValueError("negative theta power")
-    if n == 0:
-        return a
     compiled = sys.compiled
     try:
         v = compiled.theta[compiled.ids[a]]
     except KeyError:
         return theta_pow_oracle(sys, a, n)  # raises the oracle's error for operands outside T
+    if n == 0:
+        return a
     if n > 1:
         for _ in range(n - 1):
             v = sys.theta[0](v)
@@ -202,11 +202,11 @@ def theta_pow_oracle(sys: CliffordSystem, a: CliffordElement, n: int) -> Cliffor
     the top group."""
     if n < 0:
         raise ValueError("negative theta power")
-    if n == 0:
-        return a
     if not 0 <= a.level < len(sys.theta):
         raise IndexOutOfRange(f"level {a.level} outside chain of size {len(sys.theta)}")
-    v = sys.theta[a.level](a.elem)
+    v = sys.theta[a.level](a.elem)  # refuses an element outside its group, also for n = 0
+    if n == 0:
+        return a
     for _ in range(n - 1):
         v = sys.theta[0](v)
     return CliffordElement(0, v)

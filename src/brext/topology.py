@@ -163,15 +163,13 @@ class ContinuityCertificate:
         return not self.violations
 
 
-def continuity_cert_zero(B: BRSystem, a: BRElem, target: BasicZeroNbhd, side: str, fibers=None) -> ContinuityCertificate:
+def continuity_cert_zero(B: BRSystem, a: BRElem, target: BasicZeroNbhd, side: str) -> ContinuityCertificate:
     """Build the basic U with a * U inside target (or U * a on the right).
 
     A box of U lands in an excluded box of the target exactly when it solves
     the corresponding box equation, so excluding the union of solution sets
     is both sound and exact.  Such a U always exists: the union is finite.
-    `fibers` is handed on to verify_certificate's re-verification, which
-    skips the multiplier check made here.
-    """
+    The re-verification skips the multiplier check made here."""
     _check_multiplier(B, a, side)
     trace = {}
     excl = set()
@@ -182,63 +180,63 @@ def continuity_cert_zero(B: BRSystem, a: BRElem, target: BasicZeroNbhd, side: st
     cert = ContinuityCertificate(
         a=a, side=side, target=target, found=BasicZeroNbhd(frozenset(excl)), trace=trace
     )
-    cert.violations = _reverify(B, cert, fibers)
+    cert.violations = _reverify(B, cert)
     return cert
 
 
-def verify_certificate(B: BRSystem, cert: ContinuityCertificate, fibers=None) -> list[str]:
+def verify_certificate(B: BRSystem, cert: ContinuityCertificate) -> list[str]:
     """Re-verify a certificate box by box with real products.
 
     Checks both directions: elements of U multiply into the target, and
     every excluded box was necessary.  Zero needs no check; it multiplies
     to zero, which every zero neighborhood contains.
 
-    On the left, a * x for x over box (i, j) lies in a box (t1, t2) with
-    t2 >= j and t1 = max(a.i, i - a.j + a.i); the right side mirrors this.
-    So the boxes that multiply into a target box lie in the rectangle
-    [0, hi] x [0, hj] under its corner, and only they and the `found`
-    boxes can fail, which covers all of BR(T, theta).
-
-    Products come from brmul, never from box_solve, so the check stays
-    independent of the route that built the certificate.  A product's box
-    ignores the group parts of both factors, so one product decides a box
-    for every multiplier in a's box.  `fibers` maps (a.i, a.j, side) to an
-    inverted index: index sends each box under the corners seen so far to
-    its product box, and pre sends a product box back to those boxes.  A
-    certificate grows the index to its own corners; its failing boxes are
-    then the boxes of pre[t] for its target boxes t that U keeps, plus the
-    found boxes whose product box is not a target box.  Only those are
-    walked element by element, with the real a, in (i, j) order.  Pass one
-    dict built for B to share the index across certificates (by default
-    it is local to this call).
+    Only the preimage of the target boxes and the `found` boxes can fail,
+    which covers all of BR(T, theta).  The preimage comes from _residuate,
+    never box_solve, so the check stays independent of the certificate's
+    route; a found box is decided by one brmul, as a product's box ignores
+    group parts.  Failing boxes are walked element by element, in order.
     """
     _check_multiplier(B, cert.a, cert.side)
-    return _reverify(B, cert, fibers)
+    return _reverify(B, cert)
 
 
-def _reverify(B: BRSystem, cert: ContinuityCertificate, fibers) -> list[str]:
+def _rho(k: int, l: int) -> tuple:
+    """rho(q^k p^l) = [[2(k-l), 2k+l-2], [-inf, l-k]] as (m11, m12, m22)."""
+    return (2 * (k - l), 2 * k + l - 2, l - k)
+
+
+def _residuate(ra: tuple, t: Box, side: str) -> frozenset[Box]:
+    """Every box x with a * x = t (left) or x * a = t (right), given ra = rho(a).
+
+    rho(a) (x) X = rho(t) (X (x) rho(a) on the right) forces X's diagonal;
+    its corner x12 is forced, free up to the residual r, or impossible as the
+    max's fixed term falls short of, meets or exceeds t12 (Cuninghame-Green,
+    Minimax Algebra, 1979).  X is rho of a box (i, j) only if x11 = -2 x22;
+    then d = i - j = -x22 and x12 = 3i - d - 2 <= r.
+    """
+    a11, a12, a22 = ra
+    t11, t12, t22 = _rho(*t)
+    x11, x22 = t11 - a11, t22 - a22
+    fixed, r = (a12 + x22, t12 - a11) if side == "left" else (x11 + a12, t12 - a22)
+    if x11 != -2 * x22 or fixed > t12:
+        return frozenset()
+    d = -x22
+    hi, rem = divmod(r + d + 2, 3)  # the largest i with x12 <= r
+    if fixed < t12:  # a forced corner: x12 == r
+        return frozenset({Box(hi, hi - d)}) if rem == 0 and hi >= max(0, d) else frozenset()
+    return frozenset(map(Box, range(max(0, d), hi + 1), range(max(0, -d), hi + 1 - d)))
+
+
+def _reverify(B: BRSystem, cert: ContinuityCertificate) -> list[str]:
     """verify_certificate after its multiplier check."""
     a, side = cert.a, cert.side
     found, target = cert.found.excluded, cert.target.excluded
-    if side == "left":
-        corners = [(t1 - a.i + a.j, t2) for t1, t2 in target if t1 >= a.i]
-    else:
-        corners = [(t1, t2 - a.j + a.i) for t1, t2 in target if t2 >= a.j]
+    ra = _rho(a.i, a.j)
     s0 = B.sys.unit()  # any group part decides a product's box
     mul = (lambda x: brmul(B, a, x)) if side == "left" else (lambda x: brmul(B, x, a))
-    index, pre, widths = ({} if fibers is None else fibers).setdefault((a.i, a.j, side), ({}, {}, {}))
-    # widths[i] is the last j indexed in row i; it never grows along i
-    for hi, hj in corners:
-        if widths.get(hi, -1) >= hj:
-            continue
-        for i in range(hi + 1):
-            w = widths.get(i, -1)
-            for j in range(w + 1, hj + 1):
-                t = index[(i, j)] = box(mul(BRElem(i, s0, j)))
-                pre.setdefault(t, []).append((i, j))
-            widths[i] = max(w, hj)
-    failing = set().union(*(pre.get(t, ()) for t in target)).difference(found)
-    failing.update(f for f in found if (index.get(f) or box(mul(BRElem(f[0], s0, f[1])))) not in target)
+    failing = set().union(*(_residuate(ra, t, side) for t in target)).difference(found)
+    failing.update(f for f in found if box(mul(BRElem(f[0], s0, f[1]))) not in target)
     bad = []
     for i, j in sorted(failing):
         inside = (i, j) in found

@@ -8,8 +8,8 @@ checked.  Seeded randomness only ever comes from random.Random(seed).
 The window suites read the system's compiled window (BRSystem.window) and
 check it against a second route each: bmul_rows for eta, the closed form
 for nat_order, the group fibers for hclass.  The bicyclic scans take their
-products a row at a time from bmul_rows; continuity shares one product-box
-index per multiplier box and side across its certificates.
+products a row at a time from bmul_rows; each continuity certificate solves
+its own failing boxes by max-plus residuation, with no state between them.
 """
 
 from __future__ import annotations
@@ -415,12 +415,9 @@ def suite_box_solver(system_name: str, max_index: int = 6) -> SuiteResult:
 
 def suite_continuity(B: BRSystem, seed: int, samples: int = 100, a_window: int = 3) -> SuiteResult:
     """Random targets, every multiplier with indices below a_window, both
-    sides; each certificate carries its own box-by-box re-verification,
-    which shares one product-box index per multiplier box and side across
-    the whole suite."""
+    sides; each certificate carries its own box-by-box re-verification."""
     rng = random.Random(seed)
     multipliers = window_elements(B, a_window)
-    fibers = {}
     bad = []
     checked = 0
     for _ in range(samples):
@@ -430,7 +427,7 @@ def suite_continuity(B: BRSystem, seed: int, samples: int = 100, a_window: int =
         side = "left" if rng.random() < 0.5 else "right"
         for a in multipliers:
             checked += 1
-            cert = continuity_cert_zero(B, a, w, side, fibers=fibers)
+            cert = continuity_cert_zero(B, a, w, side)
             if not cert.ok:
                 bad.append(
                     f"certificate for a={format_elem(a)}, side={side}: {cert.violations[0]}"

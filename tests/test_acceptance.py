@@ -35,6 +35,7 @@ from brext.verify import (
 )
 
 from conftest import ACCEPTANCE_LINES, FIXTURES, GOLDEN, fault_files
+from test_topology import large_index_certificate
 
 SHIPPED = ("c2c2", "trivial")
 
@@ -137,6 +138,8 @@ def test_criterion_7_topology_certificates(c2c2):
         assert r.checked >= 100
         _no_violations(suite_descriptor_classification(c2c2))
         _no_violations(suite_pushforward_roundtrip(c2c2, seed=0, samples=100))
+        for side in ("left", "right"):
+            assert large_index_certificate(c2c2, 256, side).ok
 
 
 def test_criterion_8_trivial_fiber_is_bicyclic(trivial):

@@ -333,6 +333,18 @@ def test_theta_pow_errors_match_the_oracle():
     assert "compiled" not in vars(fresh)
 
 
+def test_theta_pow_at_zero_refuses_operands_outside_t(c2c2):
+    # n = 0 applies no theta step, but still refuses what n = 1 refuses
+    for a in (CliffordElement(-1, 0), CliffordElement(7, 9), CliffordElement(0, 9)):
+        for route in (theta_pow, theta_pow_oracle):
+            raised = []
+            for n in (0, 1):
+                with pytest.raises(IndexOutOfRange) as info:
+                    route(c2c2.sys, a, n)
+                raised.append(str(info.value))
+            assert raised[0] == raised[1], (a, route)
+
+
 def test_theta_outside_the_top_group_is_refused_at_construction():
     # theta is one map per level into group 0 or no system is built, so
     # compiled always tables it

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,10 +64,13 @@ def test_certificates_reject_bad_side_before_any_work(c2c2):
         continuity_cert_zero(c2c2, a, WHOLE_SPACE, "middle")
     cert = continuity_cert_zero(c2c2, a, BasicZeroNbhd.excluding([(2, 2)]), "left")
     cert.side = "middle"
-    fibers = {}
     with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
-        verify_certificate(c2c2, cert, fibers=fibers)
-    assert fibers == {}
+        verify_certificate(c2c2, cert)
+
+
+def residuate(a, t, side):
+    """The certificate re-verification's route: max-plus residuation."""
+    return topology._residuate(topology._rho(*a), t, side)
 
 
 def test_box_solve_matches_brute_force_small():
@@ -77,15 +79,20 @@ def test_box_solve_matches_brute_force_small():
             for t1 in range(5):
                 for t2 in range(5):
                     for side in ("left", "right"):
-                        assert box_solve(Box(a1, a2), Box(t1, t2), side) == box_solve_brute(
-                            Box(a1, a2), Box(t1, t2), side
-                        ), (a1, a2, t1, t2, side)
+                        a, t = Box(a1, a2), Box(t1, t2)
+                        want = box_solve_brute(a, t, side)
+                        assert box_solve(a, t, side) == want == residuate(a, t, side), (a, t, side)
 
 
 @given(idx, idx, idx, idx, st.sampled_from(["left", "right"]))
 def test_box_solve_matches_brute_force_randomized(a1, a2, t1, t2, side):
     a, t = Box(a1, a2), Box(t1, t2)
-    assert box_solve(a, t, side) == box_solve_brute(a, t, side, bound=30)
+    assert box_solve(a, t, side) == box_solve_brute(a, t, side, bound=30) == residuate(a, t, side)
+
+
+def test_residuation_at_a_huge_index():
+    a, t = Box(10**12, 3), Box(10**12 + 5, 7)
+    assert residuate(a, t, "left") == box_solve(a, t, "left") == {Box(8, 7)}
 
 
 def test_solution_count_bound():
@@ -164,10 +171,12 @@ def test_verify_certificate_catches_unsound_exclusion_sets(c2c2):
     [
         (BRElem(0, CE(0, 0), 5), "left", (5, 0), (10, 0)),
         (BRElem(5, CE(0, 0), 0), "right", (0, 5), (0, 10)),
+        (BRElem(0, CE(1, 0), 0), "left", (0, 0), (0, 0)),
     ],
 )
 def test_verify_certificate_has_no_blind_spot(c2c2, a, side, target, failing):
-    # the failing box lies twice the multiplier's index away from the target
+    # the failing box lies twice the multiplier's index away from the target,
+    # or is the corner box (0, 0) itself
     cert = ContinuityCertificate(
         a=a, side=side, target=BasicZeroNbhd.excluding([target]), found=WHOLE_SPACE, trace={},
     )
@@ -196,9 +205,10 @@ def test_continuity_checks_each_multiplier_once(c2c2, monkeypatch):
 
 
 @st.composite
-def certificates(draw, B, small=st.integers(0, 6)):
+def certificates(draw, B):
     """A multiplier, a side and a target, with the box_solve exclusions
     or a set one box off from them."""
+    small = st.integers(0, 6)
     lv = draw(st.integers(0, len(B.sys.groups) - 1))
     a = BRElem(draw(small), CE(lv, draw(st.integers(0, B.sys.group(lv).order - 1))), draw(small))
     side = draw(st.sampled_from(["left", "right"]))
@@ -243,34 +253,49 @@ def test_verify_certificate_matches_elementwise_oracle(c2c2, trivial, data):
     assert verify_certificate(B, cert) == brute_violations(B, cert)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.data())
-def test_shared_product_index_matches_fresh_verification(c2c2, trivial, data):
-    # multipliers from few boxes, each replayed with the next group part,
-    # so certificates keep reusing and growing one another's index entries
-    B = data.draw(st.sampled_from([c2c2, trivial]))
-    elems = list(B.sys.elements())
-    certs = data.draw(st.lists(certificates(B, st.integers(0, 2)), min_size=1, max_size=4))
-    fibers = {}
-    for cert in certs:
-        s = elems[(elems.index(cert.a.s) + 1) % len(elems)]
-        for c in (cert, replace(cert, a=cert.a._replace(s=s))):
-            assert verify_certificate(B, c, fibers=fibers) == verify_certificate(B, c) == brute_violations(B, c)
-    assert set(fibers) == {(c.a.i, c.a.j, c.side) for c in certs}
-
-
-def test_shared_index_grows_to_a_taller_corner(c2c2):
-    # the first certificate indexes row 0 out to j = 8; the second needs
-    # rows 0..6 up to j = 2, and keeps the one box it must exclude
+def test_verify_certificate_finds_a_tall_failing_box(c2c2):
+    # a wide target row (0, 8), then a target six rows down at (6, 2): the
+    # one box it must exclude lies in a column the first never needed
     a = BRElem(0, CE(1, 1), 0)
-    fibers = {}
-    assert continuity_cert_zero(c2c2, a, BasicZeroNbhd.excluding([(0, 8)]), "left", fibers=fibers).ok
+    assert continuity_cert_zero(c2c2, a, BasicZeroNbhd.excluding([(0, 8)]), "left").ok
     tall = ContinuityCertificate(
         a=a, side="left", target=BasicZeroNbhd.excluding([(6, 2)]), found=WHOLE_SPACE, trace={},
     )
-    assert verify_certificate(c2c2, tall, fibers=fibers) == [
+    assert verify_certificate(c2c2, tall) == [
         f"{BRElem(6, s, 2)} is in U but its product leaves the target" for s in c2c2.sys.elements()
     ]
+
+
+def large_index_certificate(B, n, side):
+    """Multiplier (n, 0:0, n) and three target boxes, one with n + 1 solutions."""
+    target = BasicZeroNbhd.excluding([(n, n + 1), (2 * n, n), (n + 3, 2 * n)])
+    return continuity_cert_zero(B, BRElem(n, CE(0, 0), n), target, side)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_large_index_certificates(c2c2, side):
+    n = 256
+    cert = large_index_certificate(c2c2, n, side)
+    found, target = cert.found.excluded, cert.target.excluded
+    assert cert.ok
+    assert found == set().union(*(box_solve(box(cert.a), w, side) for w in target))
+    assert len(found) == n + 3
+    # drop one needed box and add a stray one: exactly those two fibers fail
+    dropped, stray = sorted(found)[n // 2], Box(3 * n, 1)
+    bad = ContinuityCertificate(
+        a=cert.a, side=side, target=cert.target,
+        found=BasicZeroNbhd(found - {dropped} | {stray}), trace={},
+    )
+    want = []
+    for b in sorted([dropped, stray]):
+        for s in c2c2.sys.elements():
+            x = BRElem(b.i, s, b.j)
+            p = brmul(c2c2, cert.a, x) if side == "left" else brmul(c2c2, x, cert.a)
+            if (box(p) in target) != (b == stray):
+                want.append(f"{x} was excluded but its product stays in the target" if b == stray
+                            else f"{x} is in U but its product leaves the target")
+    assert len(want) == 2 * len(list(c2c2.sys.elements()))
+    assert verify_certificate(c2c2, bad) == want
 
 
 def test_membership_is_box_lookup(c2c2):

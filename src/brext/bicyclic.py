@@ -2,22 +2,22 @@
 
 Elements are normal forms q^k p^l stored as index pairs (k, l) with
 arbitrary-precision non-negative integers.  The adjoined zero is a separate
-sentinel, never a reserved pair.  Three routes compute a product:
-bmul is the closed-form index arithmetic, and bmul_rows streams whole rows
-of products by the same formula for the exhaustive scans; rho_table maps
-each pair to a 2x2 upper-triangular max-plus matrix, a faithful image in
-which a product is one tmul, built from the generator images by products
-alone; and oracle_mul composes the partial shifts of omega that the
-generators act by.  The verification suites check the row kernel against
-the max-plus image, and the test suite compares all three routes.
+sentinel, never a reserved pair; Bruck-Reilly extensions adjoin the same
+one.  Two routes compute a product: bmul is the closed-form index
+arithmetic, and bmul_rows streams whole rows of products by the same
+formula for the exhaustive scans; rho_table maps each pair to a 2x2
+upper-triangular max-plus matrix, a faithful image in which a product is
+one tmul, built from the generator images by products alone.  The
+verification suites check the row kernel against the max-plus image, and
+the tests also against the partial shifts of omega.  Every literal of the
+package, element or box, is built from the one index pattern _INDEX, and
+the element literals are read by read_literal.
 """
 
 from __future__ import annotations
 
 import re
 from typing import Iterator, NamedTuple, Sequence, Union
-
-from .errors import WitnessVerificationFailed
 
 
 class BicyclicElem(NamedTuple):
@@ -95,35 +95,6 @@ def idempotent(k: int) -> BicyclicElem:
     return BicyclicElem(k, k)
 
 
-def oracle_mul(x: Element, y: Element, pad: int = 4) -> Element:
-    """Recompute bmul by composing the partial injections of omega.
-
-    q^k p^l acts as the shift t -> t - l + k defined on t >= l.  The product
-    corresponds to applying the right factor first.  Both maps are laid out
-    as explicit finite dictionaries on a window of omega large enough to
-    expose the composite's domain threshold, the pair is read back off the
-    composite, and the composite is checked to be a uniform shift on the
-    window.  No index formula from bmul is reused here.
-    """
-    _check(x)
-    _check(y)
-    if x is ZERO or y is ZERO:
-        return ZERO
-    hi = x.k + x.l + y.k + y.l + pad
-    f = {t: t - x.l + x.k for t in range(x.l, hi)}
-    g = {t: t - y.l + y.k for t in range(y.l, hi)}
-    comp = {t: f[g[t]] for t in g if g[t] in f}
-    if not comp:
-        raise ValueError(f"window too small for composite (pad={pad})")
-    lo = min(comp)
-    k, l = comp[lo], lo
-    if any(v - t != k - l for t, v in comp.items()):
-        raise WitnessVerificationFailed(
-            f"composite of {format_elem(x)} and {format_elem(y)} is not a uniform shift"
-        )
-    return BicyclicElem(k, l)
-
-
 # Upper-triangular 2x2 max-plus matrices [[a, b], [-inf, c]] are stored as
 # (a, b, c): the lower-left entry stays -inf under products, so the
 # arithmetic is exact on integers.  P and Q are the images of p and q, and
@@ -159,18 +130,27 @@ def rho_table(n: int) -> dict:
     return table
 
 
-_PAIR_RE = re.compile(r"^\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)$")
+_INDEX = r"\s*([0-9]+)\s*"  # ASCII digits: int() also takes signs, '_' and other scripts' digits
+
+
+def read_literal(pattern: re.Pattern, text: str, what: str, build):
+    """ZERO for '0', else build(*indices) when pattern matches all of text
+    stripped; anything else raises ValueError('cannot parse {what} ...')."""
+    s = text.strip()
+    if s == "0":
+        return ZERO
+    m = pattern.fullmatch(s)
+    if m is None:
+        raise ValueError(f"cannot parse {what} {text!r}")
+    return build(*map(int, m.groups()))
+
+
+_PAIR = re.compile(rf"\({_INDEX},{_INDEX}\)")
 
 
 def parse_elem(text: str) -> Element:
     """Accepts '(k,l)' or '0'."""
-    s = text.strip()
-    if s == "0":
-        return ZERO
-    m = _PAIR_RE.match(s)
-    if not m:
-        raise ValueError(f"cannot parse bicyclic element {text!r}")
-    return BicyclicElem(int(m.group(1)), int(m.group(2)))
+    return read_literal(_PAIR, text, "bicyclic element", BicyclicElem)
 
 
 def format_elem(x: Element) -> str:

@@ -25,6 +25,7 @@ from operator import add
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from . import bicyclic
+from .bicyclic import _INDEX, ZERO, _AdjoinedZero, is_zero  # noqa: F401  (is_zero is re-exported)
 from .clifford import CliffordElement, CliffordSystem, cinv, cmul, idempotents, theta_pow
 from .errors import WindowTooLarge, WitnessVerificationFailed, ZeroNotAdjoined
 
@@ -44,20 +45,7 @@ class BRElem(NamedTuple):
     j: int
 
 
-class _AdjoinedZero:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "0"
-
-
-ZERO = _AdjoinedZero()
-
-Element = Union[BRElem, _AdjoinedZero]
-
-
-def is_zero(x: Element) -> bool:
-    return x is ZERO
+Element = Union[BRElem, _AdjoinedZero]  # ZERO is the bicyclic monoid's own
 
 
 @dataclass(frozen=True)
@@ -85,10 +73,12 @@ def _check(B: BRSystem, x: Element) -> None:
         if not B.with_zero:
             raise ZeroNotAdjoined("system was built without an adjoined zero")
         return
-    if not isinstance(x, BRElem) or x.i < 0 or x.j < 0:
+    if not isinstance(x, BRElem):
         raise ValueError(f"not an extension element: {x!r}")
     if x.s not in B.sys.compiled.ids:
         raise ValueError(f"group coordinate {tuple(x.s)} is not an element of T")
+    if x.i < 0 or x.j < 0:  # x.s is in T, so it is a pair level:elem
+        raise ValueError(f"not an extension element: {format_elem(BRElem(x.i, CliffordElement(*x.s), x.j))}")
 
 
 def brmul(B: BRSystem, x: Element, y: Element) -> Element:
@@ -251,9 +241,9 @@ def box(x: Element) -> Box:
 
 
 def eta(x: Element) -> bicyclic.Element:
-    """Forget the group coordinate; zero goes to the bicyclic zero."""
+    """Forget the group coordinate; zero, the bicyclic monoid's, stays."""
     if x is ZERO:
-        return bicyclic.ZERO
+        return ZERO
     return bicyclic.BicyclicElem(x.i, x.j)
 
 
@@ -371,7 +361,7 @@ def simplicity_witness(B: BRSystem, a: Element, b: Element) -> tuple[BRElem, BRE
     x = BRElem(b.i, mid, a.i + 1)
     got = brmul(B, brmul(B, x, a), y)
     if got != b:
-        raise WitnessVerificationFailed(f"x*a*y = {got}, expected {b}")
+        raise WitnessVerificationFailed(f"x*a*y = {format_elem(got)}, expected {format_elem(b)}")
     return x, y
 
 
@@ -398,19 +388,13 @@ def zero_divisor_scan(B: BRSystem, n: int) -> ZeroDivisorReport:
     return ZeroDivisorReport(window=n, checked=len(elems) ** 2, counterexamples=bad)
 
 
-_TRIPLE_RE = re.compile(r"^\(\s*([0-9]+)\s*,\s*([0-9]+)\s*:\s*([0-9]+)\s*,\s*([0-9]+)\s*\)$")
+_TRIPLE = re.compile(rf"\({_INDEX},{_INDEX}:{_INDEX},{_INDEX}\)")
 
 
 def parse_elem(text: str) -> Element:
     """Accepts '(i, level:elem, j)' or '0'."""
-    s = text.strip()
-    if s == "0":
-        return ZERO
-    m = _TRIPLE_RE.match(s)
-    if not m:
-        raise ValueError(f"cannot parse extension element {text!r}")
-    i, level, elem, j = (int(g) for g in m.groups())
-    return BRElem(i, CliffordElement(level, elem), j)
+    return bicyclic.read_literal(_TRIPLE, text, "extension element",
+                                 lambda i, level, elem, j: BRElem(i, CliffordElement(level, elem), j))
 
 
 def format_elem(x: Element) -> str:

@@ -88,12 +88,12 @@ def _need_system(args) -> BRSystem:
     return load_system(args.system)
 
 
-_BOX_RE = re.compile(r"^(\()?\s*([0-9]+)\s*,\s*([0-9]+)\s*(?(1)\))$")
+_BOX = re.compile(rf"(\()?{bicyclic._INDEX},{bicyclic._INDEX}(?(1)\))")
 
 
 def _parse_box(text: str) -> Box:
-    """'I,J' or '(I,J)' with ASCII digits, like the element grammar."""
-    m = _BOX_RE.match(text.strip())
+    """'I,J' or '(I,J)', with the element grammar's indices."""
+    m = _BOX.fullmatch(text.strip())
     if not m:
         raise ParseError(f"cannot parse box {text!r}")
     return Box(int(m.group(2)), int(m.group(3)))

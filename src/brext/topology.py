@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import bicyclic
-from .bruck_reilly import Box, BRElem, BRSystem, _check, box, brmul, is_zero
+from .bruck_reilly import Box, BRElem, BRSystem, _check, box, brmul, format_elem, is_zero
 from .errors import MalformedDescriptor
 
 ISOLATED = "isolated"
@@ -243,8 +243,8 @@ def _reverify(B: BRSystem, cert: ContinuityCertificate) -> list[str]:
         for s in B.sys.elements():
             x = BRElem(i, s, j)
             if (box(mul(x)) in target) != inside:
-                bad.append(f"{x} was excluded but its product stays in the target" if inside
-                           else f"{x} is in U but its product leaves the target")
+                bad.append(f"{format_elem(x)} was excluded but its product stays in the target" if inside
+                           else f"{format_elem(x)} is in U but its product leaves the target")
     return bad
 
 

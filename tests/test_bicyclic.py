@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from brext.bicyclic import (
     TROP_P,
     TROP_Q,
     ZERO,
+    _check,
     BicyclicElem,
     bmul,
     bmul_rows,
@@ -18,14 +20,43 @@ from brext.bicyclic import (
     format_elem,
     idempotent,
     is_zero,
-    oracle_mul,
     parse_elem,
     rho_table,
     tmul,
 )
+from brext.errors import WitnessVerificationFailed
 
 small = st.integers(min_value=0, max_value=40)
 huge = st.integers(min_value=0, max_value=10**18)
+
+
+def oracle_mul(x, y, pad: int = 4):
+    """Recompute bmul by composing the partial injections of omega.
+
+    q^k p^l acts as the shift t -> t - l + k defined on t >= l.  The product
+    corresponds to applying the right factor first.  Both maps are laid out
+    as explicit finite dictionaries on a window of omega large enough to
+    expose the composite's domain threshold, the pair is read back off the
+    composite, and the composite is checked to be a uniform shift on the
+    window.  No index formula from bmul is reused here.
+    """
+    _check(x)
+    _check(y)
+    if x is ZERO or y is ZERO:
+        return ZERO
+    hi = x.k + x.l + y.k + y.l + pad
+    f = {t: t - x.l + x.k for t in range(x.l, hi)}
+    g = {t: t - y.l + y.k for t in range(y.l, hi)}
+    comp = {t: f[g[t]] for t in g if g[t] in f}
+    if not comp:
+        raise ValueError(f"window too small for composite (pad={pad})")
+    lo = min(comp)
+    k, l = comp[lo], lo
+    if any(v - t != k - l for t, v in comp.items()):
+        raise WitnessVerificationFailed(
+            f"composite of {format_elem(x)} and {format_elem(y)} is not a uniform shift"
+        )
+    return BicyclicElem(k, l)
 
 
 def is_idempotent(x) -> bool:
@@ -125,7 +156,9 @@ def test_bmul_rows_refuses_bad_operands_like_bmul(xs, ys, bad_x, bad_y, data):
 def test_oracle_refuses_a_window_too_small_under_python_O():
     # the guard must not be an assert, which -O strips
     code = (
-        "from brext.bicyclic import BicyclicElem, oracle_mul\n"
+        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from brext.bicyclic import BicyclicElem\n"
+        "from test_bicyclic import oracle_mul\n"
         "print(__debug__)\n"
         "try:\n"
         "    oracle_mul(BicyclicElem(2, 3), BicyclicElem(1, 4), pad=-20)\n"

@@ -31,7 +31,7 @@ from brext.bruck_reilly import (
 )
 from brext.clifford import CliffordElement as CE
 from brext.clifford import cmul_oracle, idempotents, theta_pow_oracle
-from brext.errors import WindowTooLarge, ZeroNotAdjoined
+from brext.errors import WindowTooLarge, WitnessVerificationFailed, ZeroNotAdjoined
 from test_clifford import make_c12_c6_c3
 
 
@@ -85,12 +85,12 @@ def test_zero_rejected_when_not_adjoined(c2c2):
 # Operands brmul must refuse, with the exception _check raises for each.
 BAD_OPERANDS = {
     "zero": (ZERO, ZeroNotAdjoined, "system was built without an adjoined zero"),
-    "negative-i": (BRElem(-1, CE(0, 1), 0), ValueError,
-                   "not an extension element: BRElem(i=-1, s=CliffordElement(level=0, elem=1), j=0)"),
-    "negative-j": (BRElem(0, CE(1, 0), -2), ValueError,
-                   "not an extension element: BRElem(i=0, s=CliffordElement(level=1, elem=0), j=-2)"),
+    "negative-i": (BRElem(-1, CE(0, 1), 0), ValueError, "not an extension element: (-1,0:1,0)"),
+    "negative-j": (BRElem(0, CE(1, 0), -2), ValueError, "not an extension element: (0,1:0,-2)"),
+    "negative-i-plain-pair": (BRElem(-1, (0, 1), 0), ValueError, "not an extension element: (-1,0:1,0)"),
     "element-outside-T": (BRElem(0, CE(0, 7), 0), ValueError, "group coordinate (0, 7) is not an element of T"),
     "level-outside-T": (BRElem(3, CE(2, 0), 1), ValueError, "group coordinate (2, 0) is not an element of T"),
+    "negative-i-outside-T": (BRElem(-1, CE(0, 7), 0), ValueError, "group coordinate (0, 7) is not an element of T"),
     "plain-tuple": ((0, CE(0, 0), 0), ValueError,
                     "not an extension element: (0, CliffordElement(level=0, elem=0), 0)"),
     "none": (None, ValueError, "not an extension element: None"),
@@ -404,6 +404,15 @@ def test_simplicity_witness_identity_pair(c2c2):
 def test_witness_rejects_zero(c2c2):
     with pytest.raises(ValueError):
         simplicity_witness(c2c2, ZERO, BRElem(0, CE(0, 0), 0))
+
+
+def test_witness_failure_is_written_in_the_element_grammar(c2c2, monkeypatch):
+    # every product lands in row 9, so x*a*y misses b in its first index
+    real = bruck_reilly.brmul
+    monkeypatch.setattr(bruck_reilly, "brmul", lambda B, x, y: real(B, x, y)._replace(i=9))
+    with pytest.raises(WitnessVerificationFailed) as info:
+        simplicity_witness(c2c2, BRElem(0, CE(0, 1), 1), BRElem(3, CE(1, 1), 2))
+    assert str(info.value) == "x*a*y = (9,1:1,2), expected (3,1:1,2)"
 
 
 def test_zero_divisor_scan_clean(c2c2, trivial):

@@ -33,7 +33,20 @@ def test_mul_worked_example_matches_golden(capsys):
 def test_mul_without_system_is_bicyclic(capsys):
     code, out, _ = run(capsys, "mul", "(2,3)", "(1,4)")
     assert code == 0
-    assert json.loads(out)["result"] == "(2,6)"
+    assert out == '{"inputs":["(2,3)","(1,4)"],"ok":true,"op":"mul","result":"(2,6)"}\n'
+
+
+@pytest.mark.parametrize(
+    "argv,record",
+    [
+        (["inv", "(2,3)"], '{"inputs":["(2,3)"],"ok":true,"op":"inv","result":"(3,2)"}'),
+        (["eta", "0"], '{"inputs":["0"],"ok":true,"op":"eta","result":"0"}'),
+        (["mul", "0", "(2,3)"], '{"inputs":["0","(2,3)"],"ok":true,"op":"mul","result":"0"}'),
+    ],
+    ids=["inv", "eta-zero", "mul-zero"],
+)
+def test_bicyclic_paths_print_the_same_bytes(capsys, argv, record):
+    assert run(capsys, *argv, "--json") == (0, record + "\n", "")
 
 
 def test_mul_rejects_triple_syntax_without_system(capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from brext import topology
 from brext.bicyclic import BicyclicElem
-from brext.bruck_reilly import ZERO, Box, BRElem, box, brmul
+from brext.bruck_reilly import ZERO, Box, BRElem, box, brmul, format_elem
 from brext.clifford import CliffordElement as CE
 from brext.errors import MalformedDescriptor
 from brext.topology import (
@@ -154,7 +154,7 @@ def test_verify_certificate_catches_unsound_exclusion_sets(c2c2):
         found=BasicZeroNbhd.excluding([(0, 3), (1, 4)]), trace={},
     )
     assert verify_certificate(c2c2, cert) == [
-        f"{BRElem(2, s, 5)} is in U but its product leaves the target" for s in fiber
+        f"(2,{lv}:{e},5) is in U but its product leaves the target" for lv, e in fiber
     ]
     # exclude one box too many: every element of box (2, 2) stays inside
     cert = ContinuityCertificate(
@@ -162,7 +162,7 @@ def test_verify_certificate_catches_unsound_exclusion_sets(c2c2):
         found=BasicZeroNbhd.excluding([(0, 3), (1, 4), (2, 5), (2, 2)]), trace={},
     )
     assert verify_certificate(c2c2, cert) == [
-        f"{BRElem(2, s, 2)} was excluded but its product stays in the target" for s in fiber
+        f"(2,{lv}:{e},2) was excluded but its product stays in the target" for lv, e in fiber
     ]
 
 
@@ -181,7 +181,7 @@ def test_verify_certificate_has_no_blind_spot(c2c2, a, side, target, failing):
         a=a, side=side, target=BasicZeroNbhd.excluding([target]), found=WHOLE_SPACE, trace={},
     )
     assert verify_certificate(c2c2, cert) == [
-        f"{BRElem(failing[0], s, failing[1])} is in U but its product leaves the target"
+        f"{format_elem(BRElem(failing[0], s, failing[1]))} is in U but its product leaves the target"
         for s in c2c2.sys.elements()
     ]
 
@@ -238,9 +238,9 @@ def brute_violations(B, cert):
                 p = brmul(B, cert.a, x) if cert.side == "left" else brmul(B, x, cert.a)
                 if (box(p) in target) != (Box(i, j) in found):
                     bad.append(
-                        f"{x} was excluded but its product stays in the target"
+                        f"{format_elem(x)} was excluded but its product stays in the target"
                         if Box(i, j) in found
-                        else f"{x} is in U but its product leaves the target"
+                        else f"{format_elem(x)} is in U but its product leaves the target"
                     )
     return bad
 
@@ -262,7 +262,7 @@ def test_verify_certificate_finds_a_tall_failing_box(c2c2):
         a=a, side="left", target=BasicZeroNbhd.excluding([(6, 2)]), found=WHOLE_SPACE, trace={},
     )
     assert verify_certificate(c2c2, tall) == [
-        f"{BRElem(6, s, 2)} is in U but its product leaves the target" for s in c2c2.sys.elements()
+        f"{format_elem(BRElem(6, s, 2))} is in U but its product leaves the target" for s in c2c2.sys.elements()
     ]
 
 
@@ -292,8 +292,8 @@ def test_large_index_certificates(c2c2, side):
             x = BRElem(b.i, s, b.j)
             p = brmul(c2c2, cert.a, x) if side == "left" else brmul(c2c2, x, cert.a)
             if (box(p) in target) != (b == stray):
-                want.append(f"{x} was excluded but its product stays in the target" if b == stray
-                            else f"{x} is in U but its product leaves the target")
+                want.append(f"{format_elem(x)} was excluded but its product stays in the target" if b == stray
+                            else f"{format_elem(x)} is in U but its product leaves the target")
     assert len(want) == 2 * len(list(c2c2.sys.elements()))
     assert verify_certificate(c2c2, bad) == want
 

@@ -1,10 +1,11 @@
 import pytest
 
 from brext import bruck_reilly, verify
-from brext.bicyclic import BicyclicElem, ZERO, bmul, oracle_mul
+from brext.bicyclic import BicyclicElem, ZERO, bmul
 from brext.bruck_reilly import BRSystem, brmul_ids, decode, encode, eta, format_elem, parse_elem, window_elements
 from brext.clifford import CliffordElement
 from brext.verify import SuiteResult, run_all
+from test_bicyclic import oracle_mul
 from test_clifford import make_c12_c6_c3
 
 C2C2_SUITES = [

@@ -91,10 +91,6 @@ def binv(x: Element) -> Element:
     return BicyclicElem(x.l, x.k)
 
 
-def idempotent(k: int) -> BicyclicElem:
-    return BicyclicElem(k, k)
-
-
 # Upper-triangular 2x2 max-plus matrices [[a, b], [-inf, c]] are stored as
 # (a, b, c): the lower-left entry stays -inf under products, so the
 # arithmetic is exact on integers.  P and Q are the images of p and q, and
@@ -130,7 +126,10 @@ def rho_table(n: int) -> dict:
     return table
 
 
-_INDEX = r"\s*([0-9]+)\s*"  # ASCII digits: int() also takes signs, '_' and other scripts' digits
+# ASCII digits: int() also takes signs, '_' and other scripts' digits.  At
+# most 4,299 of them: a product index has at most one digit more than its
+# operands, so every result prints under CPython's 4,300-digit str limit.
+_INDEX = r"\s*([0-9]{1,4299})\s*"
 
 
 def read_literal(pattern: re.Pattern, text: str, what: str, build):

@@ -50,7 +50,7 @@ def group_from_obj(obj) -> GroupTable:
         if key not in obj:
             raise ParseError(f"group object lacks {key!r}")
     try:
-        g = GroupTable.from_rows(obj["table"], obj["identity"], obj.get("labels"))
+        g = GroupTable(obj["table"], obj["identity"], obj.get("labels"))
     except (MalformedTable, OrderTooLarge, TypeError) as exc:
         raise ParseError(f"bad group table: {exc}") from exc
     if not is_int(obj["order"]) or g.order != obj["order"]:

@@ -88,10 +88,6 @@ class GroupTable:
         for name, value in (("table", tbl), ("labels", lab), ("order", n), ("inverse", inv)):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_rows(cls, rows, identity: int, labels=None) -> "GroupTable":
-        return cls(rows, identity, labels)
-
 
 def _two_sided_inverse(tbl, a: int, e: int) -> int | None:
     """The least b with a*b = b*a = e, or None."""
@@ -108,7 +104,7 @@ def _two_sided_inverse(tbl, a: int, e: int) -> int | None:
 def cyclic_group(n: int) -> GroupTable:
     """Z_n with addition mod n; element i is the residue i."""
     rows = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return GroupTable.from_rows(rows, identity=0, labels=[str(i) for i in range(n)])
+    return GroupTable(rows, identity=0, labels=[str(i) for i in range(n)])
 
 
 def gmul(t: GroupTable, a: int, b: int) -> int:

@@ -76,9 +76,8 @@ class BoxFamily:
     checkers below; a BasicZeroNbhd never needs this wrapper.
     """
 
-    def __init__(self, contains, label: str = ""):
+    def __init__(self, contains):
         self._contains = contains
-        self.label = label
 
     def contains_box(self, i: int, j: int) -> bool:
         return bool(self._contains(i, j))
@@ -146,9 +145,8 @@ class ContinuityCertificate:
     """Witness that translating `found` by `a` stays inside `target`.
 
     trace records, for every excluded box of the target, the solved boxes
-    that forced exclusions in `found`.  verify_certificate re-checks every
-    box that could fail with real products; `violations` stays empty for
-    sound output.
+    that forced exclusions in `found`.  `violations` lists what the
+    re-check with real products found and stays empty for sound output.
     """
 
     a: BRElem
@@ -185,11 +183,13 @@ def continuity_cert_zero(B: BRSystem, a: BRElem, target: BasicZeroNbhd, side: st
 
 
 def verify_certificate(B: BRSystem, cert: ContinuityCertificate) -> list[str]:
-    """Re-verify a certificate box by box with real products.
+    """Re-verify a certificate built elsewhere, box by box with real products.
 
-    Checks both directions: elements of U multiply into the target, and
-    every excluded box was necessary.  Zero needs no check; it multiplies
-    to zero, which every zero neighborhood contains.
+    The public re-check: continuity_cert_zero runs _reverify on its own
+    certificates, and bench/kernels.py times this one.  Checks both
+    directions: elements of U multiply into the target, and every excluded
+    box was necessary.  Zero needs no check; it multiplies to zero, which
+    every zero neighborhood contains.
 
     Only the preimage of the target boxes and the `found` boxes can fail,
     which covers all of BR(T, theta).  The preimage comes from _residuate,

@@ -1,10 +1,10 @@
 """Property suites over a loaded system.
 
 Each suite runs a finite, deterministic battery of checks and returns a
-SuiteResult whose record serializes to one NDJSON line.  The CLI verify
-command and the acceptance tests both drive these functions, so the counts
-and violation strings here are the single source of truth for what was
-checked.  Seeded randomness only ever comes from random.Random(seed).
+SuiteResult whose record serializes to one NDJSON line.  SUITES is the one
+lineup of `verify --all`: per suite, in record order, the arguments run_all
+gives it, the systems it applies to and its checked count in closed form.
+Seeded randomness only ever comes from random.Random(seed).
 The window suites read the system's compiled window (BRSystem.window) and
 check it against a second route each: bmul_rows for eta, the closed form
 for nat_order, the group fibers for hclass.  The bicyclic scans take their
@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb
+from typing import Callable, NamedTuple
 
 from . import bicyclic
 from .bicyclic import BicyclicElem, bmul, bmul_rows, binv, rho_table, tmul
@@ -89,27 +90,6 @@ class SuiteResult:
             "ok": self.ok,
             "violations": shown,
         }
-
-
-def predicted_checked(B: BRSystem, suite: str, arg: int) -> int:
-    """A suite's checked count in closed form from its argument: a window,
-    with |W| = window^2 |T|; max_window for idempotent_chain, whose window
-    n holds n |E(T)| idempotents; or max_index for the system-free suites,
-    which run over (max_index + 1)^2 elements or boxes."""
-    w = arg * arg * B.sys.order()
-    ne = len(idempotents(B.sys))
-    squares = dict.fromkeys(("eta_homomorphism", "eta_congruence", "nat_order", "zero_divisors"), w * w)
-    pairs = (arg + 1) ** 4
-    return {
-        "associativity": w ** 3,
-        "inverse_axioms": w * w + w,
-        "hclass": w,
-        **squares,
-        "idempotent_chain": sum(comb(n * ne, 2) for n in range(1, arg + 1)),
-        "bicyclic_axioms": pairs,
-        "bicyclic_oracle": pairs,
-        "box_solver": 2 * pairs,
-    }[suite]
 
 
 def suite_structure(B: BRSystem) -> SuiteResult:
@@ -450,14 +430,14 @@ def suite_zero_nbhd_checks(B: BRSystem, probe_bound: int = 64) -> SuiteResult:
         bad.append("cofinite basic flagged as missing too many boxes")
     if not meets_almost_all_boxes(BasicZeroNbhd(frozenset()), probe_bound):
         bad.append("whole space flagged as missing too many boxes")
-    single_row = BoxFamily(lambda i, j: i == 0, label="single row")
+    single_row = BoxFamily(lambda i, j: i == 0)
     if meets_almost_all_boxes(single_row, probe_bound):
         bad.append("single-row family not refuted")
     if not row_exceptions_finite(basic, 2, probe_bound):
         bad.append("two exceptions in row 2 flagged as infinite")
     if not row_exceptions_finite(basic, 3, probe_bound):
         bad.append("empty exception set in row 3 flagged as infinite")
-    row_gone = BoxFamily(lambda i, j: i != 4, label="row 4 removed")
+    row_gone = BoxFamily(lambda i, j: i != 4)
     if row_exceptions_finite(row_gone, 4, probe_bound):
         bad.append("fully removed row not refuted")
     if not row_exceptions_finite(row_gone, 0, probe_bound):
@@ -528,28 +508,51 @@ def suite_bicyclic_isomorphism(B: BRSystem, window: int) -> SuiteResult:
     )
 
 
+def _w(B: BRSystem, n: int) -> int:
+    """|W_n| = n^2 |T|, the elements with both indices below n."""
+    return n * n * B.sys.order()
+
+
+class Suite(NamedTuple):
+    """One suite of `verify --all`.  run(B, window, seed, probe_bound) calls
+    it by its module-level name, so a rebound suite_* is the one run;
+    checked(B, window) is its checked count in closed form; applies(B) says
+    whether run_all runs it on B."""
+
+    name: str
+    run: Callable[[BRSystem, int, int, int], SuiteResult]
+    checked: Callable[[BRSystem, int], int]
+    applies: Callable[[BRSystem], bool] = lambda B: True
+
+
+SUITES = (
+    Suite("structure", lambda B, w, seed, pb: suite_structure(B), lambda B, w: 1),
+    Suite("associativity", lambda B, w, seed, pb: suite_associativity(B, w), lambda B, w: _w(B, w) ** 3),
+    Suite("inverse_axioms", lambda B, w, seed, pb: suite_inverse_axioms(B, w),
+          lambda B, w: _w(B, w) ** 2 + _w(B, w)),
+    Suite("eta_homomorphism", lambda B, w, seed, pb: suite_eta_homomorphism(B, w), lambda B, w: _w(B, w) ** 2),
+    Suite("eta_congruence", lambda B, w, seed, pb: suite_eta_congruence(B, w), lambda B, w: _w(B, w) ** 2),
+    Suite("idempotent_chain", lambda B, w, seed, pb: suite_idempotent_chain(B, 8),
+          lambda B, w: sum(comb(n * len(idempotents(B.sys)), 2) for n in range(1, 9))),
+    Suite("nat_order", lambda B, w, seed, pb: suite_nat_order(B, w), lambda B, w: _w(B, w) ** 2),
+    Suite("hclass", lambda B, w, seed, pb: suite_hclass(B, w), lambda B, w: _w(B, w)),
+    Suite("simplicity", lambda B, w, seed, pb: suite_simplicity(B, seed), lambda B, w: 1000),
+    Suite("zero_divisors", lambda B, w, seed, pb: suite_zero_divisors(B, 4), lambda B, w: _w(B, 4) ** 2,
+          lambda B: B.with_zero),
+    Suite("bicyclic_axioms", lambda B, w, seed, pb: suite_bicyclic_axioms(B.name, 6), lambda B, w: 7 ** 4),
+    Suite("bicyclic_oracle", lambda B, w, seed, pb: suite_bicyclic_oracle(B.name, 4 * w),
+          lambda B, w: (4 * w + 1) ** 4),
+    Suite("box_solver", lambda B, w, seed, pb: suite_box_solver(B.name, 2 * w), lambda B, w: 2 * (2 * w + 1) ** 4),
+    Suite("continuity", lambda B, w, seed, pb: suite_continuity(B, seed, a_window=min(w, 3)),
+          lambda B, w: 100 * _w(B, min(w, 3))),
+    Suite("zero_nbhd_checks", lambda B, w, seed, pb: suite_zero_nbhd_checks(B, pb), lambda B, w: 8),
+    Suite("descriptor_classification", lambda B, w, seed, pb: suite_descriptor_classification(B), lambda B, w: 4),
+    Suite("pushforward_roundtrip", lambda B, w, seed, pb: suite_pushforward_roundtrip(B, seed), lambda B, w: 102),
+    Suite("bicyclic_isomorphism", lambda B, w, seed, pb: suite_bicyclic_isomorphism(B, w),
+          lambda B, w: _w(B, w) ** 2, lambda B: B.sys.order() == 1),
+)
+
+
 def run_all(B: BRSystem, window: int = 3, seed: int = 0, probe_bound: int = 64) -> list[SuiteResult]:
-    """Every suite that applies to the given system, fixed order."""
-    out = [
-        suite_structure(B),
-        suite_associativity(B, window),
-        suite_inverse_axioms(B, window),
-        suite_eta_homomorphism(B, window),
-        suite_eta_congruence(B, window),
-        suite_idempotent_chain(B, 8),
-        suite_nat_order(B, window),
-        suite_hclass(B, window),
-        suite_simplicity(B, seed),
-        suite_bicyclic_axioms(B.name, 6),
-        suite_bicyclic_oracle(B.name, 4 * window),
-        suite_box_solver(B.name, 2 * window),
-        suite_continuity(B, seed, a_window=min(window, 3)),
-        suite_zero_nbhd_checks(B, probe_bound),
-        suite_descriptor_classification(B),
-        suite_pushforward_roundtrip(B, seed),
-    ]
-    if B.with_zero:
-        out.insert(9, suite_zero_divisors(B, 4))
-    if B.sys.order() == 1:
-        out.append(suite_bicyclic_isomorphism(B, window))
-    return out
+    """Every suite of SUITES that applies to the given system, in order."""
+    return [s.run(B, window, seed, probe_bound) for s in SUITES if s.applies(B)]

@@ -399,7 +399,7 @@ def test_non_identity_idempotent_is_refused_under_python_O():
         "from brext.clifford import CliffordSystem, idempotents\n"
         "from brext.errors import NotAGroup\n"
         "from brext.groups import GroupTable, identity_hom\n"
-        "m = GroupTable.from_rows([[0, 1], [1, 1]], identity=0)\n"
+        "m = GroupTable([[0, 1], [1, 1]], identity=0)\n"
         "print(__debug__)\n"
         "try:\n"
         "    idempotents(CliffordSystem(groups=(m,), bonds={}, theta=(identity_hom(m),)))\n"
@@ -409,7 +409,7 @@ def test_non_identity_idempotent_is_refused_under_python_O():
     run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "False\nnon-identity idempotent CliffordElement(level=0, elem=1) in a group\n"
-    m = groups.GroupTable.from_rows([[0, 1], [1, 1]], identity=0)
+    m = groups.GroupTable([[0, 1], [1, 1]], identity=0)
     with pytest.raises(NotAGroup):
         idempotents(CliffordSystem(groups=(m,), bonds={}, theta=(identity_hom(m),)))
 

@@ -5,6 +5,7 @@ written out here as the reference: the same verdict, the same value and
 the same exception type and message on every string.
 """
 
+import json
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from brext import bicyclic, bruck_reilly, cli
 from brext.bicyclic import BicyclicElem
 from brext.bruck_reilly import BRElem, Box
 from brext.clifford import CliffordElement
+from brext.config import data_path
 from brext.errors import ParseError
 
 OLD_PAIR = re.compile(r"^\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)$")
@@ -137,3 +139,40 @@ def test_one_zero_for_the_extension_and_the_bicyclic_monoid():
     assert bruck_reilly.is_zero is bicyclic.is_zero
     assert bruck_reilly.eta(bruck_reilly.ZERO) is bruck_reilly.ZERO
     assert bruck_reilly.parse_elem("0") is bicyclic.parse_elem(" 0 ") is bicyclic.ZERO
+
+
+# an index has at most 4,299 digits, so a product index (at most one digit
+# longer) prints under CPython's 4,300-digit str limit
+CAPPED = "9" * 4299
+
+
+@pytest.mark.parametrize("name,read,old,error,what", GRAMMARS, ids=[g[0] for g in GRAMMARS])
+def test_an_index_of_4300_digits_is_refused_by_the_reader(name, read, old, error, what):
+    shapes = {"pair": "({},1)", "triple": "(0,0:0,{})", "box": "{},1"}
+    accepted = shapes[name].format(CAPPED)
+    assert outcome(read, accepted)[0] == "read"
+    text = shapes[name].format("1" + CAPPED)
+    assert outcome(read, text) == (error, f"cannot parse {what} {text!r}")
+
+
+def test_the_product_of_two_capped_indices_prints(capsys):
+    code = cli.main(["mul", f"({CAPPED},0)", f"({CAPPED},0)", "--json"])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    assert json.loads(out.out)["result"] == f"(1{'9' * 4298}8,0)"
+
+
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (["mul", f"(1{CAPPED},0)", "(1,0)"], "bicyclic element"),
+        (["inv", f"(0,0:0,1{CAPPED})", "--system", str(data_path("c2c2"))], "extension element"),
+        (["pushforward", "excluded_boxes", "--exclude", f"1{CAPPED},1"], "box"),
+    ],
+    ids=["pair", "triple", "box"],
+)
+def test_the_cli_refuses_an_index_of_4300_digits(capsys, argv, what):
+    code = cli.main(argv + ["--json"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err.startswith(f"error: cannot parse {what} ") and out.err.count("\n") == 1

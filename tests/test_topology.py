@@ -309,7 +309,7 @@ def test_membership_is_box_lookup(c2c2):
 def test_meets_almost_all_boxes():
     assert meets_almost_all_boxes(BasicZeroNbhd.excluding([(0, 0), (4, 7), (9, 9)]))
     assert meets_almost_all_boxes(WHOLE_SPACE)
-    check = meets_almost_all_boxes(BoxFamily(lambda i, j: i == 0, "single row"))
+    check = meets_almost_all_boxes(BoxFamily(lambda i, j: i == 0))
     assert not check
     assert "refuted within probe bound" in check.note
     assert check.witnesses
@@ -320,7 +320,7 @@ def test_row_and_column_exceptions():
     assert row_exceptions_finite(u, 2)
     assert row_exceptions_finite(u, 2).witnesses == (5, 7)
     assert row_exceptions_finite(u, 3)
-    gone = BoxFamily(lambda i, j: i != 4, "row 4 removed")
+    gone = BoxFamily(lambda i, j: i != 4)
     assert not row_exceptions_finite(gone, 4)
     assert row_exceptions_finite(gone, 0)
     assert not column_exceptions_finite(BoxFamily(lambda i, j: j != 1), 1)

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 from brext import bruck_reilly, verify
 from brext.bicyclic import BicyclicElem, ZERO, bmul
 from brext.bruck_reilly import BRSystem, brmul_ids, decode, encode, eta, format_elem, parse_elem, window_elements
 from brext.clifford import CliffordElement
-from brext.verify import SuiteResult, run_all
+from brext.verify import SUITES, SuiteResult, run_all
 from test_bicyclic import oracle_mul
 from test_clifford import make_c12_c6_c3
 
@@ -48,8 +50,6 @@ def test_trivial_system_gets_the_isomorphism_suite(trivial):
 
 
 def test_zero_divisor_suite_only_when_zero_adjoined(c2c2):
-    from dataclasses import replace
-
     results = run_all(replace(c2c2, with_zero=False), window=2)
     names = [r.suite for r in results]
     assert "zero_divisors" not in names
@@ -269,25 +269,26 @@ def test_verify_all_passes_past_the_golden_window(request, system, window):
     assert results["box_solver"].params == {"max_index": 2 * window, "brute_bound": 4 * window}
 
 
-@pytest.mark.parametrize("system", ["c2c2", "trivial", "chain3"])
-def test_window_suites_check_what_their_closed_forms_predict(request, system):
+@pytest.mark.parametrize("system", ["c2c2", "trivial", "chain3", "c2c2_without_zero"])
+def test_window_suites_check_what_their_closed_forms_predict(request, c2c2, system):
     if system == "chain3":
         B = BRSystem(sys=make_c12_c6_c3(), with_zero=True, name="chain3")
+    elif system == "c2c2_without_zero":
+        B = replace(c2c2, with_zero=False)
     else:
         B = request.getfixturevalue(system)
-    suites = ["associativity", "inverse_axioms", "eta_homomorphism", "eta_congruence", "nat_order", "hclass",
-              "zero_divisors"]
     for window in range(1, 5):
-        for suite in suites:
-            result = getattr(verify, f"suite_{suite}")(B, window)
-            assert result.checked == verify.predicted_checked(B, suite, window), (suite, window)
-        # the system-free suites at the arguments run_all gives them
-        for suite, arg in (("bicyclic_axioms", 6), ("bicyclic_oracle", 4 * window), ("box_solver", 2 * window)):
-            result = getattr(verify, f"suite_{suite}")(B.name, arg)
-            assert result.checked == verify.predicted_checked(B, suite, arg), (suite, arg)
-    for max_window in range(1, 9):
-        result = verify.suite_idempotent_chain(B, max_window)
-        assert result.checked == verify.predicted_checked(B, "idempotent_chain", max_window), max_window
+        for suite in SUITES:
+            if suite.applies(B):
+                assert suite.run(B, window, 0, 64).checked == suite.checked(B, window), (suite.name, window)
+
+
+def test_run_all_runs_the_suite_bound_on_the_module_at_call_time(c2c2, monkeypatch):
+    marker = SuiteResult("hclass", "marker", {}, 0, [])
+    monkeypatch.setattr(verify, "suite_hclass", lambda B, window: marker)
+    results = run_all(c2c2, window=1)
+    assert results[C2C2_SUITES.index("hclass")] is marker
+    assert [r.suite for r in results] == C2C2_SUITES == [s.name for s in SUITES if s.applies(c2c2)]
 
 
 def test_associativity_on_a_one_element_window(trivial):

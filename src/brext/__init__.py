@@ -2,7 +2,7 @@
 verification of their arithmetic, order structure and zero-neighborhood
 certificates."""
 
-from .bicyclic import BicyclicElem, bmul, bmul_rows, binv
+from .bicyclic import BicyclicElem, bmul, bmul_codes, binv
 from .bruck_reilly import (
     Box,
     BRElem,
@@ -48,7 +48,7 @@ from .topology import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BicyclicElem", "bmul", "bmul_rows", "binv",
+    "BicyclicElem", "bmul", "bmul_codes", "binv",
     "Box", "BRElem", "BRSystem", "brinv", "brmul", "brmul_ids", "eta",
     "hclass", "idempotents_window", "nat_order", "nat_order_oracle",
     "simplicity_witness", "window_elements", "zero_divisor_scan",

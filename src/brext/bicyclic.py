@@ -4,10 +4,10 @@ Elements are normal forms q^k p^l stored as index pairs (k, l) with
 arbitrary-precision non-negative integers.  The adjoined zero is a separate
 sentinel, never a reserved pair; Bruck-Reilly extensions adjoin the same
 one.  Two routes compute a product: bmul is the closed-form index
-arithmetic, and bmul_rows streams whole rows of products by the same
-formula for the exhaustive scans; rho_table maps each pair to a 2x2
-upper-triangular max-plus matrix, a faithful image in which a product is
-one tmul, built from the generator images by products alone.  The
+arithmetic, and bmul_codes streams rows of products, as integer codes
+k * n + l, for the exhaustive scans; rho_table lists in code order the 2x2
+upper-triangular max-plus matrix of each pair, a faithful image in which a
+product is one tmul, built from the generator images by products alone.  The
 verification suites check the row kernel against the max-plus image, and
 the tests also against the partial shifts of omega.  Every literal of the
 package, element or box, is built from the one index pattern _INDEX, and
@@ -17,6 +17,9 @@ the element literals are read by read_literal.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from itertools import accumulate, chain, repeat
+from operator import add
 from typing import Iterator, NamedTuple, Sequence, Union
 
 
@@ -60,27 +63,34 @@ def bmul(x: Element, y: Element) -> Element:
     return BicyclicElem(x.k + y.k - d, x.l + y.l - d)
 
 
-def bmul_rows(xs: Sequence[Element], ys: Sequence[Element]) -> Iterator[list[Element]]:
-    """Yield the row [x*y for y in ys] for each x in xs, by bmul's formula.
-
-    Every operand is checked as bmul checks it, xs first, before any row.
-    Against x = (k, l), a nonzero y = (m, n) gives (k, l - m + n) when
-    m <= l and (k - l + m, n) otherwise; a zero on either side gives zero.
-    Rows are streamed, never kept.
-    """
-    for x in xs:
+def bmul_codes(xs: Sequence[Element], ys: Sequence[Element], n: int) -> Iterator[list[int]]:
+    """Yield the row [code(x*y) for y in ys] for each x in xs: (k, l) has
+    code k * n + l and zero -1.  Operands are checked as bmul checks them,
+    xs first, before any row; n must then exceed x.l + y.l, or two products
+    could share a code.  Against x = (k, l), a y = (m, q) gives
+    k * n + l + (q - m) if m <= l and (k - l) * n + code(y) otherwise, so
+    with the ys sorted by m once a row is two shifted slices and a bisect."""
+    for x in chain(xs, ys):
         _check(x)
-    for y in ys:
-        _check(y)
-    new = tuple.__new__
-    pairs = [(None, y) if y is ZERO else (y.k, y.l) for y in ys]
+    ls = [[z.l for z in zs if z is not ZERO] for zs in (xs, ys)]
+    if all(ls) and sum(map(max, ls)) >= n:
+        raise ValueError(f"code width {n} is too small for second indices summing to {sum(map(max, ls))}")
+    order = sorted((j for j, y in enumerate(ys) if y is not ZERO), key=lambda j: ys[j].k)
+    ms = [ys[j].k for j in order]
+    shifts = [ys[j].l - ys[j].k for j in order]
+    codes = [ys[j].k * n + ys[j].l for j in order]
+    at = dict(zip(order, range(len(order))))
+    at = [at.get(j, -1) for j in range(len(ys))]  # a zero y reads the -1 that ends each row
     for x in xs:
         if x is ZERO:
-            yield [ZERO] * len(pairs)
+            yield [-1] * len(ys)
             continue
         k, l = x
-        yield [n if m is None else new(BicyclicElem, (k, l - m + n) if m <= l else (k - l + m, n))
-               for m, n in pairs]
+        s = bisect_right(ms, l)
+        row = list(map(add, repeat(k * n + l), shifts[:s]))
+        row += map(add, repeat((k - l) * n), codes[s:])
+        row.append(-1)
+        yield list(map(row.__getitem__, at))
 
 
 def binv(x: Element) -> Element:
@@ -107,23 +117,17 @@ def tmul(a: tuple, b: tuple) -> tuple:
     return (a1 + b1, max(a1 + b2, a2 + b3), a3 + b3)
 
 
-def rho_table(n: int) -> dict:
-    """rho(q^k p^l) = E (x) Q^k (x) P^l for all k, l <= n, by products.
+def rho_table(n: int) -> list:
+    """rho(q^k p^l) = E (x) Q^k (x) P^l for all k, l <= n, by products,
+    listed by the code k * (n + 1) + l.
 
     Each row starts from the previous row's start times Q and walks right
     by P, so no index formula is used.  The image is
     [[2(k-l), 2k+l-2], [-inf, l-k]], which is injective on the whole
     monoid, so rho(z) == rho(x) (x) rho(y) proves z = xy.
     """
-    table = {}
-    start = TROP_E
-    for k in range(n + 1):
-        m = start
-        for l in range(n + 1):
-            table[BicyclicElem(k, l)] = m
-            m = tmul(m, TROP_P)
-        start = tmul(start, TROP_Q)
-    return table
+    starts = accumulate(repeat(TROP_Q, n), tmul, initial=TROP_E)
+    return [m for start in starts for m in accumulate(repeat(TROP_P, n), tmul, initial=start)]
 
 
 # ASCII digits: int() also takes signs, '_' and other scripts' digits.  At

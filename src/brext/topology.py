@@ -13,6 +13,7 @@ no open-ended topology is represented.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import bicyclic
 from .bruck_reilly import Box, BRElem, BRSystem, _check, box, brmul, format_elem, is_zero
@@ -269,13 +270,13 @@ class BoundedCheck:
 
 def _probe(u, probe_bound: int, structural, probes, refuted: str, clean: str) -> BoundedCheck:
     """A BasicZeroNbhd is answered structurally, with witnesses
-    structural(u.excluded); otherwise every (witness, i, j) of the outer
-    region in `probes` whose box u misses refutes the family."""
+    structural(u.excluded); otherwise any (witness, i, j) of the outer region
+    `probes` whose box u misses refutes it; the scan stops at the eighth."""
     if isinstance(u, BasicZeroNbhd):
         return BoundedCheck(True, probe_bound, structural(u.excluded), "cofinite by construction")
-    misses = tuple(w for w, i, j in probes if not u.contains_box(i, j))
+    misses = tuple(islice((w for w, i, j in probes if not u.contains_box(i, j)), 8))
     if misses:
-        return BoundedCheck(False, probe_bound, misses[:8], f"refuted within probe bound {probe_bound}: {refuted}")
+        return BoundedCheck(False, probe_bound, misses, f"refuted within probe bound {probe_bound}: {refuted}")
     return BoundedCheck(True, probe_bound, (), clean)
 
 

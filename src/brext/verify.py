@@ -6,22 +6,25 @@ lineup of `verify --all`: per suite, in record order, the arguments run_all
 gives it, the systems it applies to and its checked count in closed form.
 Seeded randomness only ever comes from random.Random(seed).
 The window suites read the system's compiled window (BRSystem.window) and
-check it against a second route each: bmul_rows for eta, the closed form
+check it against a second route each: bmul_codes for eta, the closed form
 for nat_order, the group fibers for hclass.  The bicyclic scans take their
-products a row at a time from bmul_rows; each continuity certificate solves
-its own failing boxes by max-plus residuation, with no state between them.
+products as rows of integer codes from bmul_codes; each continuity
+certificate solves its own failing boxes by max-plus residuation, sharing
+no state with the others.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from math import comb
+from operator import add, sub
 from typing import Callable, NamedTuple
 
 from . import bicyclic
-from .bicyclic import BicyclicElem, bmul, bmul_rows, binv, rho_table, tmul
+from .bicyclic import BicyclicElem, bmul, bmul_codes, binv, rho_table, tmul
 from .bruck_reilly import (
     Box,
     BRElem,
@@ -143,15 +146,17 @@ def suite_inverse_axioms(B: BRSystem, window: int) -> SuiteResult:
 
 
 def suite_eta_homomorphism(B: BRSystem, window: int) -> SuiteResult:
-    """The box of each window product against bmul of the two boxes."""
+    """The box codes of each window row of products against bmul_codes on
+    the two boxes, at a width that covers every product's second index;
+    only a row that differs is walked pair by pair."""
     w = B.window(window)
+    n = 2 * window + max((p.j for p in w.prods), default=0)
+    prod_codes = [p.i * n + p.j for p in w.prods]
     images = [eta(x) for x in w.elems]
-    prod_images = [eta(p) for p in w.prods]
     bad = []
-    for x, xy_ids, etas in zip(w.elems, w.table, bmul_rows(images, images)):
-        for y, xy, e in zip(w.elems, xy_ids, etas):
-            if prod_images[xy] != e:
-                bad.append(f"eta breaks at {format_elem(x)}, {format_elem(y)}")
+    for x, xy_ids, row in zip(w.elems, w.table, bmul_codes(images, images, n)):
+        if (want := list(map(prod_codes.__getitem__, xy_ids))) != row:
+            bad += [f"eta breaks at {format_elem(x)}, {format_elem(y)}" for y, u, v in zip(w.elems, want, row) if u != v]
     return SuiteResult("eta_homomorphism", B.name, {"window": window}, len(w.elems) ** 2, bad)
 
 
@@ -324,24 +329,34 @@ def suite_bicyclic_axioms(system_name: str, max_index: int = 6) -> SuiteResult:
 def suite_bicyclic_oracle(system_name: str, max_index: int = 12) -> SuiteResult:
     """Closed-form index arithmetic against the faithful max-plus image.
 
-    rho is built by products of the generator images for indices up to
-    2 * max_index, which holds every product of two operands; a product
-    bmul_rows places outside the table is a disagreement.  Each row of
-    products, read through rho, is compared whole with rho[x] times the
-    images of the ys, and only a row that differs is walked pair by pair."""
-    rho = rho_table(2 * max_index)
+    rho, built by products of the generator images up to index 2 * max_index
+    (every product of two operands), is read as columns c11, c12, c22 at
+    bmul_codes' codes; a code outside the table is a disagreement.  The
+    corner max(a11 + y12, a12 + y22) of rho(x) (x) rho(y) takes its first
+    term exactly where y12 - y22 >= a12 - a11, so with the ys sorted by that
+    key a row's columns are shifted slices split at one bisect.  Only a row
+    that differs is walked pair by pair."""
+    n = 2 * max_index + 1
+    c11, c12, c22 = map(list, zip(*rho_table(n - 1)))
     r = range(max_index + 1)
     elems = [BicyclicElem(k, l) for k in r for l in r]
-    images = [rho[y] for y in elems]
+    codes = [k * n + l for k, l in elems]
+    order = sorted(range(len(elems)), key=lambda j: c12[codes[j]] - c22[codes[j]])
+    y11, y12, y22 = ([col[codes[j]] for j in order] for col in (c11, c12, c22))
+    keys = list(map(sub, y12, y22))
     bad = []
-    for x, row in zip(elems, bmul_rows(elems, elems)):
-        want = list(map(tmul, repeat(rho[x]), images))
-        if list(map(rho.get, row)) != want:
-            bad += [f"{bicyclic.format_elem(x)}*{bicyclic.format_elem(y)} disagrees"
-                    for y, p, v in zip(elems, row, want) if rho.get(p) != v]
-    return SuiteResult(
-        "bicyclic_oracle", system_name, {"max_index": max_index}, (max_index + 1) ** 4, bad
-    )
+    for x, c, row in zip(elems, codes, bmul_codes(elems, [elems[j] for j in order], n)):
+        a11, a12, a22 = c11[c], c12[c], c22[c]
+        s = bisect_left(keys, a12 - a11)
+        if (0 <= min(row) and max(row) < len(c11)
+                and list(map(c11.__getitem__, row)) == list(map(add, repeat(a11), y11))
+                and list(map(c12.__getitem__, row)) == [*map(add, repeat(a12), y22[:s]), *map(add, repeat(a11), y12[s:])]
+                and list(map(c22.__getitem__, row)) == list(map(add, repeat(a22), y22))):
+            continue
+        wrong = sorted(j for j, p, y in zip(order, row, zip(y11, y12, y22))
+                       if not 0 <= p < len(c11) or (c11[p], c12[p], c22[p]) != tmul((a11, a12, a22), y))
+        bad += [f"{bicyclic.format_elem(x)}*{bicyclic.format_elem(elems[j])} disagrees" for j in wrong]
+    return SuiteResult("bicyclic_oracle", system_name, {"max_index": max_index}, (max_index + 1) ** 4, bad)
 
 
 def suite_box_solver(system_name: str, max_index: int = 6) -> SuiteResult:
@@ -350,47 +365,28 @@ def suite_box_solver(system_name: str, max_index: int = 6) -> SuiteResult:
     Multipliers and targets are the boxes with indices up to max_index.
     A left solution (t1 - a1 + a2, t2) has a first index up to
     2 * max_index, so the scan multiplies every box up to the brute bound
-    max(20, 2 * max_index).  The products come from bmul_rows as streamed
-    rows and only those that are targets are kept: a left multiplier is
-    checked as soon as its row arrives, a right one once the scan over the
-    boxes ends.
+    max(20, 2 * max_index).  The products come from bmul_codes as rows of
+    codes, wide enough for every product: a * x over the boxes x for the
+    left side, and x * a transposed for the right, so each multiplier gets
+    one row per side, of which only the codes of targets are kept.
     """
     brute_bound = max(20, 2 * max_index)
+    n = brute_bound + max_index + 1
     r, m = range(brute_bound + 1), range(max_index + 1)
     grid = [BicyclicElem(i, j) for i in r for j in r]
     boxes = [Box(i, j) for i in r for j in r]
-    small = [Box(i, j) for i in m for j in m]  # multipliers and targets
-    elems = [BicyclicElem(*t) for t in small]
-    ids = {t: n for n, t in enumerate(elems)}
+    small = [BicyclicElem(i, j) for i in m for j in m]  # multipliers and targets
+    ids = {i * n + j: t for t, (i, j) in enumerate(small)}
     bad = []
-
-    def check(side, a, hits):
-        """hits: (target id, box) for every box whose product with a is a target."""
-        sols = [[] for _ in small]
-        for t, b in hits:
-            sols[t].append(b)
-        bad.extend(f"{side} solutions differ for a={tuple(a)}, target={tuple(t)}"
-                   for t, s in zip(small, sols) if box_solve(a, t, side) != frozenset(s))
-
-    for a, row in zip(small, bmul_rows(elems, grid)):
-        check("left", a, [(ids[p], b) for b, p in zip(boxes, row) if p in ids])
-    # right rows run over the boxes, so every multiplier's hits are kept until
-    # the scan ends, flat, without a tuple per hit
-    right = [[] for _ in small]
-    for b, row in zip(boxes, bmul_rows(grid, elems)):
-        for hits, p in zip(right, row):
-            if p in ids:
-                hits += ids[p], b
-    for a, hits in zip(small, right):
-        it = iter(hits)
-        check("right", a, zip(it, it))
-    return SuiteResult(
-        "box_solver",
-        system_name,
-        {"max_index": max_index, "brute_bound": brute_bound},
-        2 * len(small) ** 2,
-        bad,
-    )
+    for side, rows in ("left", bmul_codes(small, grid, n)), ("right", zip(*bmul_codes(grid, small, n))):
+        for a, row in zip(small, rows):
+            sols = [[] for _ in small]
+            for c, b in compress(zip(row, boxes), map(ids.__contains__, row)):
+                sols[ids[c]].append(b)
+            bad.extend(f"{side} solutions differ for a={tuple(a)}, target={tuple(t)}"
+                       for t, s in zip(small, sols) if box_solve(a, t, side) != frozenset(s))
+    return SuiteResult("box_solver", system_name, {"max_index": max_index, "brute_bound": brute_bound},
+                       2 * len(small) ** 2, bad)
 
 
 def suite_continuity(B: BRSystem, seed: int, samples: int = 100, a_window: int = 3) -> SuiteResult:

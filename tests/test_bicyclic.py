@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from brext.bicyclic import (
     _check,
     BicyclicElem,
     bmul,
-    bmul_rows,
+    bmul_codes,
     binv,
     format_elem,
     is_zero,
@@ -100,7 +101,7 @@ def test_oracle_agrees_exhaustively_small():
                     y = BicyclicElem(m, n)
                     z = bmul(x, y)
                     assert z == oracle_mul(x, y)
-                    assert rho[z] == tmul(rho[x], rho[y]), (x, y)
+                    assert rho[_code(z, 17)] == tmul(rho[_code(x, 17)], rho[_code(y, 17)]), (x, y)
 
 
 @given(small, small, small, small)
@@ -109,28 +110,41 @@ def test_oracle_agrees_randomized(k, l, m, n):
     assert bmul(x, y) == oracle_mul(x, y)
 
 
-def test_bmul_rows_matches_bmul_with_zeros_and_empty_lists():
+def _code(z, n):
+    """bmul_codes' code of z at width n."""
+    return -1 if z is ZERO else z.k * n + z.l
+
+
+def test_bmul_codes_matches_bmul_with_zeros_and_empty_lists():
     r = range(6)
     elems = [BicyclicElem(k, l) for k in r for l in r]
-    # zero rows and columns, unsorted and repeated operands
+    # zero rows and columns, shuffled and repeated operands
     xs = [ZERO] + elems[::-1] + [ZERO, BicyclicElem(40, 3)]
-    ys = elems[5:] + [ZERO] + elems[:5] + [BicyclicElem(2, 40), ZERO]
-    got = list(bmul_rows(xs, ys))
-    assert got == [[bmul(x, y) for y in ys] for x in xs]
+    ys = elems[5:] + [ZERO] + elems[:5] + [BicyclicElem(2, 40), ZERO] + elems[::7]
+    random.Random(0).shuffle(ys)
+    n = 5 + 40 + 1
+    got = list(bmul_codes(xs, ys, n))
+    assert got == [[_code(bmul(x, y), n) for y in ys] for x in xs]
     for x, row in zip(xs, got):
-        for y, p in zip(ys, row):
-            if x is ZERO or y is ZERO:
-                assert p is ZERO
-            else:
-                assert type(p) is BicyclicElem and p == oracle_mul(x, y), (x, y)
-    assert list(bmul_rows([], ys)) == []
-    assert list(bmul_rows(xs[:3], [])) == [[], [], []]
+        for y, c in zip(ys, row):
+            assert c == (-1 if x is ZERO or y is ZERO else _code(oracle_mul(x, y), n)), (x, y)
+    assert list(bmul_codes([], ys, n)) == []
+    assert list(bmul_codes(xs[:3], [], n)) == [[], [], []]
 
 
 bad_operands = st.sampled_from(
     [BicyclicElem(-1, 0), BicyclicElem(2, -3), (1, 2), None, "(1,2)"]
 )
 operands = st.lists(st.builds(BicyclicElem, small, small) | st.just(ZERO), max_size=4)
+
+
+def test_bmul_codes_refuses_a_width_that_would_merge_codes():
+    x, y = BicyclicElem(0, 3), BicyclicElem(0, 2)
+    # (0,3)*(0,2) = (0,5): at width 5 its code 5 would be that of (1,0)
+    with pytest.raises(ValueError, match="code width 5 is too small for second indices summing to 5"):
+        next(bmul_codes([x], [y], 5))
+    assert list(bmul_codes([x], [y], 6)) == [[5]]
+    assert list(bmul_codes([x, ZERO], [ZERO], 1)) == [[-1], [-1]]
 
 
 def _error(f, *args):
@@ -140,15 +154,18 @@ def _error(f, *args):
 
 
 @given(operands, operands, bad_operands, bad_operands, st.data())
-def test_bmul_rows_refuses_bad_operands_like_bmul(xs, ys, bad_x, bad_y, data):
+def test_bmul_codes_refuses_bad_operands_like_bmul(xs, ys, bad_x, bad_y, data):
+    # good operands, in any order, give bmul's products
+    assert list(bmul_codes(xs, ys, 81)) == [[_code(bmul(x, y), 81) for y in ys] for x in xs]
     xs = xs + [bad_x]
     ys = ys + [bad_y]
     data.draw(st.randoms()).shuffle(xs)
     good = BicyclicElem(1, 1)
-    rows = bmul_rows(xs, ys)
+    # a width of 0 is checked only after the operands
+    rows = bmul_codes(xs, ys, 0)
     # xs are checked before ys, and both before any row is yielded
     assert _error(next, rows) == _error(bmul, bad_x, good) == _error(bmul, bad_x, bad_y)
-    assert _error(next, bmul_rows(ys[:-1], ys)) == _error(bmul, good, bad_y)
+    assert _error(next, bmul_codes(ys[:-1], ys, 81)) == _error(bmul, good, bad_y)
     assert list(rows) == []
 
 
@@ -179,10 +196,12 @@ def test_generator_images_satisfy_the_bicyclic_relation():
 
 def test_rho_built_by_products_is_the_closed_form_and_injective():
     rho = rho_table(24)
-    assert set(rho) == {BicyclicElem(k, l) for k in range(25) for l in range(25)}
-    for x, m in rho.items():
-        assert m == (2 * (x.k - x.l), 2 * x.k + x.l - 2, x.l - x.k) == topology._rho(x.k, x.l), x
-    assert len(set(rho.values())) == len(rho)
+    assert len(rho) == 25 * 25
+    for k in range(25):
+        for l in range(25):
+            m = rho[_code(BicyclicElem(k, l), 25)]
+            assert m == (2 * (k - l), 2 * k + l - 2, l - k) == topology._rho(k, l), (k, l)
+    assert len(set(rho)) == len(rho)
 
 
 @given(huge, huge, huge, huge, huge, huge)

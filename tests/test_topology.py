@@ -327,6 +327,32 @@ def test_row_and_column_exceptions():
     assert column_exceptions_finite(u, 5)
 
 
+REFUTED_FAMILIES = [
+    (meets_almost_all_boxes, lambda i, j: i == 0,
+     lambda pred, pb: [Box(i, j) for i in range(pb) for j in range(pb) if max(i, j) >= pb // 2 and not pred(i, j)]),
+    (lambda u, pb: row_exceptions_finite(u, 4, pb), lambda i, j: i != 4,
+     lambda pred, pb: [j for j in range(pb // 2, pb) if not pred(4, j)]),
+    (lambda u, pb: column_exceptions_finite(u, 1, pb), lambda i, j: j != 1,
+     lambda pred, pb: [i for i in range(pb // 2, pb) if not pred(i, 1)]),
+]
+
+
+@pytest.mark.parametrize("check, pred, scan", REFUTED_FAMILIES)
+def test_a_refuted_family_stops_at_its_eighth_witness(check, pred, scan):
+    calls = []
+
+    def counted(i, j):
+        calls.append(None)
+        if len(calls) > 10**4:
+            pytest.fail("more predicate calls than the probe bound")
+        return pred(i, j)
+
+    assert not check(BoxFamily(counted), 10**4)
+    result = check(BoxFamily(pred), 64)
+    assert not result and result.witnesses == tuple(scan(pred, 64)[:8])
+    assert len(scan(pred, 64)) > 8
+
+
 def test_classify_descriptors():
     c = classify_descriptor(ISOLATED_ZERO)
     assert c.verdict == "isolated_zero"

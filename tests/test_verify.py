@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -202,9 +204,15 @@ def _bmul_mutant(d):
     return mul
 
 
-def _rows(mul):
-    """bmul_rows built from a pairwise product."""
-    return lambda xs, ys: ([mul(x, y) for y in ys] for x in xs)
+def _code(p, n):
+    """bmul_codes' code of p at width n; a second index outside 0..n-1, which
+    the real kernel refuses by its width check, gets -2, the code of no pair."""
+    return -1 if p is ZERO else p.k * n + p.l if 0 <= p.l < n else -2
+
+
+def _codes(mul):
+    """bmul_codes built from a pairwise product."""
+    return lambda xs, ys, n: ([_code(mul(x, y), n) for y in ys] for x in xs)
 
 
 BMUL_MUTANTS = {
@@ -226,7 +234,7 @@ def test_bicyclic_oracle_catches_bmul_mutants(monkeypatch, name):
         if mutant(x, y) != oracle_mul(x, y)
     ]
     assert wrong
-    monkeypatch.setattr(verify, "bmul_rows", _rows(mutant))
+    monkeypatch.setattr(verify, "bmul_codes", _codes(mutant))
     result = verify.suite_bicyclic_oracle("mutant", 4)
     assert result.violations == wrong
     assert result.checked == 5 ** 4
@@ -234,8 +242,8 @@ def test_bicyclic_oracle_catches_bmul_mutants(monkeypatch, name):
 
 @pytest.mark.parametrize("name", BMUL_MUTANTS)
 def test_box_solver_catches_bmul_mutants(monkeypatch, name):
-    # the brute scan multiplies through verify.bmul_rows, not an inlined formula
-    monkeypatch.setattr(verify, "bmul_rows", _rows(BMUL_MUTANTS[name]))
+    # the brute scan multiplies through verify.bmul_codes, not an inlined formula
+    monkeypatch.setattr(verify, "bmul_codes", _codes(BMUL_MUTANTS[name]))
     assert verify.suite_box_solver("mutant", 4).violations
 
 
@@ -250,7 +258,7 @@ def test_eta_homomorphism_catches_bmul_mutants(c2c2, monkeypatch, name):
         if mutant(eta(x), eta(y)) != bmul(eta(x), eta(y))
     ]
     assert wrong
-    monkeypatch.setattr(verify, "bmul_rows", _rows(mutant))
+    monkeypatch.setattr(verify, "bmul_codes", _codes(mutant))
     result = verify.suite_eta_homomorphism(c2c2, 2)
     assert result.violations == wrong
     assert result.checked == len(elems) ** 2
@@ -297,13 +305,18 @@ def test_associativity_on_a_one_element_window(trivial):
 
 
 def test_bicyclic_oracle_reports_products_outside_the_table(monkeypatch):
+    # codes at width 9, against a table of 81: -63 is 18 - 81, which a list
+    # read would wrap round to 18, the code of the true product (2,0); 27 is
+    # (2,9) with its second index overflowing into (3,0); -1 is zero, the
+    # table's last entry if read; 81 is past the table
     odd = {
-        (BicyclicElem(1, 2), BicyclicElem(3, 0)): BicyclicElem(9, 0),
-        (BicyclicElem(2, 2), BicyclicElem(0, 1)): BicyclicElem(2, 9),
-        (BicyclicElem(3, 3), BicyclicElem(3, 3)): ZERO,
-        (BicyclicElem(4, 0), BicyclicElem(0, 4)): None,
+        (BicyclicElem(1, 2), BicyclicElem(3, 0)): -63,
+        (BicyclicElem(2, 2), BicyclicElem(0, 1)): 2 * 9 + 9,
+        (BicyclicElem(3, 3), BicyclicElem(3, 3)): -1,
+        (BicyclicElem(4, 0), BicyclicElem(0, 4)): 81,
     }
-    monkeypatch.setattr(verify, "bmul_rows", _rows(lambda x, y: odd[x, y] if (x, y) in odd else bmul(x, y)))
+    rows = lambda xs, ys, n: ([odd.get((x, y), _code(bmul(x, y), n)) for y in ys] for x in xs)
+    monkeypatch.setattr(verify, "bmul_codes", rows)
     result = verify.suite_bicyclic_oracle("mutant", 4)
     assert result.violations == [
         "(1,2)*(3,0) disagrees",
@@ -311,3 +324,20 @@ def test_bicyclic_oracle_reports_products_outside_the_table(monkeypatch):
         "(3,3)*(3,3) disagrees",
         "(4,0)*(0,4) disagrees",
     ]
+
+
+def test_bicyclic_oracle_refuses_a_negative_code_under_python_O():
+    # the range guard must not be an assert, which -O strips: unguarded,
+    # c11[-63] reads the true product's entry and the fault goes unseen
+    code = (
+        "from brext import verify\n"
+        "from brext.bicyclic import bmul\n"
+        "def rows(xs, ys, n):\n"
+        "    for x in xs:\n"
+        "        yield [p.k * n + p.l - n * n * ((x, y) == ((1, 2), (3, 0))) for y, p in zip(ys, map(bmul, [x] * len(ys), ys))]\n"
+        "verify.bmul_codes = rows\n"
+        "print(__debug__, verify.suite_bicyclic_oracle('mutant', 4).violations)\n"
+    )
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False ['(1,2)*(3,0) disagrees']\n"

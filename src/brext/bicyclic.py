@@ -5,7 +5,8 @@ arbitrary-precision non-negative integers.  The adjoined zero is a separate
 sentinel, never a reserved pair; Bruck-Reilly extensions adjoin the same
 one.  Two routes compute a product: bmul is the closed-form index
 arithmetic, and bmul_codes streams rows of products, as integer codes
-k * n + l, for the exhaustive scans; rho_table lists in code order the 2x2
+k * n + l at a width n (a Bruck-Reilly code is its box's times |T| plus an
+id in T), for the exhaustive scans; rho_table lists in code order the 2x2
 upper-triangular max-plus matrix of each pair, a faithful image in which a
 product is one tmul, built from the generator images by products alone.  The
 verification suites check the row kernel against the max-plus image, and
@@ -20,7 +21,7 @@ import re
 from bisect import bisect_right
 from itertools import accumulate, chain, repeat
 from operator import add
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Collection, Iterator, NamedTuple, Sequence, Union
 
 
 class BicyclicElem(NamedTuple):
@@ -36,6 +37,7 @@ class _AdjoinedZero:
 
 
 ZERO = _AdjoinedZero()
+ZERO_ID = -1  # ZERO's code at every width
 
 Element = Union[BicyclicElem, _AdjoinedZero]
 
@@ -63,33 +65,38 @@ def bmul(x: Element, y: Element) -> Element:
     return BicyclicElem(x.k + y.k - d, x.l + y.l - d)
 
 
+def check_width(n: int, *seconds: Collection[int]) -> None:
+    """Refuse a code width n not above the sum of each collection's largest
+    second index, which bounds a product's; an empty one means no product."""
+    if all(seconds) and (top := sum(map(max, seconds))) >= n:
+        raise ValueError(f"code width {n} is too small for second indices summing to {top}")
+
+
 def bmul_codes(xs: Sequence[Element], ys: Sequence[Element], n: int) -> Iterator[list[int]]:
     """Yield the row [code(x*y) for y in ys] for each x in xs: (k, l) has
-    code k * n + l and zero -1.  Operands are checked as bmul checks them,
-    xs first, before any row; n must then exceed x.l + y.l, or two products
-    could share a code.  Against x = (k, l), a y = (m, q) gives
+    code k * n + l and zero ZERO_ID.  Operands are checked as bmul checks
+    them, xs first, before any row; then check_width refuses an n not above
+    x.l + y.l.  Against x = (k, l), a y = (m, q) gives
     k * n + l + (q - m) if m <= l and (k - l) * n + code(y) otherwise, so
     with the ys sorted by m once a row is two shifted slices and a bisect."""
     for x in chain(xs, ys):
         _check(x)
-    ls = [[z.l for z in zs if z is not ZERO] for zs in (xs, ys)]
-    if all(ls) and sum(map(max, ls)) >= n:
-        raise ValueError(f"code width {n} is too small for second indices summing to {sum(map(max, ls))}")
+    check_width(n, {x.l for x in xs if x is not ZERO}, {y.l for y in ys if y is not ZERO})
     order = sorted((j for j, y in enumerate(ys) if y is not ZERO), key=lambda j: ys[j].k)
     ms = [ys[j].k for j in order]
     shifts = [ys[j].l - ys[j].k for j in order]
     codes = [ys[j].k * n + ys[j].l for j in order]
     at = dict(zip(order, range(len(order))))
-    at = [at.get(j, -1) for j in range(len(ys))]  # a zero y reads the -1 that ends each row
+    at = [at.get(j, -1) for j in range(len(ys))]  # a zero y reads the ZERO_ID that ends each row
     for x in xs:
         if x is ZERO:
-            yield [-1] * len(ys)
+            yield [ZERO_ID] * len(ys)
             continue
         k, l = x
         s = bisect_right(ms, l)
         row = list(map(add, repeat(k * n + l), shifts[:s]))
         row += map(add, repeat((k - l) * n), codes[s:])
-        row.append(-1)
+        row.append(ZERO_ID)
         yield list(map(row.__getitem__, at))
 
 

@@ -9,11 +9,12 @@ factors with theta before multiplying in T:
 
 which collapses to the bicyclic index arithmetic on the outer coordinates.
 brmul computes one product; brmul_ids streams whole rows of products by
-the same formula, as ints that pack a box and an id in T (see encode).  A
-system compiles each window once from those rows (BRSystem.window) for the
-verification suites.  Systems may adjoin a zero; products of nonzero
-elements are never zero, and zero_divisor_scan certifies that on a window.
-Exhaustive window operations are capped at window 16.
+the same formula, as integer codes (see encode): a box's bicyclic code
+times |T| plus an id in T, so eta on codes is // |T|.  A system compiles
+each window once from those rows (BRSystem.window) for the verification
+suites.  Systems may adjoin a zero; products of nonzero elements are never
+zero, and zero_divisor_scan certifies that on a window.  Exhaustive window
+operations are capped at window 16.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from operator import add
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from . import bicyclic
-from .bicyclic import _INDEX, ZERO, _AdjoinedZero, is_zero  # noqa: F401  (is_zero is re-exported)
+from .bicyclic import _INDEX, ZERO, ZERO_ID, _AdjoinedZero, check_width, is_zero  # noqa: F401  (re-exported)
 from .clifford import CliffordElement, CliffordSystem, cinv, cmul, idempotents, theta_pow
 from .errors import WindowTooLarge, WitnessVerificationFailed, ZeroNotAdjoined
 
@@ -106,83 +107,69 @@ def brmul(B: BRSystem, x: Element, y: Element) -> Element:
     return BRElem(i, compiled.elements[products[a][b]], l)
 
 
-ZERO_ID = -1  # encode(ZERO)
-
-
-# a product of two elements of a capped window has indices below 2 * MAX_WINDOW
-_SPREAD = tuple(int(f"{v:b}", 4) for v in range(2 * MAX_WINDOW))
-
-
-def _spread(v: int) -> int:
-    """v's bits moved to the even positions: its binary digits read in base 4.
-    Values below len(_SPREAD) are read from a table and larger ones are
-    computed, so packed ids stay unbounded."""
-    return _SPREAD[v] if v < len(_SPREAD) else int(f"{v:b}", 4)
-
-
-def encode(B: BRSystem, x: Element) -> int:
-    """x as one int, t + |T| * (spread(i) + 2 * spread(j)) with t the id of
-    x.s in T: the bits of i and j interleave, so every box packs; zero is
-    ZERO_ID."""
+def encode(B: BRSystem, x: Element, n: int) -> int:
+    """x's code at width n, id(x.s) + |T| * (x.i * n + x.j); a second index
+    of n or more is refused, since it would read as a box one row down."""
     _check(B, x)
     if x is ZERO:
         return ZERO_ID
+    check_width(n, [x.j])
     ids = B.sys.compiled.ids
-    return ids[x.s] + len(ids) * (_spread(x.i) + 2 * _spread(x.j))
+    return ids[x.s] + len(ids) * (x.i * n + x.j)
 
 
-def decode(B: BRSystem, code: int) -> Element:
-    """The element that encode packed into code."""
+def decode(B: BRSystem, code: int, n: int) -> Element:
+    """The element whose code at width n is code."""
     if code == ZERO_ID:
         return ZERO
-    compiled = B.sys.compiled
-    z, t = divmod(code, len(compiled.ids))
-    bits = f"{z:b}"[::-1]  # least significant first: i's bits, then j's, alternating
-    return BRElem(int(bits[::2][::-1], 2), compiled.elements[t], int(bits[1::2][::-1] or "0", 2))
+    box, t = divmod(code, len(B.sys.compiled.ids))
+    return BRElem(box // n, B.sys.compiled.elements[t], box % n)
 
 
-def brmul_ids(B: BRSystem, xs: Sequence[Element], ys: Sequence[Element]) -> Iterator[list[int]]:
-    """Yield the row [encode(x*y) for y in ys] for each x in xs, by brmul's
-    formula.
+def brmul_ids(B: BRSystem, xs: Sequence[Element], ys: Sequence[Element], n: int) -> Iterator[list[int]]:
+    """Yield the row [encode(x*y, n) for y in ys] for each x in xs, by
+    brmul's formula (not bmul_codes, which the eta suite checks it against).
 
     Every operand is checked as brmul checks it, xs first, before any
-    product.  The ys are cut into maximal runs with one left index k (or
-    of zeros).  Against x = (i, s, j), a run with k > j reads T's product
-    row at theta^(k-j)(s), and a run with k <= j reads x's own row at
-    theta^(j-k) of each group part, shifted once per call.  Product rows
-    carry the packed left index of the result and runs their packed right
-    indices, so each product is one table read and one addition.
+    product; then check_width refuses an n not above x.j + y.j.  The ys
+    are cut into maximal runs with one left index k (or of zeros).  Against
+    x = (i, s, j), a run with k > j reads T's product row at
+    theta^(k-j)(s), and a run with k <= j reads x's own row at theta^(j-k)
+    of each group part, shifted once per call.  Product rows carry the
+    result's first index as |T| * n * i and runs their second indices as
+    |T| * j, so each product is one table read and one addition.
     """
     for x in xs:
         _check(B, x)
     for y in ys:
         _check(B, y)
+    js = {x.j for x in xs if x is not ZERO}
+    check_width(n, js, {y.j for y in ys if y is not ZERO})
     compiled = B.sys.compiled
     ids, table, step = compiled.ids, compiled.products, compiled.theta
-    n = len(table)
-    js = {x.j for x in xs if x is not ZERO}
+    size = len(table)
     runs = []
     for k, run in groupby(ys, key=lambda y: None if y is ZERO else y.i):
         run = list(run)
         if k is None:
             runs.append((k, [ZERO_ID] * len(run)))
             continue
-        # shifted[d]: theta^d of the group ids, and the packed right indices + d
+        # shifted[d]: theta^d of the group ids, and the coded second indices + d
         ts, shifted, d = [ids[y.s] for y in run], {}, 0
         for target in sorted({0} | {j - k for j in js if j > k}):
             for _ in range(target - d):
                 ts = [step[t] for t in ts]
             d = target
-            shifted[d] = ts, [2 * n * _spread(y.j + d) for y in run]
+            shifted[d] = ts, [size * (y.j + d) for y in run]
         runs.append((k, shifted))
-    rows = {}  # (id of s, d, i): T's product row at theta^d(s), plus i packed
+    rows = {}  # (id of s, d, i): T's product row at theta^d(s), plus i coded
 
     def row_at(s: int, d: int, i: int) -> list[int]:
         if (s, d, i) not in rows:
             t = s
             for _ in range(d):
                 t = step[t]
-            rows[s, d, i] = [n * _spread(i) + p for p in table[t]]
+            rows[s, d, i] = [size * n * i + p for p in table[t]]
         return rows[s, d, i]
 
     for x in xs:
@@ -203,9 +190,10 @@ def brmul_ids(B: BRSystem, xs: Sequence[Element], ys: Sequence[Element]) -> Iter
 
 class Window(NamedTuple):
     """Every product of two window elements, numbered by id, the window's
-    elements first: prods[p] has id p and encode codes[p]; table[x][y] is
-    the id of x*y, inv[x] that of x^-1, and right[p] the tuple of encoded
-    prods[p]*z over the window's z."""
+    elements first: prods[p] has id p and code codes[p]; table[x][y] is
+    the id of x*y, inv[x] that of x^-1, and right[p] the tuple of the codes
+    of prods[p]*z over the window's z, all at width 3n for window n, above
+    every second index of right, (2n - 2) + (n - 1) at most."""
 
     elems: list[BRElem]
     prods: list[BRElem]
@@ -213,18 +201,19 @@ class Window(NamedTuple):
     inv: list[int]
     table: list[list[int]]
     right: list[tuple[int, ...]]
+    width: int
 
 
 def compile_window(B: BRSystem, n: int) -> Window:
     """Both products through brmul_ids, inverses from brinv; the products
     are decoded once, as operands of the second pass."""
-    elems = window_elements(B, n)
-    ids = {encode(B, x): p for p, x in enumerate(elems)}
-    table = [[ids.setdefault(c, len(ids)) for c in row] for row in brmul_ids(B, elems, elems)]
+    elems, width = window_elements(B, n), 3 * n
+    ids = {encode(B, x, width): p for p, x in enumerate(elems)}
+    table = [[ids.setdefault(c, len(ids)) for c in row] for row in brmul_ids(B, elems, elems, width)]
     codes = list(ids)
-    prods = elems + [decode(B, c) for c in codes[len(elems):]]
-    right = [tuple(row) for row in brmul_ids(B, prods, elems)]
-    return Window(elems, prods, codes, [ids[encode(B, brinv(B, x))] for x in elems], table, right)
+    prods = elems + [decode(B, c, width) for c in codes[len(elems):]]
+    right = [tuple(row) for row in brmul_ids(B, prods, elems, width)]
+    return Window(elems, prods, codes, [ids[encode(B, brinv(B, x), width)] for x in elems], table, right, width)
 
 
 def brinv(B: BRSystem, x: Element) -> Element:
@@ -382,7 +371,7 @@ def zero_divisor_scan(B: BRSystem, n: int) -> ZeroDivisorReport:
         raise ZeroNotAdjoined("zero divisor scan needs the adjoined zero")
     elems = window_elements(B, n)
     bad = []
-    for x, row in zip(elems, brmul_ids(B, elems, elems)):
+    for x, row in zip(elems, brmul_ids(B, elems, elems, 2 * n)):
         if ZERO_ID in row:
             bad.extend((x, y) for y, p in zip(elems, row) if p == ZERO_ID)
     return ZeroDivisorReport(window=n, checked=len(elems) ** 2, counterexamples=bad)

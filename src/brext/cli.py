@@ -31,6 +31,8 @@ from .topology import (
 from .verify import run_all
 
 
+MAX_PROBE_BOUND = 2**20  # two checks of verify --all walk about probe_bound / 2 boxes each
+
 # What every command handler returns: its records, the last one the verdict,
 # and the stderr summary line (None: main writes a timing line instead).
 Outcome = tuple[list[dict], str | None]
@@ -78,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("verify", _cmd_verify, window, "run the property suites")
     sp.add_argument("--all", action="store_true", help="run every applicable suite")
     sp.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    sp.add_argument("--probe-bound", type=int, default=64, dest="probe_bound", help="probe bound for finiteness checks (at least 2)")
+    sp.add_argument("--probe-bound", type=int, default=64, dest="probe_bound", help=f"probe bound for finiteness checks (2..{MAX_PROBE_BOUND})")
     return p
 
 
@@ -268,6 +270,8 @@ def _cmd_verify(args) -> Outcome:
         raise ParseError("verify needs --all")
     if args.probe_bound < 2:
         raise ParseError("--probe-bound must be at least 2")
+    if args.probe_bound > MAX_PROBE_BOUND:
+        raise ParseError(f"--probe-bound must be at most {MAX_PROBE_BOUND}")
     B = _need_system(args)
     records = [r.record() for r in run_all(B, window=_window(args), seed=args.seed, probe_bound=args.probe_bound)]
     failed = sum(not r["ok"] for r in records)

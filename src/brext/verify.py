@@ -6,11 +6,11 @@ lineup of `verify --all`: per suite, in record order, the arguments run_all
 gives it, the systems it applies to and its checked count in closed form.
 Seeded randomness only ever comes from random.Random(seed).
 The window suites read the system's compiled window (BRSystem.window) and
-check it against a second route each: bmul_codes for eta, the closed form
-for nat_order, the group fibers for hclass.  The bicyclic scans take their
-products as rows of integer codes from bmul_codes; each continuity
-certificate solves its own failing boxes by max-plus residuation, sharing
-no state with the others.
+check it against a second route each: bmul_codes for eta (a code // |T|
+is its box's bicyclic code), the closed form for nat_order, the group
+fibers for hclass.  The bicyclic scans take their products as rows of
+integer codes from bmul_codes; each continuity certificate solves its own
+failing boxes by max-plus residuation, sharing no state with the others.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def suite_associativity(B: BRSystem, window: int) -> SuiteResult:
     w = B.window(window)
     getters = [row_reader(yz_ids) for yz_ids in w.table]
     bad = []
-    for x, xy_ids, left in zip(w.elems, w.table, brmul_ids(B, w.elems, w.prods)):
+    for x, xy_ids, left in zip(w.elems, w.table, brmul_ids(B, w.elems, w.prods, w.width)):
         for y, xy_id, get_yz in zip(w.elems, xy_ids, getters):
             xy_z, x_yz = w.right[xy_id], get_yz(left)
             if xy_z == x_yz:
@@ -146,16 +146,15 @@ def suite_inverse_axioms(B: BRSystem, window: int) -> SuiteResult:
 
 
 def suite_eta_homomorphism(B: BRSystem, window: int) -> SuiteResult:
-    """The box codes of each window row of products against bmul_codes on
-    the two boxes, at a width that covers every product's second index;
-    only a row that differs is walked pair by pair."""
-    w = B.window(window)
-    n = 2 * window + max((p.j for p in w.prods), default=0)
-    prod_codes = [p.i * n + p.j for p in w.prods]
+    """Each window row of products, its codes divided by |T| (eta on codes),
+    against bmul_codes on the two boxes at the window's width; only a row
+    that differs is walked pair by pair."""
+    w, size = B.window(window), B.sys.order()
+    box_codes = [c // size for c in w.codes]
     images = [eta(x) for x in w.elems]
     bad = []
-    for x, xy_ids, row in zip(w.elems, w.table, bmul_codes(images, images, n)):
-        if (want := list(map(prod_codes.__getitem__, xy_ids))) != row:
+    for x, xy_ids, row in zip(w.elems, w.table, bmul_codes(images, images, w.width)):
+        if (want := list(map(box_codes.__getitem__, xy_ids))) != row:
             bad += [f"eta breaks at {format_elem(x)}, {format_elem(y)}" for y, u, v in zip(w.elems, want, row) if u != v]
     return SuiteResult("eta_homomorphism", B.name, {"window": window}, len(w.elems) ** 2, bad)
 
@@ -185,14 +184,14 @@ def suite_idempotent_chain(B: BRSystem, max_window: int = 8) -> SuiteResult:
     every window up to max_window, matching an initial segment of the
     naturals under the reversed order.
 
-    The max_window chain is encoded and multiplied in one brmul_ids pass;
-    each shorter window that is a prefix of it reads its pairs from that
-    pass, and a window that is not such a prefix is a violation."""
+    The max_window chain is coded and multiplied at width 2 * max_window in
+    one brmul_ids pass; each shorter window that is a prefix of it reads its
+    pairs from that pass, and a window that is not such a prefix fails."""
     ne = len(idempotents(B.sys))
     windows = [idempotents_window(B, n) for n in range(1, max_window + 1)]
     chain = windows[-1] if windows else []
-    codes = [encode(B, e) for e in chain]
-    rows = list(brmul_ids(B, chain, chain))
+    codes = [encode(B, e, 2 * max_window) for e in chain]
+    rows = list(brmul_ids(B, chain, chain, 2 * max_window))
     bad = []
     checked = 0
     for n, lst in enumerate(windows, 1):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from brext import bruck_reilly
-from brext.bicyclic import BicyclicElem, bmul
+from brext.bicyclic import BicyclicElem, bmul, bmul_codes
 from brext.bicyclic import is_zero as b_is_zero
 from brext.bruck_reilly import (
     ZERO,
@@ -104,8 +104,9 @@ def test_brmul_refuses_bad_operands_x_first(c2c2, case):
     bad, exc, message = BAD_OPERANDS[case]
 
     def rows(B, x, y):
-        # every operand of both lists is checked before any product
-        return next(brmul_ids(B, [good, x], [y, good]))
+        # every operand of both lists is checked before any product, and
+        # before the width, here too small for any product
+        return next(brmul_ids(B, [good, x], [y, good], 0))
 
     # as x, as y, and as x next to every bad y, where x's error wins; the
     # row and order routes check their operands exactly as brmul does
@@ -144,48 +145,65 @@ def test_brmul_ids_matches_brmul_and_the_defining_formula(c2c2, trivial):
     for B in (c2c2, trivial, chain3):
         for n in range(1, 5):
             elems = window_elements(B, n)
-            rows = brmul_ids(B, elems, elems)
+            rows = brmul_ids(B, elems, elems, 2 * n)
             for x, row in zip(elems, rows):
                 assert len(row) == len(elems)
                 for y, p in zip(elems, row):
                     assert type(p) is int
-                    assert decode(B, p) == brmul(B, x, y) == _brmul_by_definition(B, x, y), (x, y)
-                    assert p == encode(B, brmul(B, x, y))
+                    assert decode(B, p, 2 * n) == brmul(B, x, y) == _brmul_by_definition(B, x, y), (x, y)
+                    assert p == encode(B, brmul(B, x, y), 2 * n)
         T = list(B.sys.elements())
         # unsorted, repeated and far apart indices, ZERO in both lists
         xs = [BRElem(rng.randrange(41), rng.choice(T), rng.randrange(41)) for _ in range(40)]
         ys = [BRElem(rng.randrange(41), rng.choice(T), rng.randrange(41)) for _ in range(40)]
         xs[3:3], ys[5:5], ys[20:20] = [ZERO], [ZERO], [ZERO, ZERO]
-        got = list(brmul_ids(B, xs, ys))
+        got = list(brmul_ids(B, xs, ys, 81))
         assert len(got) == len(xs)
         for x, row in zip(xs, got):
-            assert [decode(B, p) for p in row] == [brmul(B, x, y) for y in ys], x
+            assert [decode(B, p, 81) for p in row] == [brmul(B, x, y) for y in ys], x
             for y, p in zip(ys, row):
                 if x is ZERO or y is ZERO:
-                    assert p == ZERO_ID and decode(B, p) is ZERO
+                    assert p == ZERO_ID and decode(B, p, 81) is ZERO
                 else:
-                    assert decode(B, p) == _brmul_by_definition(B, x, y), (x, y)
-    assert list(brmul_ids(chain3, [], elems)) == []
-    assert list(brmul_ids(chain3, elems[:2], [])) == [[], []]
+                    assert decode(B, p, 81) == _brmul_by_definition(B, x, y), (x, y)
+    assert list(brmul_ids(chain3, [], elems, 0)) == []
+    assert list(brmul_ids(chain3, elems[:2], [], 0)) == [[], []]
 
 
 def test_encode_is_injective_and_decode_undoes_it(c2c2):
     rng = random.Random(11)
     T = list(c2c2.sys.elements())
-    xs = {BRElem(i, s, j) for i in range(20) for j in range(20) for s in T}
-    xs |= {BRElem(rng.randrange(10**30), rng.choice(T), rng.randrange(10**30)) for _ in range(200)}
-    edge = len(bruck_reilly._SPREAD)  # indices on both sides of the spread table's edge
-    xs |= {BRElem(i, s, j) for i in (edge - 1, edge) for j in (0, edge - 1, edge, edge + 1) for s in T}
-    codes = {encode(c2c2, x): x for x in xs}
+    n = 20
+    xs = {BRElem(i, s, j) for i in range(n + 2) for j in range(n) for s in T}
+    xs |= {BRElem(rng.randrange(10**30), rng.choice(T), rng.choice([0, n - 1, rng.randrange(n)])) for _ in range(200)}
+    codes = {encode(c2c2, x, n): x for x in xs}
     assert len(codes) == len(xs)
-    assert all(decode(c2c2, c) == x for c, x in codes.items())
-    assert encode(c2c2, ZERO) == ZERO_ID and decode(c2c2, ZERO_ID) is ZERO
+    assert all(decode(c2c2, c, n) == x for c, x in codes.items())
+    assert encode(c2c2, ZERO, n) == ZERO_ID and decode(c2c2, ZERO_ID, n) is ZERO
+    # at width n, (i, s, n) would read as (i + 1, s, 0)
+    with pytest.raises(ValueError, match="^code width 20 is too small for second indices summing to 20$"):
+        encode(c2c2, BRElem(10**30, CE(0, 1), n), n)
 
 
-def test_spread_reads_binary_digits_in_base_4_on_both_sides_of_its_table():
-    edge = len(bruck_reilly._SPREAD)
-    for v in [*range(edge + 3), 2**40 - 1, 2**40, 2**40 + 1]:
-        assert bruck_reilly._spread(v) == int(f"{v:b}", 4), v
+def test_a_code_divided_by_the_order_of_T_is_its_box_code(c2c2, trivial):
+    chain3 = BRSystem(sys=make_c12_c6_c3(), name="chain3")
+    for B in (c2c2, trivial, chain3):
+        for n in (3, 4, 9):
+            for x in window_elements(B, 3):
+                assert encode(B, x, n) // B.sys.order() == eta(x).k * n + eta(x).l, (x, n)
+            assert encode(B, BRElem(10**30, B.sys.unit(), n - 1), n) // B.sys.order() == 10**30 * n + n - 1
+
+
+def test_both_row_kernels_refuse_a_too_small_width_alike(c2c2):
+    # x.j + y.j = 5: at width 5 the product (0, s, 5) would share the code of (1, s, 0)
+    x, y = BRElem(0, CE(0, 1), 3), BRElem(0, CE(1, 0), 2)
+    message = "^code width 5 is too small for second indices summing to 5$"
+    with pytest.raises(ValueError, match=message):
+        next(brmul_ids(c2c2, [x], [y], 5))
+    with pytest.raises(ValueError, match=message):
+        next(bmul_codes([eta(x)], [eta(y)], 5))
+    assert list(brmul_ids(c2c2, [x], [y], 6)) == [[encode(c2c2, brmul(c2c2, x, y), 6)]]
+    assert list(brmul_ids(c2c2, [x, ZERO], [ZERO], 1)) == [[ZERO_ID], [ZERO_ID]]
 
 
 def test_window_holds_every_product_of_two_window_elements(c2c2, trivial):
@@ -195,14 +213,15 @@ def test_window_holds_every_product_of_two_window_elements(c2c2, trivial):
             w = B.window(n)
             assert B.window(n) is w
             assert w.elems == window_elements(B, n) == w.prods[: len(w.elems)]
-            assert w.codes == [encode(B, p) for p in w.prods]
+            assert w.width == 3 * n
+            assert w.codes == [encode(B, p, w.width) for p in w.prods]
             assert len(set(w.codes)) == len(w.codes)
             for x, xe in enumerate(w.elems):
                 assert w.elems[w.inv[x]] == brinv(B, xe)
                 for y, ye in enumerate(w.elems):
                     assert w.prods[w.table[x][y]] == brmul(B, xe, ye)
             for p, pe in enumerate(w.prods):
-                assert [decode(B, c) for c in w.right[p]] == [brmul(B, pe, z) for z in w.elems]
+                assert [decode(B, c, w.width) for c in w.right[p]] == [brmul(B, pe, z) for z in w.elems]
 
 
 def test_inverse_swaps_indices(c2c2):
@@ -426,8 +445,8 @@ def test_zero_divisor_scan_catches_corruption(c2c2, monkeypatch):
     culprit = BRElem(0, CE(0, 1), 1)
     original = brmul_ids
 
-    def corrupted(B, xs, ys):
-        for x, row in zip(xs, original(B, xs, ys)):
+    def corrupted(B, xs, ys, n):
+        for x, row in zip(xs, original(B, xs, ys, n)):
             yield [ZERO_ID if (x, y) == (culprit, culprit) else p for y, p in zip(ys, row)]
 
     monkeypatch.setattr("brext.bruck_reilly.brmul_ids", corrupted)

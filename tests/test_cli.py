@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from brext.cli import main
+from brext.cli import MAX_PROBE_BOUND, main
 from brext.config import data_path
 
 from conftest import FIXTURES, GOLDEN, fault_files
@@ -143,6 +143,15 @@ def test_probe_bound_below_two_exits_two(capsys, bound):
     assert code == 2
     assert out == ""
     assert err == "error: --probe-bound must be at least 2\n"
+
+
+@pytest.mark.parametrize("bound", [str(MAX_PROBE_BOUND + 1), "9" * 40])
+def test_probe_bound_above_the_cap_exits_two_before_the_config_loads(capsys, tmp_path, bound):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, "verify", "--all", "--system", missing, "--probe-bound", bound)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --probe-bound must be at most {MAX_PROBE_BOUND}\n" == "error: --probe-bound must be at most 1048576\n"
 
 
 def test_probe_bound_two_is_accepted(capsys):

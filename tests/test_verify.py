@@ -97,9 +97,9 @@ def _corrupt(pair, change):
     row it appears in."""
     x0, y0 = map(parse_elem, pair)
 
-    def rows(B, xs, ys):
-        for x, row in zip(xs, brmul_ids(B, xs, ys)):
-            yield [encode(B, change(decode(B, p))) if (x, y) == (x0, y0) else p for y, p in zip(ys, row)]
+    def rows(B, xs, ys, n):
+        for x, row in zip(xs, brmul_ids(B, xs, ys, n)):
+            yield [encode(B, change(decode(B, p, n)), n) if (x, y) == (x0, y0) else p for y, p in zip(ys, row)]
 
     return rows
 

@@ -252,22 +252,21 @@ def idempotents_window(B: BRSystem, n: int) -> list[BRElem]:
     """Idempotents (i, e, i) with i < n, strictly descending.
 
     Descending means index i ascending and, within one i, chain level
-    ascending (lower levels sit lower in the order).  The chain property is
-    re-verified pairwise from products before returning; a failure raises
-    WitnessVerificationFailed.
+    ascending (lower levels sit lower in the order).  One brmul_ids pass at
+    width 2n certifies it: each element is idempotent and strictly below
+    each earlier one, or WitnessVerificationFailed names the first failure.
     """
     if n > MAX_WINDOW:
         raise WindowTooLarge(f"window {n} exceeds cap {MAX_WINDOW}")
     out = [BRElem(i, e, i) for i in range(n) for e in idempotents(B.sys)]
-    for a in range(len(out)):
-        if brmul(B, out[a], out[a]) != out[a]:
+    codes = [encode(B, e, 2 * n) for e in out]
+    rows = list(brmul_ids(B, out, out, 2 * n))
+    for a, hi in enumerate(codes):
+        if rows[a][a] != hi:
             raise WitnessVerificationFailed(f"{format_elem(out[a])} is not idempotent")
-        for b in range(a + 1, len(out)):
-            lo, hi = out[b], out[a]
-            if brmul(B, hi, lo) != lo or brmul(B, lo, hi) != lo:
-                raise WitnessVerificationFailed(
-                    f"idempotents {format_elem(hi)} and {format_elem(lo)} out of order"
-                )
+        for b, lo in enumerate(codes[a + 1:], a + 1):
+            if rows[a][b] != lo or rows[b][a] != lo or lo == hi:
+                raise WitnessVerificationFailed(f"{format_elem(out[b])} not strictly below {format_elem(out[a])}")
     return out
 
 

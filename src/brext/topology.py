@@ -29,19 +29,19 @@ class ZeroNbhdDescriptor:
 
     kind: str
 
+    def __post_init__(self):
+        if self.kind not in (ISOLATED, EXCLUDED_BOXES):
+            raise MalformedDescriptor(f"unknown descriptor kind {self.kind!r}")
+
 
 ISOLATED_ZERO = ZeroNbhdDescriptor(ISOLATED)
 EXCLUDED_BOXES_BASE = ZeroNbhdDescriptor(EXCLUDED_BOXES)
 
 
 def descriptor_from_obj(obj) -> ZeroNbhdDescriptor:
-    """Parse {'kind': ...}; anything unknown is malformed."""
-    if isinstance(obj, ZeroNbhdDescriptor):
-        obj = {"kind": obj.kind}
+    """Parse {'kind': ...}; any other shape or kind is malformed."""
     if not isinstance(obj, dict) or set(obj) != {"kind"}:
         raise MalformedDescriptor(f"descriptor must be {{'kind': ...}}, got {obj!r}")
-    if obj["kind"] not in (ISOLATED, EXCLUDED_BOXES):
-        raise MalformedDescriptor(f"unknown descriptor kind {obj['kind']!r}")
     return ZeroNbhdDescriptor(obj["kind"])
 
 
@@ -319,7 +319,6 @@ class Classification:
 def classify_descriptor(d: ZeroNbhdDescriptor) -> Classification:
     """Compactness dichotomy: box-complement bases give a compact space,
     an isolated zero gives a non-compact one."""
-    d = descriptor_from_obj(d)
     if d.kind == ISOLATED:
         return Classification(
             verdict="isolated_zero",
@@ -361,7 +360,6 @@ def pushforward_descriptor(d: ZeroNbhdDescriptor) -> CzeroDescriptor:
     single points), and an isolated zero stays isolated, giving the
     discrete structure.
     """
-    d = descriptor_from_obj(d)
     return CzeroDescriptor("cofinite" if d.kind == EXCLUDED_BOXES else "discrete")
 
 

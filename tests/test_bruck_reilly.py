@@ -256,6 +256,15 @@ def test_idempotent_window_exact_list(c2c2):
     assert len(idempotents_window(c2c2, 8)) == 16
 
 
+def test_idempotent_window_needs_no_pairwise_product(c2c2, monkeypatch):
+    def refuse(B, x, y):
+        raise AssertionError("brmul called")
+
+    monkeypatch.setattr(bruck_reilly, "brmul", refuse)
+    assert idempotents_window(c2c2, 2)[-1] == BRElem(1, CE(1, 0), 1)
+    assert len(idempotents_window(c2c2, 16)) == 32
+
+
 def test_natural_order_examples(c2c2):
     g, h = CE(0, 1), CE(1, 1)
     assert nat_order(c2c2, BRElem(1, h, 1), BRElem(0, g, 0))

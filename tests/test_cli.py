@@ -239,28 +239,60 @@ def test_hclass(capsys):
     assert json.loads(out)["result"] == ["(1,0:0,2)", "(1,0:1,2)"]
 
 
-@pytest.mark.parametrize("argv,culprit,message", [
-    pytest.param(["hclass", "(1,1:1,0)"], "(1,1:0,0)",
-                 "error: (1,1:0,0) is not H-related to (1,1:1,0)\n", id="hclass"),
-    pytest.param(["idempotents", "--window", "2"], "(0,0:0,0)",
-                 "error: (0,0:0,0) is not idempotent\n", id="idempotents-square"),
-    pytest.param(["idempotents", "--window", "2"], "(1,1:0,1)",
-                 "error: idempotents (0,0:0,0) and (1,1:0,1) out of order\n", id="idempotents-order"),
-])
-def test_failed_re_verification_exits_one(capsys, monkeypatch, argv, culprit, message):
-    # a product of the culprit on the left lands one box lower: the
-    # re-verification guard must fail as an error line, never a traceback
-    from brext import bruck_reilly
+def _lower_left_products(monkeypatch, kernel, culprit):
+    """Bind the kernel ("brmul" or "brmul_ids"), wherever the package looks
+    it up, so that every product with the culprit on the left lands one box
+    lower."""
+    from brext import bruck_reilly, topology, verify
 
-    original, x0 = bruck_reilly.brmul, bruck_reilly.parse_elem(culprit)
+    original, x0 = getattr(bruck_reilly, kernel), bruck_reilly.parse_elem(culprit)
 
-    def corrupted(B, x, y):
+    def corrupted_brmul(B, x, y):
         p = original(B, x, y)
         return p._replace(i=p.i + 1) if x == x0 else p
 
-    monkeypatch.setattr(bruck_reilly, "brmul", corrupted)
+    def corrupted_rows(B, xs, ys, n):
+        for x, row in zip(xs, original(B, xs, ys, n)):
+            yield [p + B.sys.order() * n if x == x0 else p for p in row]
+
+    for module in (bruck_reilly, topology, verify):
+        if hasattr(module, kernel):
+            monkeypatch.setattr(module, kernel, corrupted_brmul if kernel == "brmul" else corrupted_rows)
+
+
+@pytest.mark.parametrize("argv,kernel,culprit,message", [
+    pytest.param(["hclass", "(1,1:1,0)"], "brmul", "(1,1:0,0)",
+                 "error: (1,1:0,0) is not H-related to (1,1:1,0)\n", id="hclass"),
+    pytest.param(["idempotents", "--window", "2"], "brmul_ids", "(0,0:0,0)",
+                 "error: (0,0:0,0) is not idempotent\n", id="idempotents-square"),
+    pytest.param(["idempotents", "--window", "2"], "brmul_ids", "(1,1:0,1)",
+                 "error: (1,1:0,1) not strictly below (0,0:0,0)\n", id="idempotents-order"),
+])
+def test_failed_re_verification_exits_one(capsys, monkeypatch, argv, kernel, culprit, message):
+    # the re-verification guard must fail as an error line, never a traceback
+    _lower_left_products(monkeypatch, kernel, culprit)
     code, out, err = run(capsys, *argv, "--system", C2C2, "--json")
     assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize("name", ["c2c2", "trivial"])
+def test_verify_prints_every_record_when_a_re_verification_fails(capsys, monkeypatch, name):
+    # products with (1,0:0,0) on the left land one box lower; on c2c2 that
+    # makes hclass refuse the H-class of (1,0:1,0), a refusal that must
+    # become a violation, not end verify with no records (on trivial every
+    # H-class is one element, whose products agree however wrong they are)
+    _lower_left_products(monkeypatch, "brmul", "(1,0:0,0)")
+    code, out, err = run(capsys, "verify", "--all", "--system", str(data_path(name)), "--json")
+    records = [json.loads(line) for line in out.splitlines()]
+    lineup = [json.loads(line).get("suite") for line in golden(f"verify_{name}.ndjson").splitlines()]
+    assert (code, err) == (1, "")
+    assert [r.get("suite") for r in records] == lineup
+    assert records[-1]["op"] == "verify_summary" and not records[-1]["ok"]
+    failed = {r["suite"]: r["violations"] for r in records[:-1] if not r["ok"]}
+    if name == "c2c2":
+        assert "H-class of (1,0:1,0): (1,0:0,0) is not H-related to (1,0:1,0)" in failed["hclass"]
+    else:
+        assert "hclass" not in failed and "bicyclic_isomorphism" in failed
 
 
 def test_witness_matches_golden(capsys):
@@ -334,6 +366,17 @@ def test_classify_unknown_descriptor_exits_two(capsys):
     code, _, err = run(capsys, "classify", "open_sesame")
     assert code == 2
     assert "descriptor" in err
+
+
+@pytest.mark.parametrize("cmd", ["classify", "pushforward"])
+@pytest.mark.parametrize("text,message", [
+    ('{"kind": 5}', "error: unknown descriptor kind 5\n"),
+    ('{"kind": "x"}', "error: unknown descriptor kind 'x'\n"),
+    ('{"kind": "isolated", "extra": 1}',
+     "error: descriptor must be {'kind': ...}, got {'kind': 'isolated', 'extra': 1}\n"),
+], ids=["int-kind", "unknown-kind", "extra-key"])
+def test_a_malformed_descriptor_exits_two_with_one_error_line(capsys, cmd, text, message):
+    assert run(capsys, cmd, text, "--json") == (2, "", message)
 
 
 def test_pushforward_matches_golden(capsys):

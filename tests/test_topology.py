@@ -14,6 +14,7 @@ from brext.topology import (
     WHOLE_SPACE,
     BasicZeroNbhd,
     BoxFamily,
+    ZeroNbhdDescriptor,
     box_solve,
     box_solve_brute,
     classify_descriptor,
@@ -359,8 +360,10 @@ def test_classify_descriptors():
     c = classify_descriptor(EXCLUDED_BOXES_BASE)
     assert c.verdict == "compact"
     assert c.certificate["scheme"] == "finite_remainder"
-    with pytest.raises(MalformedDescriptor):
-        classify_descriptor({"kind": "open_sesame"})
+    with pytest.raises(MalformedDescriptor, match="^unknown descriptor kind 'open_sesame'$"):
+        descriptor_from_obj({"kind": "open_sesame"})
+    with pytest.raises(MalformedDescriptor, match="^unknown descriptor kind 'open_sesame'$"):
+        ZeroNbhdDescriptor("open_sesame")
     with pytest.raises(MalformedDescriptor):
         descriptor_from_obj({"kind": "excluded_boxes", "extra": 1})
     with pytest.raises(MalformedDescriptor):

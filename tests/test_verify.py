@@ -183,6 +183,20 @@ def test_idempotent_chain_reports_a_window_that_is_not_a_prefix_of_the_longest(c
     assert verify.suite_idempotent_chain(c2c2, 2).violations == ["window 1: not a prefix of window 2"]
 
 
+def test_idempotent_chain_reports_a_refused_window_and_checks_the_others(c2c2, monkeypatch):
+    # lo*hi at index 2 is wrong, so idempotents_window refuses windows 3 and
+    # 4; windows 1 and 2 still pass their length and prefix checks
+    _patch_kernel(monkeypatch, _corrupt(("(2,1:0,2)", "(2,0:0,2)"), _flip_group))
+    result = verify.suite_idempotent_chain(c2c2, 4)
+    assert result.violations == [
+        "window 3: (2,1:0,2) not strictly below (2,0:0,2)",
+        "window 4: (2,1:0,2) not strictly below (2,0:0,2)",
+    ]
+    assert result.checked == 1 + 6 + 15 + 28
+    suite = next(s for s in SUITES if s.name == "idempotent_chain")
+    assert verify.suite_idempotent_chain(c2c2, 8).checked == suite.checked(c2c2, 3)
+
+
 def test_a_cached_window_cannot_hide_a_patched_kernel(c2c2, monkeypatch):
     # c2c2 is session-scoped: compile its window with the real kernel first
     _, arg, pair, change, expected = CORRUPTIONS[0]

@@ -131,13 +131,15 @@ def brmul_ids(B: BRSystem, xs: Sequence[Element], ys: Sequence[Element], n: int)
     brmul's formula (not bmul_codes, which the eta suite checks it against).
 
     Every operand is checked as brmul checks it, xs first, before any
-    product; then check_width refuses an n not above x.j + y.j.  The ys
-    are cut into maximal runs with one left index k (or of zeros).  Against
-    x = (i, s, j), a run with k > j reads T's product row at
-    theta^(k-j)(s), and a run with k <= j reads x's own row at theta^(j-k)
-    of each group part, shifted once per call.  Product rows carry the
-    result's first index as |T| * n * i and runs their second indices as
-    |T| * j, so each product is one table read and one addition.
+    product; then check_width refuses an n not above x.j + y.j.  theta is
+    read from theta_pow alone, once per element of T and shift: powers[d]
+    holds the ids of theta^d over T for every shift d = |x.j - y.i| the
+    nonzero operands make.  The ys are cut into maximal runs with one left
+    index k (or of zeros).  Against x = (i, s, j), a run with k > j reads
+    T's product row at powers[k-j][s], and a run with k <= j reads x's own
+    row at powers[j-k] of each group part.  Product rows carry the result's
+    first index as |T| * n * i and runs their second indices as |T| * j, so
+    each product is one table read and one addition.
     """
     for x in xs:
         _check(B, x)
@@ -146,8 +148,11 @@ def brmul_ids(B: BRSystem, xs: Sequence[Element], ys: Sequence[Element], n: int)
     js = {x.j for x in xs if x is not ZERO}
     check_width(n, js, {y.j for y in ys if y is not ZERO})
     compiled = B.sys.compiled
-    ids, table, step = compiled.ids, compiled.products, compiled.theta
-    size = len(table)
+    ids, table, size = compiled.ids, compiled.products, len(compiled.products)
+    ks = {y.i for y in ys if y is not ZERO}
+    powers = {d: [theta_pow(B.sys, e, d).elem for e in compiled.elements]
+              for d in {abs(j - k) for j in js for k in ks} - {0}}
+    powers[0] = list(range(size))
     runs = []
     for k, run in groupby(ys, key=lambda y: None if y is ZERO else y.i):
         run = list(run)
@@ -155,21 +160,14 @@ def brmul_ids(B: BRSystem, xs: Sequence[Element], ys: Sequence[Element], n: int)
             runs.append((k, [ZERO_ID] * len(run)))
             continue
         # shifted[d]: theta^d of the group ids, and the coded second indices + d
-        ts, shifted, d = [ids[y.s] for y in run], {}, 0
-        for target in sorted({0} | {j - k for j in js if j > k}):
-            for _ in range(target - d):
-                ts = [step[t] for t in ts]
-            d = target
-            shifted[d] = ts, [size * (y.j + d) for y in run]
-        runs.append((k, shifted))
+        ts = [ids[y.s] for y in run]
+        runs.append((k, {d: ([powers[d][t] for t in ts], [size * (y.j + d) for y in run])
+                         for d in {0} | {j - k for j in js if j > k}}))
     rows = {}  # (id of s, d, i): T's product row at theta^d(s), plus i coded
 
     def row_at(s: int, d: int, i: int) -> list[int]:
         if (s, d, i) not in rows:
-            t = s
-            for _ in range(d):
-                t = step[t]
-            rows[s, d, i] = [size * n * i + p for p in table[t]]
+            rows[s, d, i] = [size * n * i + p for p in table[powers[d][s]]]
         return rows[s, d, i]
 
     for x in xs:

@@ -111,11 +111,11 @@ def _parse_descriptor(text: str):
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"descriptor: {exc}") from exc
     path = Path(s)
-    if path.exists():
-        try:
+    try:  # the probe too: a name over 255 bytes raises OSError there
+        if path.exists():
             return descriptor_from_obj(json.loads(path.read_text()))
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"descriptor file {s}: {exc}") from exc
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"descriptor file {s}: {exc}") from exc
     raise ParseError(f"descriptor must be 'isolated', 'excluded_boxes', JSON, or a file: {text!r}")
 
 
@@ -125,6 +125,7 @@ def _summary(args, text: str) -> None:
 
 
 def _window(args) -> int:
+    # read before _need_system, so a bad window is refused before the config loads
     if not 1 <= args.window <= bruck_reilly.MAX_WINDOW:
         raise ParseError(f"--window must be within 1..{bruck_reilly.MAX_WINDOW}")
     return args.window
@@ -173,8 +174,8 @@ def _cmd_order(args) -> Outcome:
 
 
 def _cmd_idempotents(args) -> Outcome:
-    B = _need_system(args)
-    lst = idempotents_window(B, _window(args))
+    n, B = _window(args), _need_system(args)
+    lst = idempotents_window(B, n)
     rendered = [bruck_reilly.format_elem(e) for e in lst]
     record = {"op": "idempotents", "system": B.name, "window": args.window, "result": rendered, "ok": True}
     return [record], f"idempotents: chain of {len(lst)}"
@@ -202,8 +203,8 @@ def _cmd_witness(args) -> Outcome:
 
 
 def _cmd_zeroscan(args) -> Outcome:
-    B = _need_system(args)
-    rep = zero_divisor_scan(B, _window(args))
+    n, B = _window(args), _need_system(args)
+    rep = zero_divisor_scan(B, n)
     record = {
         "op": "zeroscan",
         "system": B.name,
@@ -219,13 +220,12 @@ def _cmd_zeroscan(args) -> Outcome:
 
 
 def _cmd_continuity(args) -> Outcome:
-    B = _need_system(args)
     a = bruck_reilly.parse_elem(args.a)
     target = BasicZeroNbhd.excluding(_parse_box(t) for t in args.exclude)
     indices = [n for w in target.excluded for n in w] + ([] if is_zero(a) else [a.i, a.j])
     if max(indices, default=0) > bruck_reilly.MAX_WINDOW:
         raise ParseError(f"continuity takes indices up to {bruck_reilly.MAX_WINDOW}, got {max(indices)}")
-    cert = continuity_cert_zero(B, a, target, args.side)
+    cert = continuity_cert_zero(_need_system(args), a, target, args.side)
     record = {
         "op": "continuity",
         "a": bruck_reilly.format_elem(a),
@@ -272,8 +272,8 @@ def _cmd_verify(args) -> Outcome:
         raise ParseError("--probe-bound must be at least 2")
     if args.probe_bound > MAX_PROBE_BOUND:
         raise ParseError(f"--probe-bound must be at most {MAX_PROBE_BOUND}")
-    B = _need_system(args)
-    records = [r.record() for r in run_all(B, window=_window(args), seed=args.seed, probe_bound=args.probe_bound)]
+    n, B = _window(args), _need_system(args)
+    records = [r.record() for r in run_all(B, window=n, seed=args.seed, probe_bound=args.probe_bound)]
     failed = sum(not r["ok"] for r in records)
     records.append(
         {

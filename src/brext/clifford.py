@@ -18,13 +18,13 @@ the laws.  A system is compiled on first use into one form of T on integer
 ids 0..|T|-1: the product table, the first step of theta, the idempotents
 and T's natural order as below-sets.  cmul, idempotents and bruck_reilly
 read only that form, and take and return the shared element objects it
-numbers.  theta_pow reads its first step there but applies the top map
-sys.theta[0], a bounds-checked GroupHom, for the n - 1 others: the
+numbers.  theta_pow is the one fast route for theta^n (brmul_ids reads it
+once per shift) and the only reader of the first step; it applies the top
+map sys.theta[0], a bounds-checked GroupHom, for the n - 1 others: the
 compiled step is about 11 times faster, but bench/run.py keeps every
-query, so its peak RSS would outgrow its bound as it completes more
-batteries.  The bond-and-Cayley product stays as cmul_oracle and the plain
-loop over the theta maps as theta_pow_oracle; validate_system's failure
-path uses only those.
+query, so its peak RSS would outgrow its bound over more batteries.  The
+bond-and-Cayley product stays as cmul_oracle and the plain theta loop as
+theta_pow_oracle; validate_system's failure path uses only those.
 """
 
 from __future__ import annotations

@@ -170,6 +170,47 @@ def test_brmul_ids_matches_brmul_and_the_defining_formula(c2c2, trivial):
     assert list(brmul_ids(chain3, elems[:2], [], 0)) == [[], []]
 
 
+def test_brmul_ids_reads_theta_from_theta_pow_alone(c2c2, monkeypatch):
+    # a wrong theta that still lands in the top group: brmul and brmul_ids
+    # both follow it, the defining formula (theta_pow_oracle) does not
+    real = bruck_reilly.theta_pow
+
+    def skewed(sys, a, n):
+        v = real(sys, a, n)
+        return v if n == 0 else sys.compiled.elements[(v.elem + 1) % sys.group(0).order]
+
+    monkeypatch.setattr(bruck_reilly, "theta_pow", skewed)
+    chain3 = BRSystem(sys=make_c12_c6_c3(), name="chain3")
+    for B in (c2c2, chain3):
+        differs = False
+        for n in range(1, 5):
+            elems = window_elements(B, n)
+            for x, row in zip(elems, brmul_ids(B, elems, elems, 2 * n)):
+                for y, p in zip(elems, row):
+                    got = decode(B, p, 2 * n)
+                    assert got == brmul(B, x, y), (x, y)
+                    differs = differs or got != _brmul_by_definition(B, x, y)
+        assert differs, B.name
+
+
+def test_brmul_ids_calls_theta_pow_once_per_element_of_T_and_shift(c2c2, monkeypatch):
+    calls = []
+    real = bruck_reilly.theta_pow
+    monkeypatch.setattr(bruck_reilly, "theta_pow", lambda sys, a, n: calls.append((a, n)) or real(sys, a, n))
+    # window 16 at width 32: the shifts |x.j - y.i| are 1..15
+    assert zero_divisor_scan(c2c2, 16).ok
+    assert len(calls) == 60 == len(set(calls)) == c2c2.sys.order() * 15
+    chain3 = BRSystem(sys=make_c12_c6_c3(), with_zero=True, name="chain3")
+    rng = random.Random(13)
+    T = list(chain3.sys.elements())
+    xs = [ZERO] + [BRElem(rng.randrange(41), rng.choice(T), rng.randrange(41)) for _ in range(30)]
+    ys = [ZERO] + [BRElem(rng.randrange(41), rng.choice(T), rng.randrange(41)) for _ in range(30)]
+    calls.clear()
+    list(brmul_ids(chain3, xs, ys, 81))
+    shifts = {abs(x.j - y.i) for x in xs[1:] for y in ys[1:]} - {0}
+    assert sorted(calls) == sorted((t, d) for t in T for d in shifts)
+
+
 def test_encode_is_injective_and_decode_undoes_it(c2c2):
     rng = random.Random(11)
     T = list(c2c2.sys.elements())

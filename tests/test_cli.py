@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -131,10 +133,17 @@ def test_idempotents_matches_golden(capsys):
     assert out == golden("idempotents_c2c2.ndjson")
 
 
-def test_window_cap_is_enforced(capsys):
+def test_window_cap_is_enforced(capsys, tmp_path):
     code, _, err = run(capsys, "idempotents", "--system", C2C2, "--window", "17")
     assert code == 2
     assert "1..16" in err
+    # refused before the config loads, as --probe-bound is: a missing config
+    # and a faulty one (exit 1 once loaded) give the window's error alone
+    refused = (2, "", "error: --window must be within 1..16\n")
+    for config in (str(tmp_path / "missing.json"), str(fault_files()[0][0])):
+        for cmd in (["idempotents"], ["zeroscan"], ["verify", "--all"]):
+            for window in ("0", "17"):
+                assert run(capsys, *cmd, "--system", config, "--window", window) == refused, (config, cmd, window)
 
 
 @pytest.mark.parametrize("bound", ["-1", "0", "1"])
@@ -196,6 +205,12 @@ def test_continuity_refuses_indices_above_the_window_cap(capsys, a, box):
     assert code == 2
     assert out == ""
     assert err.startswith("error: continuity takes indices up to 16") and err.count("\n") == 1
+
+
+def test_continuity_refuses_an_index_above_the_cap_before_the_config_loads(capsys, tmp_path):
+    refused = (2, "", "error: continuity takes indices up to 16, got 17\n")
+    for config in (str(tmp_path / "missing.json"), str(fault_files()[0][0])):
+        assert run(capsys, "continuity", "--system", config, "(1,0:0,2)", "--exclude", "17,1") == refused, config
 
 
 def test_continuity_at_the_window_cap_is_accepted(capsys):
@@ -374,7 +389,10 @@ def test_classify_unknown_descriptor_exits_two(capsys):
     ('{"kind": "x"}', "error: unknown descriptor kind 'x'\n"),
     ('{"kind": "isolated", "extra": 1}',
      "error: descriptor must be {'kind': ...}, got {'kind': 'isolated', 'extra': 1}\n"),
-], ids=["int-kind", "unknown-kind", "extra-key"])
+    # a name over 255 bytes fails the file probe itself, not just the read
+    ("x" * 256, f"error: descriptor file {'x' * 256}: [Errno {errno.ENAMETOOLONG}] "
+                f"{os.strerror(errno.ENAMETOOLONG)}: {'x' * 256!r}\n"),
+], ids=["int-kind", "unknown-kind", "extra-key", "name-of-256-characters"])
 def test_a_malformed_descriptor_exits_two_with_one_error_line(capsys, cmd, text, message):
     assert run(capsys, cmd, text, "--json") == (2, "", message)
 

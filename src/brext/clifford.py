@@ -256,45 +256,36 @@ def validate_system(sys: CliffordSystem) -> ValidationReport:
     """Check the laws: groups, bond presence, the (a,a) identity rule, the
     hom law of bonds and theta maps, bond coherence and the theta law.
     Coherence and the theta law are read off consecutive bonds and level
-    pairs; the triple and element-pair scans run only when those fail."""
+    pairs; scans over bonded triples and element pairs run only on failure."""
     rep = ValidationReport()
-    k = len(sys.groups)
+    k, bonds = len(sys.groups), sys.bonds
     for level, g in enumerate(sys.groups):
         rep.merge(validate_group(g), prefix=f"group {level}: ")
 
-    # bond presence, hom law, and the identity convention on (a,a)
-    bonds_present = True
-    for upper in range(k):
-        for lower in range(upper, k):
-            if upper == lower:
-                explicit = sys.bonds.get((upper, lower))
-                if explicit is not None and explicit.map != tuple(range(sys.groups[upper].order)):
-                    rep.add(f"bond ({upper},{lower}) must be the identity map")
-                continue
+    # the identity convention on (a,a), then bond presence and the hom law
+    missing = False
+    for upper, g in enumerate(sys.groups):
+        explicit = bonds.get((upper, upper))
+        if explicit is not None and explicit.map != tuple(range(g.order)):
+            rep.add(f"bond ({upper},{upper}) must be the identity map")
+        for lower in range(upper + 1, k):
             try:
                 b = sys.bond(upper, lower)
             except MissingBond as exc:
                 rep.add(str(exc))
-                bonds_present = False
-                continue
-            rep.merge(validate_hom(b), prefix=f"bond ({upper},{lower}): ")
+                missing = True
+            else:
+                rep.merge(validate_hom(b), prefix=f"bond ({upper},{lower}): ")
 
-    # composition coherence along every descending triple
-    if not (bonds_present and _coherent_by_steps(sys)):
-        for a in range(k):
-            for b in range(a + 1, k):
-                for c in range(b + 1, k):
-                    try:
-                        ab, bc, ac = sys.bond(a, b), sys.bond(b, c), sys.bond(a, c)
-                    except MissingBond:
-                        continue  # already reported above
-                    comp = compose_homs(ab, bc)
-                    if comp.map != ac.map:
-                        for x in range(sys.groups[a].order):
-                            if comp.map[x] != ac.map[x]:
-                                rep.add(
-                                    f"bond composition violated for levels ({a},{b},{c}) at element {x}"
-                                )
+    # coherence over the triples whose bonds exist, in (a, b, c, x) order
+    if missing or not _coherent_by_steps(sys):
+        for (a, b), ab in sorted(bonds.items()):
+            for c in range(b + 1, k) if a < b else ():
+                if (b, c) in bonds and (a, c) in bonds:
+                    comp = compose_homs(ab, bonds[(b, c)]).map
+                    for x, v in enumerate(bonds[(a, c)].map):
+                        if comp[x] != v:
+                            rep.add(f"bond composition violated for levels ({a},{b},{c}) at element {x}")
 
     for level, th in enumerate(sys.theta):
         rep.merge(validate_hom(th), prefix=f"theta[{level}]: ")

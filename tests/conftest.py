@@ -20,6 +20,13 @@ def c2c2():
 
 
 @pytest.fixture(scope="session")
+def s3c2():
+    """S3 over C2 by the sign map, with a zero: the non-abelian system, so
+    a product read with its factors swapped gives a different answer."""
+    return load_system(FIXTURES / "s3c2.json")
+
+
+@pytest.fixture(scope="session")
 def c2c2_obj():
     return json.loads(data_path("c2c2").read_text())
 

@@ -125,10 +125,10 @@ def _brmul_by_definition(B, x, y):
     return BRElem(x.i + y.i - d, cmul_oracle(B.sys, s, t), x.j + y.j - d)
 
 
-def test_brmul_matches_the_defining_formula(c2c2, trivial):
+def test_brmul_matches_the_defining_formula(c2c2, trivial, s3c2):
     chain3 = BRSystem(sys=make_c12_c6_c3(), name="chain3")
     rng = random.Random(5)
-    for B in (c2c2, trivial, chain3):
+    for B in (c2c2, trivial, chain3, s3c2):
         elems = window_elements(B, 3)
         for x in elems:
             for y in elems:
@@ -139,10 +139,10 @@ def test_brmul_matches_the_defining_formula(c2c2, trivial):
             assert brmul(B, x, y) == _brmul_by_definition(B, x, y), (x, y)
 
 
-def test_brmul_ids_matches_brmul_and_the_defining_formula(c2c2, trivial):
+def test_brmul_ids_matches_brmul_and_the_defining_formula(c2c2, trivial, s3c2):
     chain3 = BRSystem(sys=make_c12_c6_c3(), with_zero=True, name="chain3")
     rng = random.Random(7)
-    for B in (c2c2, trivial, chain3):
+    for B in (c2c2, trivial, chain3, s3c2):
         for n in range(1, 5):
             elems = window_elements(B, n)
             rows = brmul_ids(B, elems, elems, 2 * n)

@@ -266,8 +266,8 @@ def test_theta_orbit_stabilizes():
             assert cycle_found
 
 
-def test_table_product_matches_oracle(c2c2, trivial):
-    for sys in table_systems(c2c2, trivial):
+def test_table_product_matches_oracle(c2c2, trivial, s3c2):
+    for sys in [*table_systems(c2c2, trivial), s3c2.sys]:
         assert validate_system(sys).ok
         elems = list(sys.elements())
         for a, b in itertools.product(elems, repeat=2):
@@ -435,7 +435,8 @@ def test_compiled_once_and_never_by_validation():
 
 
 def reference_system_violations(sys: CliffordSystem) -> list[str]:
-    """Coherence over every descending triple, then, if that holds, the
+    """The missing bonds in (upper, lower) order, then coherence over every
+    descending triple whose three bonds exist, then, if nothing fired, the
     theta law over every element pair, on systems whose groups, bonds and
     theta maps are valid."""
     k, g = len(sys.groups), sys.groups
@@ -444,8 +445,14 @@ def reference_system_violations(sys: CliffordSystem) -> list[str]:
         return range(g[a].order) if a == b else sys.bonds[(a, b)].map
 
     out = [
+        f"missing bonding map for levels ({a},{b})"
+        for a, b in itertools.combinations(range(k), 2)
+        if (a, b) not in sys.bonds
+    ]
+    out += [
         f"bond composition violated for levels ({a},{b},{c}) at element {x}"
         for a, b, c in itertools.combinations(range(k), 3)
+        if {(a, b), (b, c), (a, c)} <= sys.bonds.keys()
         for x in range(g[a].order)
         if phi(b, c)[phi(a, b)[x]] != phi(a, c)[x]
     ]
@@ -473,20 +480,30 @@ def cyclic_chain(orders, mults, theta_mults) -> CliffordSystem:
 
 @st.composite
 def cyclic_chains(draw):
-    """2-3 cyclic levels, each order dividing the one above, so every
-    x -> c*x is a bond.  The (0,2) bond is the composite or drawn freely;
-    each theta[a] is drawn among all homomorphisms into the top group, or
-    derived from the level below so that the law can hold."""
+    """2-4 cyclic levels, each order dividing the one above, so every
+    x -> c*x is a bond.  About half the chains leave out bonds, each bond
+    between distinct levels with probability 1/4.  A bond that spans two
+    or more steps is the composite through the level below its top or drawn
+    freely; each theta[a] is drawn among all homomorphisms into the top
+    group, or derived from the level below so that the law can hold."""
     orders = [draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12]))]
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(1, 3))):
         orders.append(draw(st.sampled_from([d for d in range(1, orders[-1] + 1) if orders[-1] % d == 0])))
     k = len(orders)
-    mults = {(a, b): draw(st.integers(0, orders[b] - 1)) for a, b in itertools.combinations(range(k), 2)}
-    if k == 3 and draw(st.booleans()):
-        mults[(0, 2)] = mults[(0, 1)] * mults[(1, 2)] % orders[2]
+    drops = draw(st.booleans())
+    mults = {
+        (a, b): draw(st.integers(0, orders[b] - 1))
+        for a, b in itertools.combinations(range(k), 2)
+        if not (drops and draw(st.integers(0, 3)) == 0)
+    }
+    for gap in range(2, k):  # shorter spans first, so bond (a+1, c) is final
+        for a in range(k - gap):
+            c = a + gap
+            if {(a, a + 1), (a + 1, c), (a, c)} <= mults.keys() and draw(st.booleans()):
+                mults[(a, c)] = mults[(a, a + 1)] * mults[(a + 1, c)] % orders[c]
     theta = [0] * k
     for a in reversed(range(k)):
-        if a < k - 1 and draw(st.booleans()):
+        if (a, a + 1) in mults and draw(st.booleans()):
             theta[a] = theta[a + 1] * mults[(a, a + 1)] % orders[0]
         else:  # the homomorphisms Z_n -> Z_top are x -> j*(top/n)*x
             theta[a] = draw(st.integers(0, orders[a] - 1)) * (orders[0] // orders[a])
@@ -507,6 +524,22 @@ def test_coherence_of_a_long_chain_reports_every_triple():
     rep = validate_system(sys)
     assert rep.violations == reference_system_violations(sys)
     assert len(rep.violations) == 4  # (1,2,4), (1,3,4), (1,4,5) and (0,1,4)
+
+
+def test_a_chain_without_bonds_lists_each_missing_bond_once(monkeypatch):
+    # the coherence listing walks the bonds the chain holds: none here, so
+    # bond is asked once per level pair and no level triple is visited
+    k, calls, bond = 60, [], CliffordSystem.bond
+
+    def counted(self, upper, lower):
+        calls.append((upper, lower))
+        return bond(self, upper, lower)
+
+    monkeypatch.setattr(CliffordSystem, "bond", counted)
+    rep = validate_system(cyclic_chain([1] * k, {}, [0] * k))
+    pairs = list(itertools.combinations(range(k), 2))
+    assert rep.violations == [f"missing bonding map for levels ({a},{b})" for a, b in pairs]
+    assert len(pairs) == 1770 and len(calls) <= 1770
 
 
 def test_valid_systems_never_reach_the_oracles(c2c2, trivial, monkeypatch):

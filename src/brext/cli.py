@@ -299,9 +299,8 @@ def main(argv=None) -> int:
     try:
         records, summary = args.func(args)
     except ValidationFailed as exc:
-        name = Path(args.system).stem if args.system else ""
-        records = [{"op": args.cmd, "system": name, "ok": False, "violations": list(exc.report.violations)}]
-        summary = f"{args.cmd} {name}: {len(exc.report.violations)} violations"
+        records = [{"op": args.cmd, "system": exc.name, "ok": False, "violations": list(exc.report.violations)}]
+        summary = f"{args.cmd} {exc.name}: {len(exc.report.violations)} violations"
     except WitnessVerificationFailed as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

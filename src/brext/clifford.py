@@ -195,9 +195,8 @@ def theta_pow(sys: CliffordSystem, a: CliffordElement, n: int) -> CliffordElemen
         return theta_pow_oracle(sys, a, n)  # raises the oracle's error for operands outside T
     if n == 0:
         return a
-    if n > 1:
-        for _ in range(n - 1):
-            v = sys.theta[0](v)
+    for _ in range(n - 1):
+        v = sys.theta[0](v)
     return compiled.elements[v]  # a top element's id is its group coordinate
 
 

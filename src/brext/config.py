@@ -33,7 +33,7 @@ from .groups import GroupHom, GroupTable, hom, is_int
 
 FORMAT_VERSION = "1"
 
-_BOND_KEY = re.compile(r"^([0-9]+)->([0-9]+)$")
+_BOND_KEY = re.compile(r"(0|[1-9][0-9]*)->(0|[1-9][0-9]*)")
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -88,7 +88,7 @@ def system_from_obj(obj, name: str = "") -> BRSystem:
     if not isinstance(obj["bonds"], dict):
         raise ParseError("bonds must be an object keyed 'a->b'")
     for key, mapping in obj["bonds"].items():
-        m = _BOND_KEY.match(key)
+        m = _BOND_KEY.fullmatch(key)
         if not m:
             raise ParseError(f"bond key {key!r} is not of the form 'a->b'")
         a, b = int(m.group(1)), int(m.group(2))
@@ -113,7 +113,7 @@ def system_from_obj(obj, name: str = "") -> BRSystem:
     sys = CliffordSystem(groups=groups, bonds=bonds, theta=tuple(theta))
     report = validate_system(sys)
     if not report.ok:
-        raise ValidationFailed(report)
+        raise ValidationFailed(report, name)
     return BRSystem(
         sys=sys,
         with_zero=with_zero,

@@ -52,11 +52,12 @@ class ParseError(BrextError):
 class ValidationFailed(BrextError):
     """A loaded system failed structural validation.
 
-    Carries the full report so callers can surface every violation.
+    Carries the full report so callers can surface every violation, and
+    the name the loaded system would have carried.
     """
 
-    def __init__(self, report):
-        self.report = report
+    def __init__(self, report, name):
+        self.report, self.name = report, name
         first = report.violations[0] if report.violations else "unknown"
         more = len(report.violations) - 1
         msg = first if more <= 0 else f"{first} (+{more} more)"

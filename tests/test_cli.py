@@ -1,8 +1,10 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -192,7 +194,9 @@ def test_non_ascii_digits_are_refused(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: cannot parse")
+    # one line naming what was refused: "error: cannot parse bicyclic element '(\u0663,2)'"
+    refused = re.fullmatch(r"error: cannot parse (?:bicyclic element|extension element|box) '(.+)'\n", err)
+    assert refused and any(arg.endswith(refused[1]) for arg in argv), err
 
 
 @pytest.mark.parametrize(
@@ -428,6 +432,96 @@ def test_verify_fault_config_exits_one(capsys):
     rec = json.loads(out)
     assert rec["ok"] is False and rec["op"] == "verify"
     assert any(fragment in v for v in rec["violations"])
+
+
+def test_a_failed_config_is_reported_under_its_own_name(capsys, tmp_path):
+    obj = json.loads(fault_files()[0][0].read_text())
+    renamed = tmp_path / "bar.json"
+    renamed.write_text(json.dumps(dict(obj, name="foo")))
+    for cmd in (["validate"], ["verify", "--all"]):
+        code, out, _ = run(capsys, *cmd, "--system", str(renamed), "--json")
+        assert code == 1
+        assert json.loads(out)["system"] == "foo"
+
+
+@pytest.mark.parametrize("alias", ["00->1", "0->1\n"], ids=["leading-zero", "trailing-newline"])
+@pytest.mark.parametrize("alias_first", [True, False], ids=["alias-first", "alias-last"])
+def test_a_second_spelling_of_a_bond_key_is_refused(capsys, tmp_path, c2c2_obj, alias, alias_first):
+    # once both keys named bond (0,1) and the later one won: with the trivial
+    # map last the config failed the theta law, with it first it loaded
+    bonds = [(alias, [0, 0]), ("0->1", [0, 1])]
+    p = tmp_path / "alias.json"
+    p.write_text(json.dumps(dict(c2c2_obj, bonds=dict(bonds if alias_first else bonds[::-1]))))
+    assert run(capsys, "validate", "--system", str(p)) == (2, "", f"error: bond key {alias!r} is not of the form 'a->b'\n")
+
+
+# Queries at indices far past any window, and the window scans at their
+# cap, each in bounded time.  zeroscan at the cap runs brmul_ids at width 32
+# on 1,048,576 pairs; idempotents certifies its chain in one brmul_ids pass;
+# continuity at the index cap solves each excluded box's preimage by
+# max-plus residuation; verify --all at window 5 checks 21^4 bicyclic
+# products against the max-plus image, past the window the goldens pin.
+@pytest.mark.parametrize("system,argv", [
+    (C2C2, ["order", "(1000000,1:1,1000000)", "(0,0:1,0)"]),
+    (C2C2, ["mul", "(1000000,0:1,5)", "(5,1:1,1000000)"]),
+    (C2C2, ["inv", "(1000000,0:1,999999)"]),
+    (C2C2, ["hclass", "(1000000,1:1,1000000)"]),
+    (C2C2, ["witness", "(1000000,0:1,1000000)", "(1000000,1:1,999999)"]),
+    (C2C2, ["zeroscan", "--window", "16"]),
+    (C2C2, ["idempotents", "--window", "16"]),
+    (TRIVIAL, ["idempotents", "--window", "16"]),
+    (C2C2, ["continuity", "(16,1:1,16)", "--side", "left", "--exclude", "16,16", "--exclude", "0,16", "--exclude", "16,0"]),
+    (C2C2, ["continuity", "(16,1:1,16)", "--side", "right", "--exclude", "16,16", "--exclude", "0,16", "--exclude", "16,0"]),
+    (C2C2, ["verify", "--all", "--window", "5"]),
+    (TRIVIAL, ["verify", "--all", "--window", "5"]),
+], ids=[
+    "order", "mul", "inv", "hclass", "witness", "zeroscan-16", "idempotents-16", "idempotents-16-trivial",
+    "continuity-left", "continuity-right", "verify-5", "verify-5-trivial",
+])
+def test_one_off_queries_and_capped_scans_finish(capsys, system, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--system", system, "--json")
+    assert (code, err) == (0, "")
+    assert time.perf_counter() - t0 < 60
+
+
+def _cyclic(n, corrupt=False):
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    if corrupt:
+        table[3][5] = 0
+    return {"order": n, "table": table, "identity": 0}
+
+
+def _chain(groups, bonds, theta):
+    return {"format_version": "1", "chain": len(groups), "groups": groups, "bonds": bonds, "theta": theta}
+
+
+# Every command validates its config first.  C512 (theta x -> 3x) at the
+# order cap bounds the group checks, Light's associativity test and the hom
+# law a row at a time; with table[3][5] = 0 it fails Light's test and lists
+# its 2,044 violations by comparing rows.  200 trivial levels bound the
+# checks over 19,900 bonds; 1,000 levels with no bonds bound the
+# missing-bond path, which lists 499,500 bonds and walks only the bonds the
+# config holds.
+LARGE_CONFIGS = {
+    "c512": lambda: _chain([_cyclic(512)], {}, [[3 * x % 512 for x in range(512)]]),
+    "c512_faulty": lambda: _chain([_cyclic(512, corrupt=True)], {}, [[3 * x % 512 for x in range(512)]]),
+    "trivial200": lambda: _chain(
+        [_cyclic(1)] * 200, {f"{a}->{b}": [0] for a in range(200) for b in range(a + 1, 200)}, [[0]] * 200
+    ),
+    "nobond1000": lambda: _chain([_cyclic(1)] * 1000, {}, [[0]] * 1000),
+}
+
+
+@pytest.mark.parametrize("name,expected", [("c512", 0), ("c512_faulty", 1), ("trivial200", 0), ("nobond1000", 1)])
+def test_validation_at_the_order_cap_and_on_long_chains_finishes(capsys, tmp_path, name, expected):
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(LARGE_CONFIGS[name]()))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "validate", "--system", str(p), "--json")
+    assert (code, err) == (expected, "")
+    assert time.perf_counter() - t0 < 60
+    assert json.loads(out)["ok"] is (expected == 0)
 
 
 def test_unknown_command_exits_two(capsys):

@@ -33,6 +33,7 @@ def test_fault_corpus_fails_validation_with_named_violation(path, fragment):
     with pytest.raises(ValidationFailed) as exc:
         load_system(path)
     assert any(fragment in v for v in exc.value.report.violations), exc.value.report.violations
+    assert exc.value.name == path.stem  # each fault config is named after its file
 
 
 # Every violation of every fault config, in order, as the exhaustive scans

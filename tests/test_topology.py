@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,6 +276,13 @@ def large_index_certificate(B, n, side):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_large_index_certificates(c2c2, side):
+    # re-verification solves each target box's preimage by max-plus
+    # residuation, so its cost follows the certificate's size (515 boxes at
+    # n = 512), not the area under the target corners
+    t0 = time.perf_counter()
+    cert = large_index_certificate(c2c2, 512, side)
+    assert cert.ok and len(cert.found.excluded) == 512 + 3
+    assert time.perf_counter() - t0 < 5  # both sides within 10 s
     n = 256
     cert = large_index_certificate(c2c2, n, side)
     found, target = cert.found.excluded, cert.target.excluded

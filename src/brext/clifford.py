@@ -24,7 +24,8 @@ map sys.theta[0], a bounds-checked GroupHom, for the n - 1 others: the
 compiled step is about 11 times faster, but bench/run.py keeps every
 query, so its peak RSS would outgrow its bound over more batteries.  The
 bond-and-Cayley product stays as cmul_oracle and the plain theta loop as
-theta_pow_oracle; validate_system's failure path uses only those.
+theta_pow_oracle, which validate_system's failure path and verify's
+structure suite use.
 """
 
 from __future__ import annotations

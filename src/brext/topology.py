@@ -97,17 +97,15 @@ def box_solve(a_box: Box, target: Box, side: str) -> frozenset[Box]:
     t1, t2 = target
     if side == "left":
         if t1 == a1:
-            return frozenset(
-                Box(i, i + t2 - a2) for i in range(max(0, a2 - t2), a2 + 1)
-            )
+            lo = max(0, a2 - t2)
+            return frozenset(map(Box, range(lo, a2 + 1), range(lo + t2 - a2, t2 + 1)))
         if t1 > a1:
             return frozenset({Box(t1 - a1 + a2, t2)})
         return frozenset()
     if side == "right":
         if t2 == a2:
-            return frozenset(
-                Box(t1 - a1 + j, j) for j in range(max(0, a1 - t1), a1 + 1)
-            )
+            lo = max(0, a1 - t1)
+            return frozenset(map(Box, range(lo + t1 - a1, t1 + 1), range(lo, a1 + 1)))
         if t2 > a2:
             return frozenset({Box(t1, t2 - a2 + a1)})
         return frozenset()
@@ -170,15 +168,10 @@ def continuity_cert_zero(B: BRSystem, a: BRElem, target: BasicZeroNbhd, side: st
     is both sound and exact.  Such a U always exists: the union is finite.
     The re-verification skips the multiplier check made here."""
     _check_multiplier(B, a, side)
-    trace = {}
-    excl = set()
-    for w in sorted(target.excluded):
-        sols = box_solve(box(a), w, side)
-        trace[w] = sols
-        excl |= sols
-    cert = ContinuityCertificate(
-        a=a, side=side, target=target, found=BasicZeroNbhd(frozenset(excl)), trace=trace
-    )
+    ab = box(a)
+    trace = {w: box_solve(ab, w, side) for w in sorted(target.excluded)}
+    found = BasicZeroNbhd(frozenset().union(*trace.values()))
+    cert = ContinuityCertificate(a=a, side=side, target=target, found=found, trace=trace)
     cert.violations = _reverify(B, cert)
     return cert
 
@@ -236,8 +229,11 @@ def _reverify(B: BRSystem, cert: ContinuityCertificate) -> list[str]:
     ra = _rho(a.i, a.j)
     s0 = B.sys.unit()  # any group part decides a product's box
     mul = (lambda x: brmul(B, a, x)) if side == "left" else (lambda x: brmul(B, x, a))
-    failing = set().union(*(_residuate(ra, t, side) for t in target)).difference(found)
-    failing.update(f for f in found if box(mul(BRElem(f[0], s0, f[1]))) not in target)
+    failing = set()
+    for t in target:
+        failing |= _residuate(ra, t, side)
+    failing -= found
+    failing.update(f for f in found if mul(BRElem(f[0], s0, f[1]))[::2] not in target)  # the product's box
     bad = []
     for i, j in sorted(failing):
         inside = (i, j) in found

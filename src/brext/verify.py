@@ -4,11 +4,13 @@ Each suite runs a finite, deterministic battery of checks and returns a
 SuiteResult whose record serializes to one NDJSON line.  SUITES is the one
 lineup of `verify --all`: per suite, in record order, the arguments run_all
 gives it, the systems it applies to and its checked count in closed form.
-Seeded randomness only ever comes from random.Random(seed).
-The window suites read the system's compiled window (BRSystem.window) and
+Seeded randomness only ever comes from random.Random(seed).  structure
+checks T's compiled form against cmul_oracle and theta_pow_oracle.  The
+window suites read the system's compiled window (BRSystem.window) and
 check it against a second route each: bmul_codes for eta (a code // |T|
 is its box's bicyclic code), the closed form for nat_order, the group
-fibers for hclass.  The bicyclic scans take their products as rows of
+fibers for hclass.  The bicyclic row scans (bicyclic_axioms, the packed
+max-plus bicyclic_oracle, box_solver) take their products as rows of
 integer codes from bmul_codes; each continuity certificate solves its own
 failing boxes by max-plus residuation, sharing no state with the others.
 """
@@ -20,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, repeat
 from math import comb
-from operator import add, sub
+from operator import add
 from typing import Callable, NamedTuple
 
 from . import bicyclic
@@ -43,7 +45,7 @@ from .bruck_reilly import (
     window_elements,
     zero_divisor_scan,
 )
-from .clifford import CliffordElement, idempotents, validate_system
+from .clifford import CliffordElement, cmul_oracle, idempotents, theta_pow_oracle, validate_system
 from .errors import MalformedDescriptor, WitnessVerificationFailed
 from .groups import row_reader
 from .topology import (
@@ -96,8 +98,16 @@ class SuiteResult:
 
 
 def suite_structure(B: BRSystem) -> SuiteResult:
-    rep = validate_system(B.sys)
-    return SuiteResult("structure", B.name, {}, 1, list(rep.violations))
+    """validate_system, then, once the laws hold, T's compiled table against
+    cmul_oracle over T x T and its compiled theta against theta_pow_oracle."""
+    bad = list(validate_system(B.sys).violations)
+    if not bad:
+        T, elems = B.sys.compiled, B.sys.compiled.elements
+        bad = [f"compiled product differs from cmul_oracle at a={tuple(a)}, b={tuple(b)}" for a, row in
+               zip(elems, T.products) for b, p in zip(elems, row) if elems[p] != cmul_oracle(B.sys, a, b)]
+        bad += [f"compiled theta differs from theta_pow_oracle at a={tuple(a)}"
+                for a, v in zip(elems, T.theta) if elems[v] != theta_pow_oracle(B.sys, a, 1)]
+    return SuiteResult("structure", B.name, {}, 1, bad)
 
 
 def suite_associativity(B: BRSystem, window: int) -> SuiteResult:
@@ -281,80 +291,85 @@ def suite_simplicity(
             simplicity_witness(B, a, b)
         except WitnessVerificationFailed as exc:
             bad.append(f"witness for {format_elem(a)} -> {format_elem(b)}: {exc}")
-    return SuiteResult(
-        "simplicity",
-        B.name,
-        {"seed": seed, "pairs": pairs, "max_index": max_index},
-        pairs,
-        bad,
-    )
+    return SuiteResult("simplicity", B.name, {"seed": seed, "pairs": pairs, "max_index": max_index}, pairs, bad)
 
 
 def suite_zero_divisors(B: BRSystem, window: int = 4) -> SuiteResult:
     rep = zero_divisor_scan(B, window)
-    bad = [
-        f"{format_elem(x)} * {format_elem(y)} = 0" for x, y in rep.counterexamples
-    ]
+    bad = [f"{format_elem(x)} * {format_elem(y)} = 0" for x, y in rep.counterexamples]
     return SuiteResult("zero_divisors", B.name, {"window": window}, rep.checked, bad)
 
 
 def suite_bicyclic_axioms(system_name: str, max_index: int = 6) -> SuiteResult:
     """Idempotent shape and order, inverse axioms and inverse uniqueness on
-    the bicyclic monoid itself."""
-    elems = [BicyclicElem(k, l) for k in range(max_index + 1) for l in range(max_index + 1)]
+    the bicyclic monoid itself, read as suite_inverse_axioms reads them: x*y
+    from one bmul_codes pass at width 3 * max_index + 1, and (x*y)*z from a
+    second over the distinct products, of which one whose code is no pair's,
+    or zero, times z equals no z; back[x][y] says (x*y)*x == x."""
+    n, r = 3 * max_index + 1, range(max_index + 1)
+    elems = [BicyclicElem(k, l) for k in r for l in r]
+    codes = [k * n + l for k, l in elems]
+    inv = [l * len(r) + k for k, l in elems]  # the position of binv(x)
+    table = list(bmul_codes(elems, elems, n))
+    prods = list({c for row in table for c in row if c >= 0})
+    right = dict(zip(prods, bmul_codes([BicyclicElem(*divmod(c, n)) for c in prods], elems, n))).get
+    nothing = [None] * len(elems)
+    back = [[right(c, nothing)[x] == cx for c in row] for x, (cx, row) in enumerate(zip(codes, table))]
     bad = []
-    for x in elems:
-        if (bmul(x, x) == x) != (x.k == x.l):
-            bad.append(f"idempotency miscounts at {bicyclic.format_elem(x)}")
-        xi = binv(x)
-        if bmul(bmul(x, xi), x) != x or bmul(bmul(xi, x), xi) != xi:
-            bad.append(f"inverse axioms fail at {bicyclic.format_elem(x)}")
-    for k in range(max_index + 1):
-        for m in range(max_index + 1):
-            e, f = BicyclicElem(k, k), BicyclicElem(m, m)
-            below = bmul(e, f) == e and bmul(f, e) == e
-            if below != (k >= m):
+    for x, (cx, xi) in enumerate(zip(codes, inv)):
+        if (table[x][x] == cx) != (x == xi):
+            bad.append(f"idempotency miscounts at {bicyclic.format_elem(elems[x])}")
+        if not back[x][xi] or not back[xi][x]:
+            bad.append(f"inverse axioms fail at {bicyclic.format_elem(elems[x])}")
+    diagonal = [k * len(r) + k for k in r]
+    for k, e in enumerate(diagonal):
+        for m, f in enumerate(diagonal):
+            if (table[e][f] == codes[e] and table[f][e] == codes[e]) != (k >= m):
                 bad.append(f"idempotent order wrong at ({k},{k}) vs ({m},{m})")
-    for x in elems:
-        for y in elems:
-            if bmul(bmul(x, y), x) == x and bmul(bmul(y, x), y) == y and y != binv(x):
-                bad.append(
-                    f"second inverse {bicyclic.format_elem(y)} for {bicyclic.format_elem(x)}"
-                )
-    return SuiteResult(
-        "bicyclic_axioms", system_name, {"max_index": max_index}, len(elems) ** 2, bad
-    )
+    for x, (row, col, xi) in enumerate(zip(back, zip(*back), inv)):
+        bad += [f"second inverse {bicyclic.format_elem(elems[y])} for {bicyclic.format_elem(elems[x])}"
+                for y, (u, v) in enumerate(zip(row, col)) if u and v and y != xi]
+    return SuiteResult("bicyclic_axioms", system_name, {"max_index": max_index}, len(elems) ** 2, bad)
+
+
+def pack_images(images: list, n: int) -> list[int]:
+    """Each max-plus image (a11, a12, a22) as one additive integer in base
+    8n, injective on rho_table(n - 1), where each entry spans under 8n values."""
+    b = 8 * n
+    return [(a11 * b + a12) * b + a22 for a11, a12, a22 in images]
 
 
 def suite_bicyclic_oracle(system_name: str, max_index: int = 12) -> SuiteResult:
     """Closed-form index arithmetic against the faithful max-plus image.
 
     rho, built by products of the generator images up to index 2 * max_index
-    (every product of two operands), is read as columns c11, c12, c22 at
-    bmul_codes' codes; a code outside the table is a disagreement.  The
-    corner max(a11 + y12, a12 + y22) of rho(x) (x) rho(y) takes its first
-    term exactly where y12 - y22 >= a12 - a11, so with the ys sorted by that
-    key a row's columns are shifted slices split at one bisect.  Only a row
-    that differs is walked pair by pair."""
+    (every product of two operands), is read as one packed integer per code
+    of bmul_codes; a code outside the table is a disagreement.  The corner
+    max(a11 + y12, a12 + y22) of rho(x) (x) rho(y) takes its first term
+    exactly where y12 - y22 >= a12 - a11, so with the ys sorted by that key
+    a row's packed products are x's packed terms added to two column lists,
+    split at one bisect.  Only a row that differs is walked pair by pair."""
     n = 2 * max_index + 1
-    c11, c12, c22 = map(list, zip(*rho_table(n - 1)))
+    images = rho_table(n - 1)
+    keys = pack_images(images, n)
     r = range(max_index + 1)
     elems = [BicyclicElem(k, l) for k in r for l in r]
     codes = [k * n + l for k, l in elems]
-    order = sorted(range(len(elems)), key=lambda j: c12[codes[j]] - c22[codes[j]])
-    y11, y12, y22 = ([col[codes[j]] for j in order] for col in (c11, c12, c22))
-    keys = list(map(sub, y12, y22))
+    order = sorted(range(len(elems)), key=lambda j: images[codes[j]][1] - images[codes[j]][2])
+    ys = [images[codes[j]] for j in order]
+    splits = [y12 - y22 for _, y12, y22 in ys]
+    # the corner's first term packs as (a11, a11, a22) + y, its second as x + (y11, y22, y22)
+    x_first = pack_images([(a11, a11, a22) for a11, _, a22 in images], n)
+    y_first, y_second = [keys[codes[j]] for j in order], pack_images([(y11, y22, y22) for y11, _, y22 in ys], n)
     bad = []
     for x, c, row in zip(elems, codes, bmul_codes(elems, [elems[j] for j in order], n)):
-        a11, a12, a22 = c11[c], c12[c], c22[c]
-        s = bisect_left(keys, a12 - a11)
-        if (0 <= min(row) and max(row) < len(c11)
-                and list(map(c11.__getitem__, row)) == list(map(add, repeat(a11), y11))
-                and list(map(c12.__getitem__, row)) == [*map(add, repeat(a12), y22[:s]), *map(add, repeat(a11), y12[s:])]
-                and list(map(c22.__getitem__, row)) == list(map(add, repeat(a22), y22))):
+        a11, a12, a22 = a = images[c]
+        s = bisect_left(splits, a12 - a11)
+        if (0 <= min(row) and max(row) < len(keys)
+                and list(map(keys.__getitem__, row)) == [*map(add, repeat(keys[c]), y_second[:s]),
+                                                         *map(add, repeat(x_first[c]), y_first[s:])]):
             continue
-        wrong = sorted(j for j, p, y in zip(order, row, zip(y11, y12, y22))
-                       if not 0 <= p < len(c11) or (c11[p], c12[p], c22[p]) != tmul((a11, a12, a22), y))
+        wrong = sorted(j for j, p, y in zip(order, row, ys) if not 0 <= p < len(keys) or images[p] != tmul(a, y))
         bad += [f"{bicyclic.format_elem(x)}*{bicyclic.format_elem(elems[j])} disagrees" for j in wrong]
     return SuiteResult("bicyclic_oracle", system_name, {"max_index": max_index}, (max_index + 1) ** 4, bad)
 
@@ -395,26 +410,15 @@ def suite_continuity(B: BRSystem, seed: int, samples: int = 100, a_window: int =
     rng = random.Random(seed)
     multipliers = window_elements(B, a_window)
     bad = []
-    checked = 0
     for _ in range(samples):
-        w = BasicZeroNbhd.excluding(
-            (rng.randrange(11), rng.randrange(11)) for _ in range(rng.randint(0, 3))
-        )
+        w = BasicZeroNbhd.excluding((rng.randrange(11), rng.randrange(11)) for _ in range(rng.randint(0, 3)))
         side = "left" if rng.random() < 0.5 else "right"
         for a in multipliers:
-            checked += 1
             cert = continuity_cert_zero(B, a, w, side)
             if not cert.ok:
-                bad.append(
-                    f"certificate for a={format_elem(a)}, side={side}: {cert.violations[0]}"
-                )
-    return SuiteResult(
-        "continuity",
-        B.name,
-        {"seed": seed, "samples": samples, "a_window": a_window},
-        checked,
-        bad,
-    )
+                bad.append(f"certificate for a={format_elem(a)}, side={side}: {cert.violations[0]}")
+    return SuiteResult("continuity", B.name, {"seed": seed, "samples": samples, "a_window": a_window},
+                       samples * len(multipliers), bad)
 
 
 def suite_zero_nbhd_checks(B: BRSystem, probe_bound: int = 64) -> SuiteResult:
@@ -440,9 +444,7 @@ def suite_zero_nbhd_checks(B: BRSystem, probe_bound: int = 64) -> SuiteResult:
         bad.append("untouched row flagged as infinite")
     if column_exceptions_finite(BoxFamily(lambda i, j: j != 1), 1, probe_bound):
         bad.append("fully removed column not refuted")
-    return SuiteResult(
-        "zero_nbhd_checks", B.name, {"probe_bound": probe_bound}, 8, bad
-    )
+    return SuiteResult("zero_nbhd_checks", B.name, {"probe_bound": probe_bound}, 8, bad)
 
 
 def suite_descriptor_classification(B: BRSystem) -> SuiteResult:

@@ -249,8 +249,9 @@ def brute_violations(B, cert):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
-def test_verify_certificate_matches_elementwise_oracle(c2c2, trivial, data):
-    B = data.draw(st.sampled_from([c2c2, trivial]))
+def test_verify_certificate_matches_elementwise_oracle(c2c2, trivial, s3c2, data):
+    # s3c2 adds a non-abelian T, eight group parts walked per failing box
+    B = data.draw(st.sampled_from([c2c2, trivial, s3c2]))
     cert = data.draw(certificates(B))
     assert verify_certificate(B, cert) == brute_violations(B, cert)
 

@@ -3,10 +3,12 @@ from dataclasses import replace
 import pytest
 
 from brext import bruck_reilly, verify
-from brext.bicyclic import BicyclicElem, ZERO, bmul
+from brext.bicyclic import BicyclicElem, ZERO, bmul, rho_table
 from brext.bruck_reilly import BRSystem, brmul_ids, decode, encode, eta, format_elem, parse_elem, window_elements
-from brext.clifford import CliffordElement
+from brext.clifford import CliffordElement, cmul_oracle, theta_pow_oracle
+from brext.config import data_path, load_system
 from brext.verify import SUITES, SuiteResult, run_all
+from conftest import FIXTURES
 from test_bicyclic import oracle_mul
 from test_clifford import make_c12_c6_c3
 
@@ -253,6 +255,36 @@ def test_bicyclic_oracle_catches_bmul_mutants(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", BMUL_MUTANTS)
+def test_bicyclic_axioms_catches_bmul_mutants(monkeypatch, name):
+    mul = BMUL_MUTANTS[name]
+    r = range(7)
+    elems = [BicyclicElem(k, l) for k in r for l in r]
+    wrong = []
+    for x in elems:
+        xi = BicyclicElem(x.l, x.k)
+        if (mul(x, x) == x) != (x.k == x.l):
+            wrong.append(f"idempotency miscounts at ({x.k},{x.l})")
+        if mul(mul(x, xi), x) != x or mul(mul(xi, x), xi) != xi:
+            wrong.append(f"inverse axioms fail at ({x.k},{x.l})")
+    for k in r:
+        for m in r:
+            e, f = BicyclicElem(k, k), BicyclicElem(m, m)
+            if (mul(e, f) == e and mul(f, e) == e) != (k >= m):
+                wrong.append(f"idempotent order wrong at ({k},{k}) vs ({m},{m})")
+    wrong += [
+        f"second inverse ({y.k},{y.l}) for ({x.k},{x.l})"
+        for x in elems
+        for y in elems
+        if mul(mul(x, y), x) == x and mul(mul(y, x), y) == y and y != (x.l, x.k)
+    ]
+    assert wrong
+    monkeypatch.setattr(verify, "bmul_codes", _codes(mul))
+    result = verify.suite_bicyclic_axioms("mutant", 6)
+    assert result.violations == wrong
+    assert result.checked == len(elems) ** 2
+
+
+@pytest.mark.parametrize("name", BMUL_MUTANTS)
 def test_box_solver_catches_bmul_mutants(monkeypatch, name):
     # the brute scan multiplies through verify.bmul_codes, not an inlined formula
     monkeypatch.setattr(verify, "bmul_codes", _codes(BMUL_MUTANTS[name]))
@@ -335,6 +367,45 @@ def test_bicyclic_oracle_reports_products_outside_the_table(monkeypatch):
         "(2,2)*(0,1) disagrees",
         "(3,3)*(3,3) disagrees",
         "(4,0)*(0,4) disagrees",
+    ]
+
+
+def test_packed_images_are_distinct_on_the_oracle_table():
+    # suite_bicyclic_oracle(m) packs rho_table(2m) at width 2m + 1; m = 64
+    # is its max_index at window 16
+    for m in range(65):
+        n = 2 * m + 1
+        keys = verify.pack_images(rho_table(n - 1), n)
+        assert len(set(keys)) == len(keys) == n * n, m
+
+
+def test_structure_compares_the_compiled_form_of_t_with_the_oracles(s3c2):
+    # T's compiled table transposed reads b*a for a*b; every other suite
+    # passes on s3c2 under it, so only the oracle comparison sees it
+    B = load_system(FIXTURES / "s3c2.json")
+    compiled = B.sys.compiled
+    B.sys.__dict__["compiled"] = compiled._replace(products=[list(col) for col in zip(*compiled.products)])
+    elems = list(s3c2.sys.elements())
+    wrong = [
+        f"compiled product differs from cmul_oracle at a={tuple(a)}, b={tuple(b)}"
+        for a in elems
+        for b in elems
+        if cmul_oracle(s3c2.sys, a, b) != cmul_oracle(s3c2.sys, b, a)
+    ]
+    assert len(wrong) == 18
+    results = run_all(B, window=3)
+    assert [(r.suite, r.violations) for r in results if not r.ok] == [("structure", wrong)]
+    assert results[0].checked == 1
+
+
+def test_structure_compares_the_compiled_theta_with_the_oracle(c2c2):
+    B = load_system(data_path("c2c2"))
+    compiled = B.sys.compiled
+    B.sys.__dict__["compiled"] = compiled._replace(theta=[0] * len(compiled.theta))
+    moved = [tuple(a) for a in c2c2.sys.elements() if theta_pow_oracle(c2c2.sys, a, 1).elem != 0]
+    assert moved
+    assert verify.suite_structure(B).violations == [
+        f"compiled theta differs from theta_pow_oracle at a={a}" for a in moved
     ]
 
 

@@ -31,7 +31,7 @@ from .clifford import (
     validate_system,
 )
 from .config import load_system, system_from_obj
-from .groups import GroupHom, GroupTable, ValidationReport, cyclic_group, ginv, gmul, hom, validate_group, validate_hom
+from .groups import GroupHom, GroupTable, cyclic_group, ginv, gmul, hom, validate_group, validate_hom
 from .topology import (
     BasicZeroNbhd,
     ContinuityCertificate,
@@ -55,8 +55,8 @@ __all__ = [
     "CliffordElement", "CliffordSystem", "cinv", "cmul", "cmul_oracle",
     "idempotents", "theta_pow", "theta_pow_oracle", "validate_system",
     "load_system", "system_from_obj",
-    "GroupHom", "GroupTable", "ValidationReport", "cyclic_group", "ginv",
-    "gmul", "hom", "validate_group", "validate_hom",
+    "GroupHom", "GroupTable", "cyclic_group", "ginv", "gmul", "hom",
+    "validate_group", "validate_hom",
     "BasicZeroNbhd", "ContinuityCertificate", "ZeroNbhdDescriptor",
     "box_solve", "classify_descriptor", "continuity_cert_zero",
     "meets_almost_all_boxes", "pushforward_basic", "pushforward_descriptor",

@@ -28,7 +28,7 @@ from .topology import (
     pushforward_basic,
     pushforward_descriptor,
 )
-from .verify import run_all
+from .verify import listed, run_all
 
 
 MAX_PROBE_BOUND = 2**20  # two checks of verify --all walk about probe_bound / 2 boxes each
@@ -256,13 +256,13 @@ def _cmd_classify(args) -> Outcome:
 def _cmd_pushforward(args) -> Outcome:
     d = _parse_descriptor(args.descriptor)
     out = pushforward_descriptor(d)
-    record = {"op": "pushforward", "descriptor": d.kind, "result": out.kind, "ok": True}
+    record = {"op": "pushforward", "descriptor": d.kind, "result": out, "ok": True}
     if args.exclude:
         basic = BasicZeroNbhd.excluding(_parse_box(t) for t in args.exclude)
         record["excluded_points"] = sorted(
             bicyclic.format_elem(p) for p in pushforward_basic(basic)
         )
-    return [record], f"pushforward: {out.kind}"
+    return [record], f"pushforward: {out}"
 
 
 def _cmd_verify(args) -> Outcome:
@@ -299,8 +299,8 @@ def main(argv=None) -> int:
     try:
         records, summary = args.func(args)
     except ValidationFailed as exc:
-        records = [{"op": args.cmd, "system": exc.name, "ok": False, "violations": list(exc.report.violations)}]
-        summary = f"{args.cmd} {exc.name}: {len(exc.report.violations)} violations"
+        records = [{"op": args.cmd, "system": exc.name, "ok": False, "violations": listed(exc.violations)}]
+        summary = f"{args.cmd} {exc.name}: {len(exc.violations)} violations"
     except WitnessVerificationFailed as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

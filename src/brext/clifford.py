@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .errors import IndexOutOfRange, MalformedMap, MissingBond, NotAGroup
-from .groups import GroupHom, GroupTable, ValidationReport, compose_homs, ginv, gmul, identity_hom, row_reader, validate_group, validate_hom
+from .groups import GroupHom, GroupTable, compose_homs, ginv, gmul, identity_hom, row_reader, validate_group, validate_hom
 
 
 class CliffordElement(NamedTuple):
@@ -252,30 +252,30 @@ def _theta_compatible(sys: CliffordSystem) -> bool:
     )
 
 
-def validate_system(sys: CliffordSystem) -> ValidationReport:
-    """Check the laws: groups, bond presence, the (a,a) identity rule, the
-    hom law of bonds and theta maps, bond coherence and the theta law.
+def validate_system(sys: CliffordSystem) -> list[str]:
+    """List what breaks the laws: groups, bond presence, the (a,a) identity
+    rule, the hom law of bonds and theta maps, bond coherence and the theta law.
     Coherence and the theta law are read off consecutive bonds and level
     pairs; scans over bonded triples and element pairs run only on failure."""
-    rep = ValidationReport()
+    rep = []
     k, bonds = len(sys.groups), sys.bonds
     for level, g in enumerate(sys.groups):
-        rep.merge(validate_group(g), prefix=f"group {level}: ")
+        rep += [f"group {level}: {v}" for v in validate_group(g)]
 
     # the identity convention on (a,a), then bond presence and the hom law
     missing = False
     for upper, g in enumerate(sys.groups):
         explicit = bonds.get((upper, upper))
         if explicit is not None and explicit.map != tuple(range(g.order)):
-            rep.add(f"bond ({upper},{upper}) must be the identity map")
+            rep.append(f"bond ({upper},{upper}) must be the identity map")
         for lower in range(upper + 1, k):
             try:
                 b = sys.bond(upper, lower)
             except MissingBond as exc:
-                rep.add(str(exc))
+                rep.append(str(exc))
                 missing = True
             else:
-                rep.merge(validate_hom(b), prefix=f"bond ({upper},{lower}): ")
+                rep += [f"bond ({upper},{lower}): {v}" for v in validate_hom(b)]
 
     # coherence over the triples whose bonds exist, in (a, b, c, x) order
     if missing or not _coherent_by_steps(sys):
@@ -285,11 +285,11 @@ def validate_system(sys: CliffordSystem) -> ValidationReport:
                     comp = compose_homs(ab, bonds[(b, c)]).map
                     for x, v in enumerate(bonds[(a, c)].map):
                         if comp[x] != v:
-                            rep.add(f"bond composition violated for levels ({a},{b},{c}) at element {x}")
+                            rep.append(f"bond composition violated for levels ({a},{b},{c}) at element {x}")
 
     for level, th in enumerate(sys.theta):
-        rep.merge(validate_hom(th), prefix=f"theta[{level}]: ")
-    if not rep.ok:
+        rep += [f"theta[{level}]: {v}" for v in validate_hom(th)]
+    if rep:
         return rep
 
     # theta must be a single homomorphism of the whole monoid, so the law
@@ -302,5 +302,5 @@ def validate_system(sys: CliffordSystem) -> ValidationReport:
             lhs = theta_pow_oracle(sys, cmul_oracle(sys, a, b), 1)
             rhs = gmul(top, sys.theta[a.level](a.elem), sys.theta[b.level](b.elem))
             if lhs.elem != rhs:
-                rep.add(f"theta law violated for a={tuple(a)}, b={tuple(b)}")
+                rep.append(f"theta law violated for a={tuple(a)}, b={tuple(b)}")
     return rep

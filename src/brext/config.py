@@ -17,7 +17,7 @@ Inverse arrays are always derived from the tables at load time; an
 "inverse" key in a group object is ignored.  Structural damage (unreadable
 JSON, missing keys, ragged tables, out-of-range map entries) raises
 ParseError; a well-formed config that fails the algebraic axioms raises
-ValidationFailed carrying the full report.
+ValidationFailed carrying every violation validate_system lists.
 """
 
 from __future__ import annotations
@@ -111,9 +111,9 @@ def system_from_obj(obj, name: str = "") -> BRSystem:
             raise ParseError(f"theta[{level}]: {exc}") from exc
 
     sys = CliffordSystem(groups=groups, bonds=bonds, theta=tuple(theta))
-    report = validate_system(sys)
-    if not report.ok:
-        raise ValidationFailed(report, name)
+    violations = validate_system(sys)
+    if violations:
+        raise ValidationFailed(violations, name)
     return BRSystem(
         sys=sys,
         with_zero=with_zero,

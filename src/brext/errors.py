@@ -52,13 +52,12 @@ class ParseError(BrextError):
 class ValidationFailed(BrextError):
     """A loaded system failed structural validation.
 
-    Carries the full report so callers can surface every violation, and
-    the name the loaded system would have carried.
+    Carries the full list of violations, so callers can surface every one,
+    and the name the loaded system would have carried.
     """
 
-    def __init__(self, report, name):
-        self.report, self.name = report, name
-        first = report.violations[0] if report.violations else "unknown"
-        more = len(report.violations) - 1
-        msg = first if more <= 0 else f"{first} (+{more} more)"
-        super().__init__(msg)
+    def __init__(self, violations, name):
+        self.violations, self.name = violations, name
+        first = violations[0] if violations else "unknown"
+        more = len(violations) - 1
+        super().__init__(first if more <= 0 else f"{first} (+{more} more)")

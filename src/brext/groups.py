@@ -32,24 +32,6 @@ def row_reader(idx):
     return get if len(idx) > 1 else lambda seq: (get(seq),)
 
 
-@dataclass
-class ValidationReport:
-    """Accumulates human-readable violation strings; empty means valid."""
-
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, msg: str) -> None:
-        self.violations.append(msg)
-
-    def merge(self, other: "ValidationReport", prefix: str = "") -> None:
-        for v in other.violations:
-            self.violations.append(prefix + v if prefix else v)
-
-
 @dataclass(frozen=True)
 class GroupTable:
     """A finite group: n x n Cayley table of element indices, with order and
@@ -164,19 +146,19 @@ def _light_associative(tbl) -> bool:
     return True
 
 
-def validate_group(t: GroupTable) -> ValidationReport:
-    """Check the identity, inverse and associativity laws and list each
-    violation.  Associativity is Light's test; only when it fails are the
-    rows (a*b)*c and a*(b*c) over all c compared for every pair (a, b), and
-    just the rows that differ walked entry by entry."""
-    rep = ValidationReport()
+def validate_group(t: GroupTable) -> list[str]:
+    """List each violation of the identity, inverse and associativity laws.
+    Associativity is Light's test; only when it fails are the rows (a*b)*c
+    and a*(b*c) over all c compared for every pair (a, b), and just the
+    rows that differ walked entry by entry."""
+    rep = []
     n, tbl, e = t.order, t.table, t.identity
     for a in range(n):
         if tbl[e][a] != a or tbl[a][e] != a:
-            rep.add(f"identity axiom violated for element {a}")
+            rep.append(f"identity axiom violated for element {a}")
     for a, inv in enumerate(t.inverse):  # built only where both products give e
         if inv is None:
-            rep.add(f"inverse axiom violated for element {a}")
+            rep.append(f"inverse axiom violated for element {a}")
     if _light_associative(tbl):
         return rep
     readers = [row_reader(row) for row in tbl]
@@ -186,7 +168,7 @@ def validate_group(t: GroupTable) -> ValidationReport:
             if lhs != rhs:
                 for c in range(n):
                     if lhs[c] != rhs[c]:
-                        rep.add(f"associativity violated at ({a},{b},{c})")
+                        rep.append(f"associativity violated at ({a},{b},{c})")
     return rep
 
 
@@ -229,10 +211,10 @@ def compose_homs(first: GroupHom, second: GroupHom) -> GroupHom:
     return hom(first.domain, second.codomain, [second.map[v] for v in first.map])
 
 
-def validate_hom(h: GroupHom) -> ValidationReport:
+def validate_hom(h: GroupHom) -> list[str]:
     """The homomorphism law a domain row at a time: h(a*b) over all b against
-    h(a)*h(b).  Only a row that differs is walked pair by pair."""
-    rep = ValidationReport()
+    h(a)*h(b), listing each violation.  Only a differing row is walked."""
+    rep = []
     m, dom, cod = h.map, h.domain.table, h.codomain.table
     read_m = row_reader(m)
     for a in range(h.domain.order):
@@ -242,5 +224,5 @@ def validate_hom(h: GroupHom) -> ValidationReport:
             lhs = h.map[gmul(h.domain, a, b)]
             rhs = gmul(h.codomain, h.map[a], h.map[b])
             if lhs != rhs:
-                rep.add(f"not a homomorphism at ({a},{b})")
+                rep.append(f"not a homomorphism at ({a},{b})")
     return rep

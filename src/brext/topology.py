@@ -70,20 +70,6 @@ class BasicZeroNbhd:
 WHOLE_SPACE = BasicZeroNbhd(frozenset())
 
 
-class BoxFamily:
-    """A box-membership predicate for families that are not known cofinite.
-
-    Used to fault-inject degenerate neighborhood candidates into the bounded
-    checkers below; a BasicZeroNbhd never needs this wrapper.
-    """
-
-    def __init__(self, contains):
-        self._contains = contains
-
-    def contains_box(self, i: int, j: int) -> bool:
-        return bool(self._contains(i, j))
-
-
 def box_solve(a_box: Box, target: Box, side: str) -> frozenset[Box]:
     """All boxes x with a_box * x = target (side 'left') or x * a_box = target.
 
@@ -266,11 +252,11 @@ class BoundedCheck:
 
 def _probe(u, probe_bound: int, structural, probes, refuted: str, clean: str) -> BoundedCheck:
     """A BasicZeroNbhd is answered structurally, with witnesses
-    structural(u.excluded); otherwise any (witness, i, j) of the outer region
-    `probes` whose box u misses refutes it; the scan stops at the eighth."""
+    structural(u.excluded); a box predicate u(i, j) -> bool is refuted by the
+    (witness, i, j) of the outer region `probes` where it is false, up to eight."""
     if isinstance(u, BasicZeroNbhd):
         return BoundedCheck(True, probe_bound, structural(u.excluded), "cofinite by construction")
-    misses = tuple(islice((w for w, i, j in probes if not u.contains_box(i, j)), 8))
+    misses = tuple(islice((w for w, i, j in probes if not u(i, j)), 8))
     if misses:
         return BoundedCheck(False, probe_bound, misses, f"refuted within probe bound {probe_bound}: {refuted}")
     return BoundedCheck(True, probe_bound, (), clean)
@@ -279,10 +265,10 @@ def _probe(u, probe_bound: int, structural, probes, refuted: str, clean: str) ->
 def meets_almost_all_boxes(u, probe_bound: int = 64) -> BoundedCheck:
     """Does the neighborhood intersect all but finitely many boxes?
 
-    Structurally true for any BasicZeroNbhd.  For predicate-backed families
-    the probe window is scanned and the family is refuted when it misses a
-    box in the outer half of the window, the region where the misses of a
-    genuinely cofinite family probed with any sensible bound have run out.
+    Structurally true for any BasicZeroNbhd.  A box predicate (i, j) -> bool
+    is probed over the window and refuted when it misses a box in the outer
+    half, the region where the misses of a genuinely cofinite family probed
+    with any sensible bound have run out.
     """
     half = probe_bound // 2
     outer = ((Box(i, j), i, j) for i in range(probe_bound) for j in range(probe_bound) if max(i, j) >= half)
@@ -342,21 +328,12 @@ def compactness_remainder(B: BRSystem, u: BasicZeroNbhd) -> list[BRElem]:
     ]
 
 
-@dataclass(frozen=True)
-class CzeroDescriptor:
-    """Shape of the image structure on the bicyclic monoid with zero."""
-
-    kind: str  # "cofinite" or "discrete"
-
-
-def pushforward_descriptor(d: ZeroNbhdDescriptor) -> CzeroDescriptor:
-    """What the index map does to each descriptor kind.
-
-    Box-complement bases map to the cofinite-at-zero base (boxes become
-    single points), and an isolated zero stays isolated, giving the
-    discrete structure.
-    """
-    return CzeroDescriptor("cofinite" if d.kind == EXCLUDED_BOXES else "discrete")
+def pushforward_descriptor(d: ZeroNbhdDescriptor) -> str:
+    """What the index map does to each descriptor kind, named by the shape of
+    the image structure on the bicyclic monoid with zero: box-complement
+    bases map to the "cofinite" at zero base (boxes become single points),
+    and an isolated zero stays isolated, giving the "discrete" structure."""
+    return "cofinite" if d.kind == EXCLUDED_BOXES else "discrete"
 
 
 def pushforward_basic(u: BasicZeroNbhd) -> frozenset[bicyclic.BicyclicElem]:

@@ -1,18 +1,20 @@
 """Property suites over a loaded system.
 
 Each suite runs a finite, deterministic battery of checks and returns a
-SuiteResult whose record serializes to one NDJSON line.  SUITES is the one
-lineup of `verify --all`: per suite, in record order, the arguments run_all
-gives it, the systems it applies to and its checked count in closed form.
-Seeded randomness only ever comes from random.Random(seed).  structure
-checks T's compiled form against cmul_oracle and theta_pow_oracle.  The
-window suites read the system's compiled window (BRSystem.window) and
-check it against a second route each: bmul_codes for eta (a code // |T|
-is its box's bicyclic code), the closed form for nat_order, the group
-fibers for hclass.  The bicyclic row scans (bicyclic_axioms, the packed
-max-plus bicyclic_oracle, box_solver) take their products as rows of
-integer codes from bmul_codes; each continuity certificate solves its own
-failing boxes by max-plus residuation, sharing no state with the others.
+SuiteResult whose record serializes to one NDJSON line; `listed` is how it,
+like a failed config's record, lists violations.  SUITES is the one lineup
+of `verify --all`: per suite, in record order, the arguments run_all gives
+it, the systems it applies to and its checked count in closed form.  Seeded
+randomness only ever comes from random.Random(seed).  structure checks T's
+compiled form against cmul_oracle and theta_pow_oracle, then brmul's
+shifted branches against that form.  The window suites read the system's
+compiled window (BRSystem.window) and check it against a second route
+each: bmul_codes for eta (a code // |T| is its box's bicyclic code), the
+closed form for nat_order, the group fibers for hclass.  The bicyclic row
+scans (bicyclic_axioms, the packed max-plus bicyclic_oracle, box_solver)
+take their products as rows of integer codes from bmul_codes; each
+continuity certificate solves its own failing boxes by max-plus
+residuation, sharing no state with the others.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .errors import MalformedDescriptor, WitnessVerificationFailed
 from .groups import row_reader
 from .topology import (
     BasicZeroNbhd,
-    BoxFamily,
     EXCLUDED_BOXES_BASE,
     ISOLATED_ZERO,
     box_solve,
@@ -69,6 +70,12 @@ from .topology import (
 MAX_REPORTED = 12
 
 
+def listed(violations: list) -> list[str]:
+    """How every record lists violations: the first MAX_REPORTED, then '... N more'."""
+    extra = len(violations) - MAX_REPORTED
+    return [str(v) for v in violations[:MAX_REPORTED]] + ([f"... {extra} more"] if extra > 0 else [])
+
+
 @dataclass
 class SuiteResult:
     suite: str
@@ -82,10 +89,6 @@ class SuiteResult:
         return not self.violations
 
     def record(self) -> dict:
-        shown = [str(v) for v in self.violations[:MAX_REPORTED]]
-        extra = len(self.violations) - len(shown)
-        if extra > 0:
-            shown.append(f"... {extra} more")
         return {
             "op": "verify",
             "suite": self.suite,
@@ -93,20 +96,26 @@ class SuiteResult:
             "params": self.params,
             "checked": self.checked,
             "ok": self.ok,
-            "violations": shown,
+            "violations": listed(self.violations),
         }
 
 
 def suite_structure(B: BRSystem) -> SuiteResult:
     """validate_system, then, once the laws hold, T's compiled table against
-    cmul_oracle over T x T and its compiled theta against theta_pow_oracle."""
-    bad = list(validate_system(B.sys).violations)
+    cmul_oracle over T x T and its compiled theta against theta_pow_oracle;
+    once those agree, brmul's shifted branches against both, over T x T:
+    (0,a,1)*(2,b,0) has group part theta(a)*b and (0,a,2)*(1,b,0) a*theta(b)."""
+    bad = validate_system(B.sys)
     if not bad:
         T, elems = B.sys.compiled, B.sys.compiled.elements
         bad = [f"compiled product differs from cmul_oracle at a={tuple(a)}, b={tuple(b)}" for a, row in
                zip(elems, T.products) for b, p in zip(elems, row) if elems[p] != cmul_oracle(B.sys, a, b)]
         bad += [f"compiled theta differs from theta_pow_oracle at a={tuple(a)}"
                 for a, v in zip(elems, T.theta) if elems[v] != theta_pow_oracle(B.sys, a, 1)]
+        bad = bad or [f"brmul gives {format_elem(x)}*{format_elem(y)} a group part other than {tuple(elems[t])}"
+                      for a, ta, row in zip(elems, T.theta, T.products) for b, tb, tab in zip(elems, T.theta, T.products[ta])
+                      for x, y, t in ((BRElem(0, a, 1), BRElem(2, b, 0), tab), (BRElem(0, a, 2), BRElem(1, b, 0), row[tb]))
+                      if brmul(B, x, y).s != elems[t]]
     return SuiteResult("structure", B.name, {}, 1, bad)
 
 
@@ -430,19 +439,19 @@ def suite_zero_nbhd_checks(B: BRSystem, probe_bound: int = 64) -> SuiteResult:
         bad.append("cofinite basic flagged as missing too many boxes")
     if not meets_almost_all_boxes(BasicZeroNbhd(frozenset()), probe_bound):
         bad.append("whole space flagged as missing too many boxes")
-    single_row = BoxFamily(lambda i, j: i == 0)
+    single_row = lambda i, j: i == 0
     if meets_almost_all_boxes(single_row, probe_bound):
         bad.append("single-row family not refuted")
     if not row_exceptions_finite(basic, 2, probe_bound):
         bad.append("two exceptions in row 2 flagged as infinite")
     if not row_exceptions_finite(basic, 3, probe_bound):
         bad.append("empty exception set in row 3 flagged as infinite")
-    row_gone = BoxFamily(lambda i, j: i != 4)
+    row_gone = lambda i, j: i != 4
     if row_exceptions_finite(row_gone, 4, probe_bound):
         bad.append("fully removed row not refuted")
     if not row_exceptions_finite(row_gone, 0, probe_bound):
         bad.append("untouched row flagged as infinite")
-    if column_exceptions_finite(BoxFamily(lambda i, j: j != 1), 1, probe_bound):
+    if column_exceptions_finite(lambda i, j: j != 1, 1, probe_bound):
         bad.append("fully removed column not refuted")
     return SuiteResult("zero_nbhd_checks", B.name, {"probe_bound": probe_bound}, 8, bad)
 
@@ -470,9 +479,9 @@ def suite_descriptor_classification(B: BRSystem) -> SuiteResult:
 def suite_pushforward_roundtrip(B: BRSystem, seed: int, samples: int = 100) -> SuiteResult:
     rng = random.Random(seed)
     bad = []
-    if pushforward_descriptor(EXCLUDED_BOXES_BASE).kind != "cofinite":
+    if pushforward_descriptor(EXCLUDED_BOXES_BASE) != "cofinite":
         bad.append("box-complement base must push to the cofinite base")
-    if pushforward_descriptor(ISOLATED_ZERO).kind != "discrete":
+    if pushforward_descriptor(ISOLATED_ZERO) != "discrete":
         bad.append("isolated zero must push to the discrete structure")
     for _ in range(samples):
         u = BasicZeroNbhd.excluding(

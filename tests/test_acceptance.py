@@ -75,9 +75,9 @@ def test_criterion_1_structural_validation():
         for path, fragment in faults:
             with pytest.raises(ValidationFailed) as exc:
                 load_system(path)
-            assert any(fragment in v for v in exc.value.report.violations), (
+            assert any(fragment in v for v in exc.value.violations), (
                 path.name,
-                exc.value.report.violations,
+                exc.value.violations,
             )
 
 

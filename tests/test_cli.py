@@ -9,7 +9,8 @@ import time
 import pytest
 
 from brext.cli import MAX_PROBE_BOUND, main
-from brext.config import data_path
+from brext.config import data_path, load_system
+from brext.errors import ValidationFailed
 
 from conftest import FIXTURES, GOLDEN, fault_files
 
@@ -522,6 +523,21 @@ def test_validation_at_the_order_cap_and_on_long_chains_finishes(capsys, tmp_pat
     assert (code, err) == (expected, "")
     assert time.perf_counter() - t0 < 60
     assert json.loads(out)["ok"] is (expected == 0)
+
+
+def test_a_failed_config_lists_violations_as_a_verify_record_does(capsys, tmp_path):
+    # 100 levels without bonds miss 4,950 bonds: the record lists the first
+    # twelve and a count, and the exception keeps every one
+    p = tmp_path / "nobond100.json"
+    p.write_text(json.dumps(_chain([_cyclic(1)] * 100, {}, [[0]] * 100)))
+    missing = [f"missing bonding map for levels ({a},{b})" for a in range(100) for b in range(a + 1, 100)]
+    for cmd in (["validate"], ["verify", "--all"]):
+        code, out, err = run(capsys, *cmd, "--system", str(p))
+        assert (code, err) == (1, f"{cmd[0]} nobond100: 4950 violations\n")
+        assert json.loads(out)["violations"] == missing[:12] + ["... 4938 more"]
+    with pytest.raises(ValidationFailed) as exc:
+        load_system(p)
+    assert exc.value.violations == missing
 
 
 def test_unknown_command_exits_two(capsys):

@@ -32,7 +32,7 @@ def test_shipped_c2c2_loads():
 def test_fault_corpus_fails_validation_with_named_violation(path, fragment):
     with pytest.raises(ValidationFailed) as exc:
         load_system(path)
-    assert any(fragment in v for v in exc.value.report.violations), exc.value.report.violations
+    assert any(fragment in v for v in exc.value.violations), exc.value.violations
     assert exc.value.name == path.stem  # each fault config is named after its file
 
 
@@ -84,7 +84,7 @@ FAULT_VIOLATIONS = {
 def test_fault_corpus_reports_the_full_violation_list(path):
     with pytest.raises(ValidationFailed) as exc:
         load_system(path)
-    assert exc.value.report.violations == FAULT_VIOLATIONS[path.name]
+    assert exc.value.violations == FAULT_VIOLATIONS[path.name]
 
 
 def test_ragged_table_is_a_parse_error():

@@ -31,32 +31,32 @@ def constant_hom(domain: GroupTable, codomain: GroupTable):
 
 def test_z2_is_a_group():
     g = GroupTable([[0, 1], [1, 0]], identity=0)
-    assert validate_group(g).ok
+    assert validate_group(g) == []
     assert g.inverse == (0, 1)
 
 
 def test_trivial_group_is_a_group():
-    assert validate_group(trivial_group()).ok
+    assert validate_group(trivial_group()) == []
 
 
 def test_broken_inverse_reported():
     g = GroupTable([[0, 1], [1, 1]], identity=0)
     rep = validate_group(g)
-    assert not rep.ok
-    assert any("inverse axiom violated for element 1" in v for v in rep.violations)
+    assert rep
+    assert any("inverse axiom violated for element 1" in v for v in rep)
 
 
 def test_broken_identity_reported():
     # identity claimed at 1 but the table is Z2 with identity 0
     g = GroupTable([[0, 1], [1, 0]], identity=1)
     rep = validate_group(g)
-    assert any("identity axiom violated" in v for v in rep.violations)
+    assert any("identity axiom violated" in v for v in rep)
 
 
 def test_broken_associativity_reported():
     g = GroupTable([[0, 1, 2], [1, 2, 0], [2, 0, 0]], identity=0)
     rep = validate_group(g)
-    assert any("associativity violated at (1,2,2)" in v for v in rep.violations)
+    assert any("associativity violated at (1,2,2)" in v for v in rep)
 
 
 def test_corrupting_any_entry_is_caught():
@@ -67,7 +67,7 @@ def test_corrupting_any_entry_is_caught():
         a, b = rng.randrange(5), rng.randrange(5)
         rows[a][b] = (rows[a][b] + rng.randrange(1, 5)) % 5
         g = GroupTable(rows, identity=0)
-        assert not validate_group(g).ok
+        assert validate_group(g)
 
 
 def test_gmul_ginv_z4():
@@ -84,7 +84,7 @@ def test_gmul_ginv_z4():
 def test_order_cap_enforced():
     with pytest.raises(OrderTooLarge):
         cyclic_group(513)
-    assert validate_group(cyclic_group(16)).ok
+    assert validate_group(cyclic_group(16)) == []
 
 
 def test_malformed_tables_rejected():
@@ -100,13 +100,13 @@ def test_malformed_tables_rejected():
 
 def test_mod2_is_a_hom():
     h = hom(cyclic_group(4), cyclic_group(2), [0, 1, 0, 1])
-    assert validate_hom(h).ok
+    assert validate_hom(h) == []
 
 
 def test_swap_is_not_a_hom():
     h = hom(cyclic_group(2), cyclic_group(2), [1, 0])
     rep = validate_hom(h)
-    assert any("not a homomorphism at (0,0)" in v for v in rep.violations)
+    assert any("not a homomorphism at (0,0)" in v for v in rep)
 
 
 def test_malformed_maps_rejected():
@@ -119,7 +119,7 @@ def test_malformed_maps_rejected():
 def test_homs_preserve_identity_and_inverses():
     z6, z3 = cyclic_group(6), cyclic_group(3)
     h = hom(z6, z3, [x % 3 for x in range(6)])
-    assert validate_hom(h).ok
+    assert validate_hom(h) == []
     assert h(z6.identity) == z3.identity
     for a in range(6):
         assert h(ginv(z6, a)) == ginv(z3, h(a))
@@ -131,7 +131,7 @@ def test_hom_composition_and_constant():
     collapse = constant_hom(z2, z2)
     comp = compose_homs(mod2, collapse)
     assert comp.map == (0, 0, 0, 0)
-    assert validate_hom(comp).ok
+    assert validate_hom(comp) == []
     assert identity_hom(z4).map == (0, 1, 2, 3)
 
 
@@ -198,14 +198,14 @@ def magmas(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(g=st.one_of(loops(), relabelled_groups()))
 def test_light_test_agrees_with_every_triple_on_loops(g):
-    assert validate_group(g).violations == reference_group_violations(g)
+    assert validate_group(g) == reference_group_violations(g)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(g=magmas())
 def test_magmas_validate_and_invert_as_by_definition(g):
     assert g.inverse == reference_inverse(g.table, g.identity)
-    assert validate_group(g).violations == reference_group_violations(g)
+    assert validate_group(g) == reference_group_violations(g)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -216,7 +216,7 @@ def test_magmas_validate_and_invert_as_by_definition(g):
 )
 def test_hom_rows_agree_with_every_pair(g, n, data):
     h = hom(g, cyclic_group(n), data.draw(st.lists(st.integers(0, n - 1), min_size=g.order, max_size=g.order)))
-    assert validate_hom(h).violations == reference_hom_violations(h)
+    assert validate_hom(h) == reference_hom_violations(h)
 
 
 def test_table_messages_name_the_first_bad_entry():

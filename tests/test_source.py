@@ -5,6 +5,10 @@ and the code under `if __debug__:` (it also makes `__debug__` read False).
 Docstrings stay; only -OO strips those.  So while no module holds an
 assert or reads `__debug__`, -O cannot change what the package does on any
 input, and no guard can be written as an assert.
+
+The package's export list is pinned the same way: `brext/__init__.py`
+exports exactly the names it imports, so a name cannot leave one of the two
+lists and stay in the other.
 """
 
 import ast
@@ -32,3 +36,14 @@ def test_python_O_has_nothing_to_strip():
         if _stripped_by_python_O(node)
     ]
     assert found == []
+
+
+def test_the_export_list_is_exactly_the_imported_names():
+    init = Path(brext.__file__)
+    imported = [
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(), filename=str(init)).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(brext.__all__) == sorted(imported + ["__version__"])

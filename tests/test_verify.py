@@ -2,10 +2,10 @@ from dataclasses import replace
 
 import pytest
 
-from brext import bruck_reilly, verify
+from brext import bruck_reilly, topology, verify
 from brext.bicyclic import BicyclicElem, ZERO, bmul, rho_table
-from brext.bruck_reilly import BRSystem, brmul_ids, decode, encode, eta, format_elem, parse_elem, window_elements
-from brext.clifford import CliffordElement, cmul_oracle, theta_pow_oracle
+from brext.bruck_reilly import BRElem, BRSystem, brmul_ids, decode, encode, eta, format_elem, parse_elem, window_elements
+from brext.clifford import CliffordElement, cmul_oracle, theta_pow, theta_pow_oracle
 from brext.config import data_path, load_system
 from brext.verify import SUITES, SuiteResult, run_all
 from conftest import FIXTURES
@@ -407,6 +407,34 @@ def test_structure_compares_the_compiled_theta_with_the_oracle(c2c2):
     assert verify.suite_structure(B).violations == [
         f"compiled theta differs from theta_pow_oracle at a={a}" for a in moved
     ]
+
+
+def test_structure_checks_the_order_of_the_factors_in_brmuls_shifted_branch(s3c2, monkeypatch):
+    # brmul's j < k branch reading T's product as b * theta^d(s) in place of
+    # theta^d(s) * b: the window suites read brmul_ids and continuity only
+    # boxes, so on s3c2 only structure's (0,a,1)*(2,b,0) sees it
+    original = bruck_reilly.brmul
+
+    def mutant(B, x, y):
+        if type(x) is BRElem and type(y) is BRElem and x.j < y.i:
+            T, d = B.sys.compiled, y.i - x.j
+            return BRElem(x.i + d, T.elements[T.products[T.ids[y.s]][theta_pow(B.sys, x.s, d).elem]], y.j)
+        return original(B, x, y)
+
+    for module in (bruck_reilly, topology, verify):
+        monkeypatch.setattr(module, "brmul", mutant)
+    T = s3c2.sys
+    wrong = [
+        f"brmul gives {format_elem(BRElem(0, a, 1))}*{format_elem(BRElem(2, b, 0))} "
+        f"a group part other than {tuple(cmul_oracle(T, theta_pow_oracle(T, a, 1), b))}"
+        for a in T.elements()
+        for b in T.elements()
+        if cmul_oracle(T, theta_pow_oracle(T, a, 1), b) != cmul_oracle(T, b, theta_pow_oracle(T, a, 1))
+    ]
+    assert len(wrong) == 16  # the 4 elements with theta = (12) against the 4 of S3 outside its centralizer
+    results = run_all(load_system(FIXTURES / "s3c2.json"), window=3)
+    assert [(r.suite, r.violations) for r in results if not r.ok] == [("structure", wrong)]
+    assert results[0].checked == 1
 
 
 def test_bicyclic_oracle_refuses_a_negative_code(monkeypatch):

@@ -7,13 +7,15 @@ factors with theta before multiplying in T:
     (i, s, j) . (k, t, l) with d = min(j, k)
         = (i + k - d,  theta^(k-d)(s) * theta^(j-d)(t),  j + l - d)
 
-which collapses to the bicyclic index arithmetic on the outer coordinates.
-brmul computes one product; brmul_ids streams whole rows of products by
-the same formula, as integer codes (see encode): a box's bicyclic code
-times |T| plus an id in T, so eta on codes is // |T|.  A system compiles
-each window once from those rows (BRSystem.window) for the verification
-suites.  Systems may adjoin a zero; products of nonzero elements are never
-zero, and zero_divisor_scan certifies that on a window.  Exhaustive window
+which collapses to the bicyclic index arithmetic on the outer coordinates:
+eta(i, s, j) = (i, j) onto the bicyclic monoid names each box, the fiber
+{i} x T x {j}, by its pair (a Box is a BicyclicElem).  brmul computes one
+product; brmul_ids streams whole rows of products by the same formula,
+as integer codes (see encode): a box's bicyclic code times |T| plus an id
+in T, so eta on codes is // |T|.  A system compiles each window once from
+those rows (BRSystem.window) for the verification suites.  Systems may
+adjoin a zero; products of nonzero elements are never zero, and
+zero_divisor_scan certifies that on a window.  Exhaustive window
 operations are capped at window 16.
 """
 
@@ -33,11 +35,7 @@ from .errors import WindowTooLarge, WitnessVerificationFailed, ZeroNotAdjoined
 MAX_WINDOW = 16
 
 
-class Box(NamedTuple):
-    """An index pair (i, j); the fiber over it is a copy of T."""
-
-    i: int
-    j: int
+Box = bicyclic.BicyclicElem  # box (k, l): the copy {k} x T x {l} of T that eta sends to (k, l)
 
 
 class BRElem(NamedTuple):
@@ -228,10 +226,8 @@ def box(x: Element) -> Box:
 
 
 def eta(x: Element) -> bicyclic.Element:
-    """Forget the group coordinate; zero, the bicyclic monoid's, stays."""
-    if x is ZERO:
-        return ZERO
-    return bicyclic.BicyclicElem(x.i, x.j)
+    """Forget the group coordinate: x's box; zero, the bicyclic monoid's, stays."""
+    return x if x is ZERO else box(x)
 
 
 def window_elements(B: BRSystem, n: int) -> list[BRElem]:

@@ -233,7 +233,7 @@ def _cmd_continuity(args) -> Outcome:
         "target_excluded": sorted(map(list, target.excluded)),
         "found_excluded": sorted(map(list, cert.found.excluded)),
         "trace": {
-            f"{w.i},{w.j}": sorted(map(list, sols)) for w, sols in cert.trace.items()
+            f"{w.k},{w.l}": sorted(map(list, sols)) for w, sols in cert.trace.items()
         },
         "ok": cert.ok,
     }

@@ -204,13 +204,6 @@ def identity_hom(g: GroupTable) -> GroupHom:
     return hom(g, g, range(g.order))
 
 
-def compose_homs(first: GroupHom, second: GroupHom) -> GroupHom:
-    """first then second; domains must line up."""
-    if first.codomain is not second.domain and first.codomain != second.domain:
-        raise MalformedMap("composition domains disagree")
-    return hom(first.domain, second.codomain, [second.map[v] for v in first.map])
-
-
 def validate_hom(h: GroupHom) -> list[str]:
     """The homomorphism law a domain row at a time: h(a*b) over all b against
     h(a)*h(b), listing each violation.  Only a differing row is walked."""

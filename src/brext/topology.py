@@ -2,12 +2,13 @@
 
 Two shapes of zero neighborhood arise for an extension with adjoined zero:
 either zero is isolated, or the basic neighborhoods of zero are complements
-of finitely many boxes.  Both shapes are recorded as descriptors, and the
-facts that matter about them (translates of a basic staying inside another,
-almost-all-boxes coverage, finite exception rows, compactness of the box
-variant, and what the index map does to either) reduce to exact arithmetic
-on finite box sets.  Everything here is a certificate producer or checker;
-no open-ended topology is represented.
+of finitely many boxes, each named by its bicyclic pair (k, l), the point
+the index map sends it to.  Both shapes are recorded as descriptors, and
+the facts that matter about them (translates of a basic staying inside
+another, almost-all-boxes coverage, finite exception rows, compactness of
+the box variant, and what the index map does to either) reduce to exact
+arithmetic on finite box sets.  Everything here is a certificate producer
+or checker; no open-ended topology is represented.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 
-from . import bicyclic
+from .bicyclic import bmul
 from .bruck_reilly import Box, BRElem, BRSystem, _check, box, brmul, format_elem, is_zero
 from .errors import MalformedDescriptor
+from .groups import is_int
 
 ISOLATED = "isolated"
 EXCLUDED_BOXES = "excluded_boxes"
@@ -56,7 +58,12 @@ class BasicZeroNbhd:
 
     @classmethod
     def excluding(cls, boxes) -> "BasicZeroNbhd":
-        return cls(frozenset(Box(int(i), int(j)) for i, j in boxes))
+        """Excludes each box (i, j); a pair not of ints >= 0 raises ValueError."""
+        out = [Box(i, j) for i, j in boxes]
+        for b in out:
+            if not (is_int(b.k) and is_int(b.l) and b.k >= 0 and b.l >= 0):
+                raise ValueError(f"not a box: ({b.k!r}, {b.l!r})")
+        return cls(frozenset(out))
 
     def contains_box(self, i: int, j: int) -> bool:
         return Box(i, j) not in self.excluded
@@ -113,15 +120,12 @@ def _check_multiplier(B: BRSystem, a: BRElem, side: str) -> None:
 def box_solve_brute(a_box: Box, target: Box, side: str, bound: int = 20) -> frozenset[Box]:
     """Independent route: scan all boxes up to the bound and multiply."""
     _check_side(side)
-    a = bicyclic.BicyclicElem(*a_box)
-    t = bicyclic.BicyclicElem(*target)
     out = set()
     for i in range(bound + 1):
         for j in range(bound + 1):
-            x = bicyclic.BicyclicElem(i, j)
-            prod = bicyclic.bmul(a, x) if side == "left" else bicyclic.bmul(x, a)
-            if prod == t:
-                out.add(Box(i, j))
+            x = Box(i, j)
+            if (bmul(a_box, x) if side == "left" else bmul(x, a_box)) == target:
+                out.add(x)
     return frozenset(out)
 
 
@@ -219,7 +223,7 @@ def _reverify(B: BRSystem, cert: ContinuityCertificate) -> list[str]:
     for t in target:
         failing |= _residuate(ra, t, side)
     failing -= found
-    failing.update(f for f in found if mul(BRElem(f[0], s0, f[1]))[::2] not in target)  # the product's box
+    failing.update(f for f in found if mul(BRElem(f.k, s0, f.l))[::2] not in target)  # the product's box
     bad = []
     for i, j in sorted(failing):
         inside = (i, j) in found
@@ -279,7 +283,7 @@ def meets_almost_all_boxes(u, probe_bound: int = 64) -> BoundedCheck:
 def row_exceptions_finite(u, i0: int, probe_bound: int = 64) -> BoundedCheck:
     """Are there only finitely many j with box (i0, j) outside u?"""
     half = probe_bound // 2
-    return _probe(u, probe_bound, lambda ex: tuple(sorted(b.j for b in ex if b.i == i0)),
+    return _probe(u, probe_bound, lambda ex: tuple(sorted(b.l for b in ex if b.k == i0)),
                   ((j, i0, j) for j in range(half, probe_bound)),
                   f"row {i0} misses keep appearing", f"row {i0} misses stop before {half}")
 
@@ -287,7 +291,7 @@ def row_exceptions_finite(u, i0: int, probe_bound: int = 64) -> BoundedCheck:
 def column_exceptions_finite(u, j0: int, probe_bound: int = 64) -> BoundedCheck:
     """Mirror of row_exceptions_finite for a fixed second index."""
     half = probe_bound // 2
-    return _probe(u, probe_bound, lambda ex: tuple(sorted(b.i for b in ex if b.j == j0)),
+    return _probe(u, probe_bound, lambda ex: tuple(sorted(b.k for b in ex if b.l == j0)),
                   ((i, i, j0) for i in range(half, probe_bound)),
                   f"column {j0} misses keep appearing", f"column {j0} misses stop before {half}")
 
@@ -324,7 +328,7 @@ def classify_descriptor(d: ZeroNbhdDescriptor) -> Classification:
 def compactness_remainder(B: BRSystem, u: BasicZeroNbhd) -> list[BRElem]:
     """The finite remainder a basic neighborhood leaves: its excluded fibers."""
     return [
-        BRElem(bx.i, s, bx.j) for bx in sorted(u.excluded) for s in B.sys.elements()
+        BRElem(bx.k, s, bx.l) for bx in sorted(u.excluded) for s in B.sys.elements()
     ]
 
 
@@ -336,11 +340,11 @@ def pushforward_descriptor(d: ZeroNbhdDescriptor) -> str:
     return "cofinite" if d.kind == EXCLUDED_BOXES else "discrete"
 
 
-def pushforward_basic(u: BasicZeroNbhd) -> frozenset[bicyclic.BicyclicElem]:
-    """Excluded boxes become excluded points of the image basic."""
-    return frozenset(bicyclic.BicyclicElem(bx.i, bx.j) for bx in u.excluded)
+def pushforward_basic(u: BasicZeroNbhd) -> frozenset[Box]:
+    """The image basic's excluded points: each excluded box is its own pair."""
+    return u.excluded
 
 
 def pullback_points(points) -> BasicZeroNbhd:
-    """Preimage of a cofinite basic: each point pulls back to its box."""
-    return BasicZeroNbhd(frozenset(Box(p.k, p.l) for p in points))
+    """Preimage of a cofinite basic: each point is the box it pulls back to."""
+    return BasicZeroNbhd(frozenset(points))

@@ -30,7 +30,6 @@ from typing import Callable, NamedTuple
 from . import bicyclic
 from .bicyclic import BicyclicElem, bmul, bmul_codes, binv, rho_table, tmul
 from .bruck_reilly import (
-    Box,
     BRElem,
     BRSystem,
     ZERO,
@@ -398,14 +397,13 @@ def suite_box_solver(system_name: str, max_index: int = 6) -> SuiteResult:
     n = brute_bound + max_index + 1
     r, m = range(brute_bound + 1), range(max_index + 1)
     grid = [BicyclicElem(i, j) for i in r for j in r]
-    boxes = [Box(i, j) for i in r for j in r]
     small = [BicyclicElem(i, j) for i in m for j in m]  # multipliers and targets
     ids = {i * n + j: t for t, (i, j) in enumerate(small)}
     bad = []
     for side, rows in ("left", bmul_codes(small, grid, n)), ("right", zip(*bmul_codes(grid, small, n))):
         for a, row in zip(small, rows):
             sols = [[] for _ in small]
-            for c, b in compress(zip(row, boxes), map(ids.__contains__, row)):
+            for c, b in compress(zip(row, grid), map(ids.__contains__, row)):
                 sols[ids[c]].append(b)
             bad.extend(f"{side} solutions differ for a={tuple(a)}, target={tuple(t)}"
                        for t, s in zip(small, sols) if box_solve(a, t, side) != frozenset(s))

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from brext import bruck_reilly
+import brext
+from brext import bicyclic, bruck_reilly
 from brext.bicyclic import BicyclicElem, bmul, bmul_codes
 from brext.bicyclic import is_zero as b_is_zero
 from brext.bruck_reilly import (
@@ -541,3 +542,11 @@ def test_box_helpers(c2c2):
     assert box(x) == Box(4, 1)
     with pytest.raises(ValueError):
         box(ZERO)
+
+
+def test_a_box_is_the_bicyclic_pair_eta_sends_its_fiber_to():
+    assert brext.Box is brext.BicyclicElem is Box
+    x = BRElem(4, CE(1, 1), 1)
+    assert type(box(x)) is type(eta(x)) is BicyclicElem
+    assert box(x) == eta(x) == BicyclicElem(4, 1)
+    assert bicyclic.format_elem(box(x)) == "(4,1)"

@@ -9,7 +9,6 @@ from brext.groups import (
     MAX_ORDER,
     GroupHom,
     GroupTable,
-    compose_homs,
     cyclic_group,
     ginv,
     gmul,
@@ -126,12 +125,7 @@ def test_homs_preserve_identity_and_inverses():
 
 
 def test_hom_composition_and_constant():
-    z4, z2 = cyclic_group(4), cyclic_group(2)
-    mod2 = hom(z4, z2, [0, 1, 0, 1])
-    collapse = constant_hom(z2, z2)
-    comp = compose_homs(mod2, collapse)
-    assert comp.map == (0, 0, 0, 0)
-    assert validate_hom(comp) == []
+    z4 = cyclic_group(4)
     assert identity_hom(z4).map == (0, 1, 2, 3)
 
 

@@ -9,6 +9,10 @@ input, and no guard can be written as an assert.
 The package's export list is pinned the same way: `brext/__init__.py`
 exports exactly the names it imports, so a name cannot leave one of the two
 lists and stay in the other.
+
+The Python floor, 3.10 in pyproject.toml, is checked by parsing: every
+source file of the package, the tests and the benchmark parses with the
+3.10 grammar, which refuses later syntax such as `except*`.
 """
 
 import ast
@@ -17,6 +21,7 @@ from pathlib import Path
 import brext
 
 MODULES = sorted(Path(brext.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _stripped_by_python_O(node) -> bool:
@@ -47,3 +52,10 @@ def test_the_export_list_is_exactly_the_imported_names():
         for alias in node.names
     ]
     assert sorted(brext.__all__) == sorted(imported + ["__version__"])
+
+
+def test_every_source_file_parses_with_the_python_3_10_grammar():
+    paths = [p for d in ("src/brext", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert {"cli.py", "test_source.py", "run.py"} <= {p.name for p in paths}
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -298,7 +299,7 @@ def test_large_index_certificates(c2c2, side):
     want = []
     for b in sorted([dropped, stray]):
         for s in c2c2.sys.elements():
-            x = BRElem(b.i, s, b.j)
+            x = BRElem(b.k, s, b.l)
             p = brmul(c2c2, cert.a, x) if side == "left" else brmul(c2c2, x, cert.a)
             if (box(p) in target) != (b == stray):
                 want.append(f"{format_elem(x)} was excluded but its product stays in the target" if b == stray
@@ -389,6 +390,16 @@ def test_compactness_remainder_is_the_excluded_fibers(c2c2):
 def test_pushforward_descriptor_kinds():
     assert pushforward_descriptor(EXCLUDED_BOXES_BASE) == "cofinite"
     assert pushforward_descriptor(ISOLATED_ZERO) == "discrete"
+
+
+@pytest.mark.parametrize("pair", [(2.7, 1), (True, 2), (1, False), (-1, 0), (0, -3), ("1", 2)])
+def test_excluding_refuses_a_pair_that_is_not_a_box(pair):
+    # int() would coerce a float, a bool or a digit string, and a negative
+    # index names no box; (True, 2) is refused also after the box (1, 2)
+    # that it equals
+    for boxes in ([pair], [(1, 2), pair]):
+        with pytest.raises(ValueError, match=re.escape(f"not a box: ({pair[0]!r}, {pair[1]!r})")):
+            BasicZeroNbhd.excluding(boxes)
 
 
 def test_pushforward_basic_and_roundtrip():

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from brext import bruck_reilly, topology, verify
+from brext import bruck_reilly, clifford, topology, verify
 from brext.bicyclic import BicyclicElem, ZERO, bmul, rho_table
 from brext.bruck_reilly import BRElem, BRSystem, brmul_ids, decode, encode, eta, format_elem, parse_elem, window_elements
 from brext.clifford import CliffordElement, cmul_oracle, theta_pow, theta_pow_oracle
@@ -435,6 +435,35 @@ def test_structure_checks_the_order_of_the_factors_in_brmuls_shifted_branch(s3c2
     results = run_all(load_system(FIXTURES / "s3c2.json"), window=3)
     assert [(r.suite, r.violations) for r in results if not r.ok] == [("structure", wrong)]
     assert results[0].checked == 1
+
+
+def test_associativity_catches_a_theta_one_step_short_on_a_long_orbit(monkeypatch):
+    # theta^n read as theta^(n-1) for n >= 2 goes unseen wherever
+    # theta^2 = theta on the top group, as on c2c2, trivial and s3c2;
+    # c4c2c2's top orbits have tail 2 and cycle 3, so there (xy)z and
+    # x(yz), which shift by different amounts, disagree
+    original = clifford.theta_pow
+
+    def mutant(sys, a, n):
+        return original(sys, a, n - 1 if n >= 2 else n)
+
+    for module in (clifford, bruck_reilly):
+        monkeypatch.setattr(module, "theta_pow", mutant)
+    results = run_all(load_system(FIXTURES / "c4c2c2.json"), window=2)  # fresh: windows are cached per system
+    assert [r.suite for r in results if not r.ok] == ["associativity"]
+
+
+def test_box_solver_and_continuity_catch_a_box_solve_one_box_short(monkeypatch):
+    original = topology.box_solve
+
+    def mutant(a, t, side):
+        sols = original(a, t, side)
+        return sols - {min(sols)} if len(sols) >= 2 else sols
+
+    for module in (topology, verify):
+        monkeypatch.setattr(module, "box_solve", mutant)
+    results = run_all(load_system(data_path("c2c2")), window=3)
+    assert [(r.suite, len(r.violations)) for r in results if not r.ok] == [("box_solver", 504), ("continuity", 344)]
 
 
 def test_bicyclic_oracle_refuses_a_negative_code(monkeypatch):

@@ -238,7 +238,7 @@ def window_elements(B: BRSystem, n: int) -> list[BRElem]:
         BRElem(i, s, j)
         for i in range(n)
         for j in range(n)
-        for s in B.sys.elements()
+        for s in B.sys.compiled.elements
     ]
 
 
@@ -268,9 +268,9 @@ def nat_order(B: BRSystem, x: Element, y: Element) -> bool:
     """x below y in the natural partial order, by the closed form.
 
     Writing x = (i, s, j) and y = (m, t, n): both index gaps must agree and
-    be non-negative, d = i - m = j - n >= 0, and s must lie in the compiled
-    below-set of u = t (d = 0) or u = theta^d(t) (d > 0), that is
-    s = u * e for an idempotent e of T: x <= y iff x lies in y * E(S).
+    be non-negative, d = i - m = j - n >= 0, and s = u * s^-1 s for u = t
+    (d = 0) or u = theta^d(t) (d > 0), where s^-1 s is the identity of s's
+    level: one read of T's compiled table.  So x <= y iff x lies in y * E(S).
     Plain BRElem operands are validated once against T's ids, x first, as
     brmul validates them.  The product route nat_order_oracle checks
     x = y * x^-1 x in the extension instead.
@@ -295,7 +295,7 @@ def nat_order(B: BRSystem, x: Element, y: Element) -> bool:
     d = i - m
     if d != j - n or d < 0:
         return False
-    return a in compiled.below[b if d == 0 else theta_pow(B.sys, t, d).elem]
+    return compiled.products[b if d == 0 else theta_pow(B.sys, t, d).elem][compiled.idempotents[s.level]] == a
 
 
 def nat_order_oracle(B: BRSystem, x: Element, y: Element) -> bool:
@@ -316,8 +316,7 @@ def hclass(B: BRSystem, x: Element) -> list[Element]:
     _check(B, x)
     if x is ZERO:
         return [ZERO]
-    g = B.sys.group(x.s.level)
-    out = [BRElem(x.i, CliffordElement(x.s.level, u), x.j) for u in range(g.order)]
+    out = [BRElem(x.i, s, x.j) for s in B.sys.compiled.elements if s.level == x.s.level]
     xi = brinv(B, x)
     left, right = brmul(B, x, xi), brmul(B, xi, x)
     for y in out:

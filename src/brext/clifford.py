@@ -14,18 +14,15 @@ whole semigroup into its unit group.  theta_pow iterates it; iterates beyond
 the first all happen inside the top group.
 
 A system's shape is checked when it is built; validate_system checks only
-the laws.  A system is compiled on first use into one form of T on integer
-ids 0..|T|-1: the product table, the first step of theta, the idempotents
-and T's natural order as below-sets.  cmul, idempotents and bruck_reilly
-read only that form, and take and return the shared element objects it
-numbers.  theta_pow is the one fast route for theta^n (brmul_ids reads it
-once per shift) and the only reader of the first step; it applies the top
-map sys.theta[0], a bounds-checked GroupHom, for the n - 1 others: the
+the laws.  On first use a system is compiled into the one form of T every
+runtime layer reads, on ids 0..|T|-1 of shared element objects: products,
+the first theta step, idempotents and inverses.  theta_pow is the one fast
+route for theta^n and the only reader of the first step; it applies the
+top map sys.theta[0], a bounds-checked GroupHom, for the n - 1 others: the
 compiled step is about 11 times faster, but bench/run.py keeps every
-query, so its peak RSS would outgrow its bound over more batteries.  The
-bond-and-Cayley product stays as cmul_oracle and the plain theta loop as
-theta_pow_oracle, which validate_system's failure path and verify's
-structure suite use.
+query, so its peak RSS would outgrow its bound over more batteries.
+cmul_oracle (bonds and Cayley tables) and theta_pow_oracle (the plain
+loop) serve validate_system's failure path and verify's structure suite.
 """
 
 from __future__ import annotations
@@ -49,17 +46,15 @@ class CompiledSystem(NamedTuple):
     elements numbers T level by level from the top, so a top element's id
     is its group coordinate, and ids maps each element back to its id; the
     keys of ids are exactly the elements of T.  products[a][b] is the id of
-    a * b and theta[a] that of theta(a), for ids a and b.  idempotents holds
-    the ids of the level identities, top level first.  below[t] is T's
-    natural order as sets: the ids of t * E(T), the products t * e over the
-    idempotents e, which are exactly the elements below t.
+    a * b, theta[a] that of theta(a), inverse[a] that of a^-1 and
+    idempotents[l] that of level l's identity, for ids a, b and levels l.
     """
 
     elements: tuple[CliffordElement, ...]
     ids: dict
     products: list[list[int]]
     theta: list[int]
-    below: list[frozenset[int]]
+    inverse: list[int]
     idempotents: tuple[int, ...]
 
 
@@ -121,15 +116,16 @@ class CliffordSystem:
 
     @cached_property
     def compiled(self) -> CompiledSystem:
-        """T on ids with its product and theta tables, idempotents and
-        below-sets, built on first use.
+        """T on ids with its product, theta and inverse tables and its
+        idempotents, built on first use.
 
         Each level pair fills its block of the table from the bond maps and
         the Cayley table at the meet level, and theta is read off its maps,
         which construction guarantees run into the top group, whose ids are
-        its group coordinates.  Only level identities may be idempotent;
-        that is checked here, once, and any other idempotent raises
-        NotAGroup.
+        its group coordinates.  a^-1 is the first b from a's level on with
+        a * b a's level identity (a lower factor gives a lower product).  A
+        non-identity idempotent or an element with no inverse raises
+        NotAGroup, here, once.
         """
         elements = tuple(self.elements())
         ids = {e: n for n, e in enumerate(elements)}
@@ -148,14 +144,13 @@ class CliffordSystem:
         for e in idem:
             if elements[e].elem != self.groups[elements[e].level].identity:
                 raise NotAGroup(f"non-identity idempotent {elements[e]} in a group")
-        return CompiledSystem(
-            elements,
-            ids,
-            products,
-            [v for th in self.theta for v in th.map],
-            [frozenset(row[e] for e in idem) for row in products],
-            idem,
-        )
+        units, inverse = {elements[e].level: e for e in idem}, []
+        for a, row in zip(elements, products):
+            try:
+                inverse.append(row.index(units[a.level], ids[CliffordElement(a.level, 0)]))
+            except (KeyError, ValueError):
+                raise NotAGroup(f"element {tuple(a)} has no inverse in its group") from None
+        return CompiledSystem(elements, ids, products, [v for th in self.theta for v in th.map], inverse, idem)
 
 
 def cmul(sys: CliffordSystem, a: CliffordElement, b: CliffordElement) -> CliffordElement:
@@ -179,8 +174,12 @@ def cmul_oracle(sys: CliffordSystem, a: CliffordElement, b: CliffordElement) -> 
 
 
 def cinv(sys: CliffordSystem, a: CliffordElement) -> CliffordElement:
-    """Inverse stays on the same level."""
-    return CliffordElement(a.level, ginv(sys.group(a.level), a.elem))
+    """Inverse, looked up in the compiled form; it stays on a's level."""
+    compiled = sys.compiled
+    try:
+        return compiled.elements[compiled.inverse[compiled.ids[a]]]
+    except KeyError:  # raises ginv's error for operands outside T
+        return CliffordElement(a.level, ginv(sys.group(a.level), a.elem))
 
 
 def theta_pow(sys: CliffordSystem, a: CliffordElement, n: int) -> CliffordElement:

@@ -18,7 +18,7 @@ class MalformedMap(BrextError):
 
 
 class NotAGroup(BrextError):
-    """A level's table has an idempotent other than its identity."""
+    """A level has an idempotent other than its identity, or an element with no inverse."""
 
 
 class IndexOutOfRange(BrextError, IndexError):

@@ -227,7 +227,7 @@ def _reverify(B: BRSystem, cert: ContinuityCertificate) -> list[str]:
     bad = []
     for i, j in sorted(failing):
         inside = (i, j) in found
-        for s in B.sys.elements():
+        for s in B.sys.compiled.elements:
             x = BRElem(i, s, j)
             if (box(mul(x)) in target) != inside:
                 bad.append(f"{format_elem(x)} was excluded but its product stays in the target" if inside
@@ -328,7 +328,7 @@ def classify_descriptor(d: ZeroNbhdDescriptor) -> Classification:
 def compactness_remainder(B: BRSystem, u: BasicZeroNbhd) -> list[BRElem]:
     """The finite remainder a basic neighborhood leaves: its excluded fibers."""
     return [
-        BRElem(bx.k, s, bx.l) for bx in sorted(u.excluded) for s in B.sys.elements()
+        BRElem(bx.k, s, bx.l) for bx in sorted(u.excluded) for s in B.sys.compiled.elements
     ]
 
 

@@ -6,7 +6,7 @@ like a failed config's record, lists violations.  SUITES is the one lineup
 of `verify --all`: per suite, in record order, the arguments run_all gives
 it, the systems it applies to and its checked count in closed form.  Seeded
 randomness only ever comes from random.Random(seed).  structure checks T's
-compiled form against cmul_oracle and theta_pow_oracle, then brmul's
+compiled form against cmul_oracle, theta_pow_oracle and ginv, then brmul's
 shifted branches against that form.  The window suites read the system's
 compiled window (BRSystem.window) and check it against a second route
 each: bmul_codes for eta (a code // |T| is its box's bicyclic code), the
@@ -47,8 +47,8 @@ from .bruck_reilly import (
     zero_divisor_scan,
 )
 from .clifford import CliffordElement, cmul_oracle, idempotents, theta_pow_oracle, validate_system
-from .errors import MalformedDescriptor, WitnessVerificationFailed
-from .groups import row_reader
+from .errors import BrextError, MalformedDescriptor, WitnessVerificationFailed
+from .groups import ginv, row_reader
 from .topology import (
     BasicZeroNbhd,
     EXCLUDED_BOXES_BASE,
@@ -100,9 +100,9 @@ class SuiteResult:
 
 
 def suite_structure(B: BRSystem) -> SuiteResult:
-    """validate_system, then, once the laws hold, T's compiled table against
-    cmul_oracle over T x T and its compiled theta against theta_pow_oracle;
-    once those agree, brmul's shifted branches against both, over T x T:
+    """validate_system, then, once the laws hold, T's compiled products,
+    theta and inverses against cmul_oracle, theta_pow_oracle and ginv; once
+    those agree, brmul's shifted branches against that form, over T x T:
     (0,a,1)*(2,b,0) has group part theta(a)*b and (0,a,2)*(1,b,0) a*theta(b)."""
     bad = validate_system(B.sys)
     if not bad:
@@ -111,6 +111,8 @@ def suite_structure(B: BRSystem) -> SuiteResult:
                zip(elems, T.products) for b, p in zip(elems, row) if elems[p] != cmul_oracle(B.sys, a, b)]
         bad += [f"compiled theta differs from theta_pow_oracle at a={tuple(a)}"
                 for a, v in zip(elems, T.theta) if elems[v] != theta_pow_oracle(B.sys, a, 1)]
+        bad += [f"compiled inverse differs from ginv at a={tuple(a)}"
+                for a, v in zip(elems, T.inverse) if elems[v] != (a.level, ginv(B.sys.group(a.level), a.elem))]
         bad = bad or [f"brmul gives {format_elem(x)}*{format_elem(y)} a group part other than {tuple(elems[t])}"
                       for a, ta, row in zip(elems, T.theta, T.products) for b, tb, tab in zip(elems, T.theta, T.products[ta])
                       for x, y, t in ((BRElem(0, a, 1), BRElem(2, b, 0), tab), (BRElem(0, a, 2), BRElem(1, b, 0), row[tb]))
@@ -265,7 +267,7 @@ def suite_hclass(B: BRSystem, window: int) -> SuiteResult:
     for x, key in zip(w.elems, ends):
         try:
             claimed = set(hclass(B, x))
-        except WitnessVerificationFailed as exc:
+        except (BrextError, ValueError) as exc:  # a fault of hclass, reported, not refused
             bad.append(f"H-class of {format_elem(x)}: {exc}")
             continue
         if claimed != classes[key]:

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from brext import verify
 from brext.cli import MAX_PROBE_BOUND, main
 from brext.config import data_path, load_system
 from brext.errors import ValidationFailed
@@ -424,6 +425,26 @@ def test_verify_all_small_window_passes(capsys):
         assert lines[-1]["op"] == "verify_summary"
         assert lines[-1]["failed"] == 0
         assert all(rec["ok"] for rec in lines)
+
+
+def test_a_fault_inside_hclass_is_reported_not_refused(capsys, monkeypatch):
+    # a ValueError out of hclass on a valid system is the program's fault:
+    # the hclass record names it, every record prints and the run exits 1
+    def broken(B, x):
+        raise ValueError(f"group coordinate {tuple(x.s)} is not an element of T")
+
+    s3c2 = str(FIXTURES / "s3c2.json")
+    _, want, _ = run(capsys, "verify", "--all", "--system", s3c2, "--window", "2")
+    monkeypatch.setattr(verify, "hclass", broken)
+    code, out, err = run(capsys, "verify", "--all", "--system", s3c2, "--window", "2")
+    assert code == 1 and "error:" not in err
+    got, records = [json.loads(line) for line in out.splitlines()], [json.loads(line) for line in want.splitlines()]
+    assert [r.get("suite") for r in got] == [r.get("suite") for r in records]
+    assert [r.get("suite", r["op"]) for r in got if not r["ok"]] == ["hclass", "verify_summary"]
+    assert got[-1]["failed"] == 1
+    hclass = next(r for r in got if r["suite"] == "hclass")
+    assert hclass["violations"][0] == "H-class of (0,0:0,0): group coordinate (0, 0) is not an element of T"
+    assert len(hclass["violations"]) == verify.MAX_REPORTED + 1
 
 
 def test_verify_fault_config_exits_one(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brext import clifford, groups
+from brext.bruck_reilly import BRElem, nat_order
 from brext.clifford import (
     CliffordElement,
     CliffordSystem,
@@ -15,8 +16,10 @@ from brext.clifford import (
     theta_pow_oracle,
     validate_system,
 )
+from brext.config import load_system
 from brext.errors import IndexOutOfRange, MalformedMap, MissingBond, NotAGroup
 from brext.groups import cyclic_group, hom, identity_hom
+from conftest import FIXTURES
 from test_groups import constant_hom
 
 
@@ -279,13 +282,19 @@ def test_idempotents_match_oracle(c2c2, trivial):
         assert idempotents(sys) is not idempotents(sys)
 
 
-def test_below_sets_are_each_element_times_the_idempotents(c2c2, trivial):
-    for sys in (c2c2.sys, trivial.sys, make_c12_c6_c3()):
+def test_natural_order_below_t_is_t_times_the_idempotents(c2c2, trivial, s3c2):
+    # s <= t in T iff s lies in t * E(T); nat_order reads that off T's
+    # compiled table, at shift 1 against theta(t)
+    verdicts = set()
+    for B in (c2c2, trivial, s3c2, load_system(FIXTURES / "c4c2c2.json")):
+        sys = B.sys
         es = [e for e in sys.elements() if cmul_oracle(sys, e, e) == e]
-        c = sys.compiled
-        assert len(c.below) == len(c.elements)
-        for t, below in zip(c.elements, c.below):
-            assert {c.elements[p] for p in below} == {cmul_oracle(sys, t, e) for e in es}, t
+        for s, t in itertools.product(sys.elements(), repeat=2):
+            for shift, u in ((0, t), (1, theta_pow_oracle(sys, t, 1))):
+                below = s in {cmul_oracle(sys, u, e) for e in es}
+                assert nat_order(B, BRElem(shift, s, shift), BRElem(0, t, 0)) == below, (B.name, s, t, shift)
+                verdicts.add((below, s == u))
+    assert verdicts == {(True, True), (True, False), (False, False)}
 
 
 def test_invalid_operands_raise_as_the_oracle_does():
@@ -407,9 +416,40 @@ def test_compiled_numbers_T_level_by_level(c2c2, trivial):
         assert all(c.elements[n] == CliffordElement(0, n) for n in range(system.groups[0].order))
         for a in c.elements:
             assert c.elements[c.theta[c.ids[a]]] == theta_pow_oracle(system, a, 1)
+            assert c.elements[c.inverse[c.ids[a]]] == (a.level, groups.ginv(system.groups[a.level], a.elem))
             for b in c.elements:
                 assert c.elements[c.products[c.ids[a]][c.ids[b]]] == cmul_oracle(system, a, b)
         assert [c.elements[e] for e in c.idempotents] == idempotents(system)
+
+
+def test_an_element_without_an_inverse_is_refused_at_compile():
+    # a non-associative table whose only idempotent is its identity 0, where
+    # the row of 1 never reaches 0; validate_group lists what breaks
+    m = groups.GroupTable([[0, 1, 2], [1, 2, 2], [2, 1, 0]], identity=0)
+    assert groups.validate_group(m) == ["inverse axiom violated for element 1"] + [
+        f"associativity violated at {triple}"
+        for triple in ("(1,1,1)", "(1,1,2)", "(1,2,1)", "(1,2,2)", "(2,1,1)", "(2,1,2)")
+    ]
+    sys = CliffordSystem(groups=(m,), bonds={}, theta=(identity_hom(m),))
+    one = CliffordElement(0, 1)
+    for compile_it in (lambda: sys.compiled, lambda: cmul(sys, one, one), lambda: cinv(sys, one)):
+        with pytest.raises(NotAGroup) as exc:
+            compile_it()
+        assert str(exc.value) == "element (0, 1) has no inverse in its group"
+
+
+def test_cinv_refuses_operands_outside_t_with_ginvs_errors():
+    sys = make_z4z2()
+    for a, error, msg in (
+        ((0, 7), IndexOutOfRange, "7 outside group of order 4"),
+        ((0, -1), IndexOutOfRange, "-1 outside group of order 4"),
+        ((1, 2), IndexOutOfRange, "2 outside group of order 2"),
+        ((5, 0), ValueError, "level 5 outside chain of size 2"),
+        ((-1, 0), ValueError, "level -1 outside chain of size 2"),
+    ):
+        with pytest.raises(Exception) as exc:
+            cinv(sys, CliffordElement(*a))
+        assert (type(exc.value), str(exc.value)) == (error, msg), a
 
 
 def test_compiled_once_and_never_by_validation():

@@ -2,10 +2,10 @@ from dataclasses import replace
 
 import pytest
 
-from brext import bruck_reilly, clifford, topology, verify
+from brext import bruck_reilly, clifford, groups, topology, verify
 from brext.bicyclic import BicyclicElem, ZERO, bmul, rho_table
 from brext.bruck_reilly import BRElem, BRSystem, brmul_ids, decode, encode, eta, format_elem, parse_elem, window_elements
-from brext.clifford import CliffordElement, cmul_oracle, theta_pow, theta_pow_oracle
+from brext.clifford import CliffordElement, CliffordSystem, cmul_oracle, theta_pow, theta_pow_oracle
 from brext.config import data_path, load_system
 from brext.verify import SUITES, SuiteResult, run_all
 from conftest import FIXTURES
@@ -451,6 +451,60 @@ def test_associativity_catches_a_theta_one_step_short_on_a_long_orbit(monkeypatc
         monkeypatch.setattr(module, "theta_pow", mutant)
     results = run_all(load_system(FIXTURES / "c4c2c2.json"), window=2)  # fresh: windows are cached per system
     assert [r.suite for r in results if not r.ok] == ["associativity"]
+
+
+@pytest.mark.parametrize("path, window, failing", [
+    (FIXTURES / "s3c2.json", 3, ["structure", "inverse_axioms", "nat_order", "hclass"]),
+    (FIXTURES / "c4c2c2.json", 2, ["structure", "inverse_axioms", "nat_order", "hclass"]),
+    (data_path("c2c2"), 3, []),  # every element of c2c2 is its own inverse
+])
+def test_suites_catch_a_compiled_inverse_that_is_the_identity(path, window, failing):
+    B = load_system(path)
+    compiled = B.sys.compiled
+    B.sys.__dict__["compiled"] = compiled._replace(inverse=list(range(len(compiled.inverse))))
+    assert [r.suite for r in run_all(B, window=window) if not r.ok] == failing
+
+
+class Uncompiled(Exception):
+    pass
+
+
+def test_runtime_layers_read_t_from_its_compiled_form_alone(s3c2, monkeypatch):
+    # with the groups' own arithmetic and element listing refusing, only
+    # structure, which compares the compiled form with them, needs them;
+    # theta_pow's steps past the first still apply the GroupHom sys.theta[0]
+    B = load_system(FIXTURES / "s3c2.json")  # fresh: windows are cached per system
+    T = B.sys.compiled
+    x, y = BRElem(2, T.elements[4], 1), BRElem(1, T.elements[7], 3)
+    e = BRElem(1, T.elements[T.idempotents[1]], 1)
+    u = topology.BasicZeroNbhd.excluding([(3, 2), (0, 0), (2, 5)])
+
+    def queries():
+        return (
+            [bruck_reilly.brmul(B, p, q) for p in (x, y) for q in (x, y)],
+            [bruck_reilly.brinv(B, p) for p in (x, y, ZERO)],
+            [bruck_reilly.nat_order(B, bruck_reilly.brmul(B, p, e), q) for p in (x, y) for q in (x, y)],
+            [bruck_reilly.hclass(B, p) for p in (x, y, ZERO)],
+            bruck_reilly.simplicity_witness(B, x, y),
+            [topology.continuity_cert_zero(B, p, u, side) for p in (x, y) for side in ("left", "right")],
+            topology.compactness_remainder(B, u),
+        )
+
+    want = queries()
+    assert SUITES[0].name == "structure"
+    records = [s.run(s3c2, 3, 0, 64).record() for s in SUITES[1:] if s.applies(s3c2)]
+
+    def refuse(*args):
+        raise Uncompiled
+
+    for module, name in ((groups, "gmul"), (groups, "ginv"), (clifford, "gmul"), (clifford, "ginv"), (verify, "ginv")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(CliffordSystem, "elements", refuse)
+    with pytest.raises(Uncompiled):
+        verify.suite_structure(B)
+    assert [s.run(B, 3, 0, 64).record() for s in SUITES[1:] if s.applies(B)] == records
+    monkeypatch.setattr(CliffordSystem, "group", refuse)
+    assert queries() == want
 
 
 def test_box_solver_and_continuity_catch_a_box_solve_one_box_short(monkeypatch):

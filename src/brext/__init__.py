@@ -39,6 +39,7 @@ from .topology import (
     box_solve,
     classify_descriptor,
     continuity_cert_zero,
+    continuity_certs,
     meets_almost_all_boxes,
     pushforward_basic,
     pushforward_descriptor,
@@ -58,7 +59,7 @@ __all__ = [
     "GroupHom", "GroupTable", "cyclic_group", "ginv", "gmul", "hom",
     "validate_group", "validate_hom",
     "BasicZeroNbhd", "ContinuityCertificate", "ZeroNbhdDescriptor",
-    "box_solve", "classify_descriptor", "continuity_cert_zero",
+    "box_solve", "classify_descriptor", "continuity_cert_zero", "continuity_certs",
     "meets_almost_all_boxes", "pushforward_basic", "pushforward_descriptor",
     "row_exceptions_finite",
     "__version__",

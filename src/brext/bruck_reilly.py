@@ -295,7 +295,7 @@ def nat_order(B: BRSystem, x: Element, y: Element) -> bool:
     d = i - m
     if d != j - n or d < 0:
         return False
-    return compiled.products[b if d == 0 else theta_pow(B.sys, t, d).elem][compiled.idempotents[s.level]] == a
+    return compiled.products[b if d == 0 else theta_pow(B.sys, t, d).elem][compiled.idempotents[compiled.elements[a].level]] == a
 
 
 def nat_order_oracle(B: BRSystem, x: Element, y: Element) -> bool:
@@ -316,7 +316,8 @@ def hclass(B: BRSystem, x: Element) -> list[Element]:
     _check(B, x)
     if x is ZERO:
         return [ZERO]
-    out = [BRElem(x.i, s, x.j) for s in B.sys.compiled.elements if s.level == x.s.level]
+    level = B.sys.compiled.elements[B.sys.compiled.ids[x.s]].level  # x.s may be a plain (level, elem) pair
+    out = [BRElem(x.i, s, x.j) for s in B.sys.compiled.elements if s.level == level]
     xi = brinv(B, x)
     left, right = brmul(B, x, xi), brmul(B, xi, x)
     for y in out:
@@ -381,4 +382,4 @@ def parse_elem(text: str) -> Element:
 def format_elem(x: Element) -> str:
     if x is ZERO:
         return "0"
-    return f"({x.i},{x.s.level}:{x.s.elem},{x.j})"
+    return "({},{}:{},{})".format(x.i, *x.s, x.j)

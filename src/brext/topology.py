@@ -151,38 +151,49 @@ class ContinuityCertificate:
 
 
 def continuity_cert_zero(B: BRSystem, a: BRElem, target: BasicZeroNbhd, side: str) -> ContinuityCertificate:
-    """Build the basic U with a * U inside target (or U * a on the right).
+    """Build the basic U with a * U inside target (or U * a on the right)."""
+    return continuity_certs(B, [a], target, side)[0]
+
+
+def continuity_certs(B: BRSystem, multipliers: list[BRElem], target: BasicZeroNbhd, side: str) -> list[ContinuityCertificate]:
+    """One certificate per multiplier, in order, all for one target and side.
 
     A box of U lands in an excluded box of the target exactly when it solves
     the corresponding box equation, so excluding the union of solution sets
     is both sound and exact.  Such a U always exists: the union is finite.
-    The re-verification skips the multiplier check made here."""
-    _check_multiplier(B, a, side)
-    ab = box(a)
-    trace = {w: box_solve(ab, w, side) for w in sorted(target.excluded)}
-    found = BasicZeroNbhd(frozenset().union(*trace.values()))
-    cert = ContinuityCertificate(a=a, side=side, target=target, found=found, trace=trace)
-    cert.violations = _reverify(B, cert)
-    return cert
+    A product's box depends on a only through box(a), so the multipliers of
+    one box share the solutions and _recheck's probes and preimage; each is
+    checked up front and re-verified with products of its own."""
+    for a in multipliers:
+        _check_multiplier(B, a, side)
+    s0, shared, out = B.sys.unit(), {}, []  # any group part decides a product's box
+    for a in multipliers:
+        if (ab := box(a)) not in shared:
+            trace = {w: box_solve(ab, w, side) for w in sorted(target.excluded)}
+            found = frozenset().union(*trace.values())
+            shared[ab] = BasicZeroNbhd(found), trace, *_recheck(ab, found, target.excluded, side, s0)
+        found, trace, probes, preimage = shared[ab]
+        cert = ContinuityCertificate(a, side, target, found, trace)
+        cert.violations = _reverify(B, cert, probes, preimage)
+        out.append(cert)
+    return out
 
 
 def verify_certificate(B: BRSystem, cert: ContinuityCertificate) -> list[str]:
     """Re-verify a certificate built elsewhere, box by box with real products.
 
-    The public re-check: continuity_cert_zero runs _reverify on its own
-    certificates, and bench/kernels.py times this one.  Checks both
-    directions: elements of U multiply into the target, and every excluded
-    box was necessary.  Zero needs no check; it multiplies to zero, which
-    every zero neighborhood contains.
-
-    Only the preimage of the target boxes and the `found` boxes can fail,
-    which covers all of BR(T, theta).  The preimage comes from _residuate,
-    never box_solve, so the check stays independent of the certificate's
-    route; a found box is decided by one brmul, as a product's box ignores
-    group parts.  Failing boxes are walked element by element, in order.
+    Checks both directions: elements of U multiply into the target, and
+    every excluded box was necessary; zero multiplies to zero, which every
+    zero neighborhood contains.  Only the preimage of the target boxes and
+    the `found` boxes can fail, which covers all of BR(T, theta).  The
+    preimage comes from _residuate, never box_solve, so the check stays
+    independent of the certificate's route; a found box is decided by one
+    brmul, as a product's box ignores group parts.  Failing boxes are
+    walked element by element, in order.
     """
     _check_multiplier(B, cert.a, cert.side)
-    return _reverify(B, cert)
+    probes, preimage = _recheck(box(cert.a), cert.found.excluded, cert.target.excluded, cert.side, B.sys.unit())
+    return _reverify(B, cert, probes, preimage)
 
 
 def _rho(k: int, l: int) -> tuple:
@@ -212,18 +223,21 @@ def _residuate(ra: tuple, t: Box, side: str) -> frozenset[Box]:
     return frozenset(map(Box, range(max(0, d), hi + 1), range(max(0, -d), hi + 1 - d)))
 
 
-def _reverify(B: BRSystem, cert: ContinuityCertificate) -> list[str]:
-    """verify_certificate after its multiplier check."""
+def _recheck(ab: Box, found: frozenset[Box], target: frozenset[Box], side: str, s0) -> tuple:
+    """_reverify's input for a multiplier in box ab: a probe (k, s0, l) per
+    found box, and the residuated preimage of the target outside found."""
+    ra, preimage = _rho(*ab), set()
+    for t in target:
+        preimage |= _residuate(ra, t, side)
+    return [BRElem(f.k, s0, f.l) for f in found], preimage - found
+
+
+def _reverify(B: BRSystem, cert: ContinuityCertificate, probes: list[BRElem], preimage: set[Box]) -> list[str]:
+    """verify_certificate after its multiplier check, on _recheck's output."""
     a, side = cert.a, cert.side
     found, target = cert.found.excluded, cert.target.excluded
-    ra = _rho(a.i, a.j)
-    s0 = B.sys.unit()  # any group part decides a product's box
     mul = (lambda x: brmul(B, a, x)) if side == "left" else (lambda x: brmul(B, x, a))
-    failing = set()
-    for t in target:
-        failing |= _residuate(ra, t, side)
-    failing -= found
-    failing.update(f for f in found if mul(BRElem(f.k, s0, f.l))[::2] not in target)  # the product's box
+    failing = preimage.union([p[::2] for p in probes if mul(p)[::2] not in target])  # [::2]: a box
     bad = []
     for i, j in sorted(failing):
         inside = (i, j) in found

@@ -12,9 +12,9 @@ compiled window (BRSystem.window) and check it against a second route
 each: bmul_codes for eta (a code // |T| is its box's bicyclic code), the
 closed form for nat_order, the group fibers for hclass.  The bicyclic row
 scans (bicyclic_axioms, the packed max-plus bicyclic_oracle, box_solver)
-take their products as rows of integer codes from bmul_codes; each
-continuity certificate solves its own failing boxes by max-plus
-residuation, sharing no state with the others.
+take their products as rows of integer codes from bmul_codes; continuity
+certifies a sample's multipliers in one continuity_certs call, solving and
+residuating once per box and multiplying by each multiplier itself.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .topology import (
     box_solve,
     classify_descriptor,
     compactness_remainder,
-    continuity_cert_zero,
+    continuity_certs,
     column_exceptions_finite,
     descriptor_from_obj,
     meets_almost_all_boxes,
@@ -415,17 +415,16 @@ def suite_box_solver(system_name: str, max_index: int = 6) -> SuiteResult:
 
 def suite_continuity(B: BRSystem, seed: int, samples: int = 100, a_window: int = 3) -> SuiteResult:
     """Random targets, every multiplier with indices below a_window, both
-    sides; each certificate carries its own box-by-box re-verification."""
+    sides, all multipliers of a sample in one continuity_certs call; each
+    certificate carries its own box-by-box re-verification."""
     rng = random.Random(seed)
     multipliers = window_elements(B, a_window)
     bad = []
     for _ in range(samples):
         w = BasicZeroNbhd.excluding((rng.randrange(11), rng.randrange(11)) for _ in range(rng.randint(0, 3)))
         side = "left" if rng.random() < 0.5 else "right"
-        for a in multipliers:
-            cert = continuity_cert_zero(B, a, w, side)
-            if not cert.ok:
-                bad.append(f"certificate for a={format_elem(a)}, side={side}: {cert.violations[0]}")
+        bad.extend(f"certificate for a={format_elem(c.a)}, side={side}: {c.violations[0]}"
+                   for c in continuity_certs(B, multipliers, w, side) if not c.ok)
     return SuiteResult("continuity", B.name, {"seed": seed, "samples": samples, "a_window": a_window},
                        samples * len(multipliers), bad)
 

@@ -27,6 +27,13 @@ def s3c2():
 
 
 @pytest.fixture(scope="session")
+def c4c2c2():
+    """C4 x C2 x C2 with theta of tail 2 and cycle 3 on its one level: the
+    long-orbit system, 16 group parts per box."""
+    return load_system(FIXTURES / "c4c2c2.json")
+
+
+@pytest.fixture(scope="session")
 def c2c2_obj():
     return json.loads(data_path("c2c2").read_text())
 

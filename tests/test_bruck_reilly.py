@@ -550,3 +550,24 @@ def test_a_box_is_the_bicyclic_pair_eta_sends_its_fiber_to():
     assert type(box(x)) is type(eta(x)) is BicyclicElem
     assert box(x) == eta(x) == BicyclicElem(4, 1)
     assert bicyclic.format_elem(box(x)) == "(4,1)"
+
+
+def test_a_plain_pair_as_group_part_answers_as_its_clifford_element(c2c2, s3c2):
+    # a (level, elem) tuple hashes equal to the CliffordElement in T's ids,
+    # so every public element function must answer as for that element
+    # (nat_order and hclass once read .level and raised AttributeError)
+    unary = [brinv, hclass, lambda B, x: encode(B, x, 8),
+             lambda B, x: box(x), lambda B, x: eta(x), lambda B, x: format_elem(x)]
+    binary = [brmul, nat_order, nat_order_oracle, simplicity_witness]
+    for B in (c2c2, s3c2):
+        elems = window_elements(B, 2)
+        plain = [BRElem(x.i, tuple(x.s), x.j) for x in elems]
+        assert all(type(p.s) is tuple for p in plain)
+        for f in unary:
+            assert [f(B, p) for p in plain] == [f(B, x) for x in elems]
+        for f in binary:
+            for p, x in zip(plain, elems):
+                for q, y in zip(plain[::3], elems[::3]):
+                    assert f(B, p, q) == f(B, x, y) == f(B, x, q) == f(B, p, y), (x, y)
+    assert nat_order(c2c2, BRElem(0, (1, 1), 0), BRElem(0, CE(0, 1), 0))
+    assert hclass(c2c2, BRElem(0, (0, 1), 0)) == [BRElem(0, CE(0, e), 0) for e in range(2)]

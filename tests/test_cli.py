@@ -1,12 +1,15 @@
 import errno
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brext import verify
 from brext.cli import MAX_PROBE_BOUND, main
@@ -343,6 +346,13 @@ def test_zeroscan_without_zero_exits_two(capsys, tmp_path, c2c2_obj):
     assert "zero" in err
 
 
+def test_verify_c4c2c2_matches_golden(capsys):
+    # the long-orbit system: theta on its one level has tail 2 and cycle 3,
+    # and continuity shares each box's work among 16 multipliers
+    code, out, err = run(capsys, "verify", "--all", "--system", str(FIXTURES / "c4c2c2.json"), "--window", "2", "--json")
+    assert (code, out, err) == (0, golden("verify_c4c2c2.ndjson"), "")
+
+
 def test_continuity_matches_golden(capsys):
     code, out, _ = run(
         capsys, "continuity", "--system", C2C2, "(1,0:0,2)", "--side", "left",
@@ -588,3 +598,41 @@ def test_every_exported_name_resolves():
     assert len(set(brext.__all__)) == len(brext.__all__)
     for name in brext.__all__:
         assert hasattr(brext, name), name
+
+
+def run_in_process(*argv):
+    """cli.main with stdout and stderr captured, for tests that draw many
+    commands in one test function."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+LITERAL = re.compile(r"\((\d+),(\d+:\d+),(\d+)\)")
+
+
+def shifted(text: str, n: int) -> str:
+    """text with every element literal (i,l:e,j) moved to (i+n,l:e,j+n)."""
+    return LITERAL.sub(lambda m: f"({int(m[1]) + n},{m[2]},{int(m[3]) + n})", text)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_shifted_query_answers_the_shifted_record(c2c2, s3c2, data):
+    # sigma_N(i, s, j) = (i + N, s, j + N) commutes with the product, the
+    # inverse, the natural order, H-classes and the simplicity witness, and
+    # keeps every index gap: a query near N = 10^12 has the small-index
+    # query as its exact oracle
+    system, B = data.draw(st.sampled_from([(C2C2, c2c2), (str(FIXTURES / "s3c2.json"), s3c2)]))
+    cmd, arity = data.draw(st.sampled_from([("mul", 2), ("inv", 1), ("order", 2), ("hclass", 1), ("witness", 2)]))
+    small = st.integers(0, 6)
+    parts = data.draw(st.lists(st.sampled_from(B.sys.compiled.elements), min_size=arity, max_size=arity))
+    operands = [f"({data.draw(small)},{s.level}:{s.elem},{data.draw(small)})" for s in parts]
+    n = data.draw(st.integers(0, 10**12))
+    code, want, err = run_in_process(cmd, "--system", system, *operands, "--json")
+    assert (code, err) == (0, "")
+    t0 = time.perf_counter()
+    got = run_in_process(cmd, "--system", system, *(shifted(x, n) for x in operands), "--json")
+    assert time.perf_counter() - t0 < 5
+    assert got == (0, shifted(want, n), "")

@@ -1,13 +1,15 @@
 import random
 import re
 import time
+from dataclasses import astuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brext import topology
+from brext import topology, verify
 from brext.bicyclic import BicyclicElem
-from brext.bruck_reilly import ZERO, Box, BRElem, box, brmul, format_elem
+from brext.bruck_reilly import ZERO, Box, BRElem, box, brmul, format_elem, parse_elem, window_elements
 from brext.clifford import CliffordElement as CE
 from brext.errors import MalformedDescriptor
 from brext.topology import (
@@ -23,6 +25,7 @@ from brext.topology import (
     compactness_remainder,
     ContinuityCertificate,
     continuity_cert_zero,
+    continuity_certs,
     descriptor_from_obj,
     meets_almost_all_boxes,
     pullback_points,
@@ -204,6 +207,61 @@ def test_continuity_checks_each_multiplier_once(c2c2, monkeypatch):
     monkeypatch.setattr(topology, "_check_multiplier", lambda *args: calls.append(args) or check(*args))
     result = suite_continuity(c2c2, 0)
     assert result.ok and result.checked == len(calls) == 3600
+
+
+def off_by_one_box(part):
+    """brmul with every product that has a factor of group part `part`
+    landing one box lower: a fault in the products of some multipliers
+    that leaves their box-mates' products alone."""
+    def mul(B, x, y):
+        p = brmul(B, x, y)
+        return p._replace(i=p.i + 1) if part in (x.s, y.s) else p
+    return mul
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_batched_certificates_equal_certificates_made_one_at_a_time(c2c2, trivial, s3c2, c4c2c2, data):
+    # box-mates share their solutions, preimage and probes, but a faulty
+    # product of one multiplier must show in its certificate alone
+    B = data.draw(st.sampled_from([c2c2, trivial, s3c2, c4c2c2]))
+    side = data.draw(st.sampled_from(["left", "right"]))
+    target = BasicZeroNbhd.excluding(data.draw(st.sets(st.tuples(st.integers(0, 10), st.integers(0, 10)), max_size=3)))
+    ms = data.draw(st.lists(st.sampled_from(window_elements(B, 3)), min_size=1, max_size=24))
+    part = data.draw(st.sampled_from([None, *B.sys.compiled.elements]))
+    with mock.patch.object(topology, "brmul", off_by_one_box(part) if part else brmul):
+        got = continuity_certs(B, ms, target, side)
+        want = [continuity_cert_zero(B, a, target, side) for a in ms]
+    assert [astuple(c) for c in got] == [astuple(c) for c in want]
+    assert [c.a for c in got] == ms and all(c.side == side and c.target is target for c in got)
+
+
+def test_continuity_multiplies_by_each_multiplier_not_one_per_box(c2c2, monkeypatch):
+    # with products by one group part one box off, the suite fails, and
+    # only on multipliers of that part: none of their box-mates
+    part = CE(1, 1)
+    monkeypatch.setattr(topology, "brmul", off_by_one_box(part))
+    result = suite_continuity(c2c2, 0)
+    assert not result.ok
+    named = {re.match(r"certificate for a=(\S+), side=", v)[1] for v in result.violations}
+    assert {parse_elem(a).s for a in named} == {part}
+    assert len({box(parse_elem(a)) for a in named}) > 1
+
+
+def test_continuity_takes_one_product_per_found_box_and_solves_once_per_box(c2c2, trivial, monkeypatch):
+    products, solves, batches = [], [], []
+    batch = verify.continuity_certs
+
+    def recorded(*args):
+        batches.append(batch(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(topology, "brmul", lambda *args: products.append(None) or brmul(*args))
+    monkeypatch.setattr(topology, "box_solve", lambda *args: solves.append(None) or box_solve(*args))
+    monkeypatch.setattr(verify, "continuity_certs", recorded)
+    assert suite_continuity(c2c2, 0).ok and suite_continuity(trivial, 0).ok
+    assert len(products) == sum(len(c.found.excluded) for certs in batches for c in certs) == 6435
+    assert len(solves) == sum(len({box(c.a) for c in certs}) * len(certs[0].target.excluded) for certs in batches)
 
 
 @st.composite

@@ -41,7 +41,6 @@ from .topology import (
     continuity_cert_zero,
     continuity_certs,
     meets_almost_all_boxes,
-    pushforward_basic,
     pushforward_descriptor,
     row_exceptions_finite,
 )
@@ -60,7 +59,7 @@ __all__ = [
     "validate_group", "validate_hom",
     "BasicZeroNbhd", "ContinuityCertificate", "ZeroNbhdDescriptor",
     "box_solve", "classify_descriptor", "continuity_cert_zero", "continuity_certs",
-    "meets_almost_all_boxes", "pushforward_basic", "pushforward_descriptor",
+    "meets_almost_all_boxes", "pushforward_descriptor",
     "row_exceptions_finite",
     "__version__",
 ]

@@ -65,13 +65,8 @@ class BasicZeroNbhd:
                 raise ValueError(f"not a box: ({b.k!r}, {b.l!r})")
         return cls(frozenset(out))
 
-    def contains_box(self, i: int, j: int) -> bool:
-        return Box(i, j) not in self.excluded
-
     def contains(self, x) -> bool:
-        if is_zero(x):
-            return True
-        return self.contains_box(x.i, x.j)
+        return is_zero(x) or Box(x.i, x.j) not in self.excluded
 
 
 WHOLE_SPACE = BasicZeroNbhd(frozenset())
@@ -164,6 +159,7 @@ def continuity_certs(B: BRSystem, multipliers: list[BRElem], target: BasicZeroNb
     A product's box depends on a only through box(a), so the multipliers of
     one box share the solutions and _recheck's probes and preimage; each is
     checked up front and re-verified with products of its own."""
+    _check_side(side)
     for a in multipliers:
         _check_multiplier(B, a, side)
     s0, shared, out = B.sys.unit(), {}, []  # any group part decides a product's box
@@ -352,13 +348,3 @@ def pushforward_descriptor(d: ZeroNbhdDescriptor) -> str:
     bases map to the "cofinite" at zero base (boxes become single points),
     and an isolated zero stays isolated, giving the "discrete" structure."""
     return "cofinite" if d.kind == EXCLUDED_BOXES else "discrete"
-
-
-def pushforward_basic(u: BasicZeroNbhd) -> frozenset[Box]:
-    """The image basic's excluded points: each excluded box is its own pair."""
-    return u.excluded
-
-
-def pullback_points(points) -> BasicZeroNbhd:
-    """Preimage of a cofinite basic: each point is the box it pulls back to."""
-    return BasicZeroNbhd(frozenset(points))

@@ -6,15 +6,15 @@ like a failed config's record, lists violations.  SUITES is the one lineup
 of `verify --all`: per suite, in record order, the arguments run_all gives
 it, the systems it applies to and its checked count in closed form.  Seeded
 randomness only ever comes from random.Random(seed).  structure checks T's
-compiled form against cmul_oracle, theta_pow_oracle and ginv, then brmul's
-shifted branches against that form.  The window suites read the system's
-compiled window (BRSystem.window) and check it against a second route
-each: bmul_codes for eta (a code // |T| is its box's bicyclic code), the
-closed form for nat_order, the group fibers for hclass.  The bicyclic row
-scans (bicyclic_axioms, the packed max-plus bicyclic_oracle, box_solver)
-take their products as rows of integer codes from bmul_codes; continuity
-certifies a sample's multipliers in one continuity_certs call, solving and
-residuating once per box and multiplying by each multiplier itself.
+compiled form against cmul_oracle, theta_pow_oracle and ginv, then every
+branch of brmul and brmul_ids against that form.  The window suites read
+the system's compiled window (BRSystem.window) and check it against a
+second route each: bmul_codes for eta (a code // |T| is its box's bicyclic
+code), the closed form for nat_order, the group fibers for hclass.  The
+bicyclic row scans (bicyclic_axioms, the packed max-plus bicyclic_oracle,
+box_solver) take their products as rows of integer codes from bmul_codes;
+continuity certifies a sample's multipliers in one continuity_certs call,
+solving and residuating once per box, with each multiplier's own products.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .bruck_reilly import (
     brinv,
     brmul,
     brmul_ids,
+    decode,
     eta,
     format_elem,
     hclass,
@@ -60,8 +61,6 @@ from .topology import (
     column_exceptions_finite,
     descriptor_from_obj,
     meets_almost_all_boxes,
-    pullback_points,
-    pushforward_basic,
     pushforward_descriptor,
     row_exceptions_finite,
 )
@@ -102,8 +101,9 @@ class SuiteResult:
 def suite_structure(B: BRSystem) -> SuiteResult:
     """validate_system, then, once the laws hold, T's compiled products,
     theta and inverses against cmul_oracle, theta_pow_oracle and ginv; once
-    those agree, brmul's shifted branches against that form, over T x T:
-    (0,a,1)*(2,b,0) has group part theta(a)*b and (0,a,2)*(1,b,0) a*theta(b)."""
+    those agree, every branch of both product kernels against that form:
+    over T x T, (0,a,j)*(k,b,0) = (k, theta^k(a)*theta^j(b), j) for (j, k) =
+    (0,1), (0,0) and (1,0), by brmul and by one brmul_ids pass at width 2."""
     bad = validate_system(B.sys)
     if not bad:
         T, elems = B.sys.compiled, B.sys.compiled.elements
@@ -113,10 +113,14 @@ def suite_structure(B: BRSystem) -> SuiteResult:
                 for a, v in zip(elems, T.theta) if elems[v] != theta_pow_oracle(B.sys, a, 1)]
         bad += [f"compiled inverse differs from ginv at a={tuple(a)}"
                 for a, v in zip(elems, T.inverse) if elems[v] != (a.level, ginv(B.sys.group(a.level), a.elem))]
-        bad = bad or [f"brmul gives {format_elem(x)}*{format_elem(y)} a group part other than {tuple(elems[t])}"
-                      for a, ta, row in zip(elems, T.theta, T.products) for b, tb, tab in zip(elems, T.theta, T.products[ta])
-                      for x, y, t in ((BRElem(0, a, 1), BRElem(2, b, 0), tab), (BRElem(0, a, 2), BRElem(1, b, 0), row[tb]))
-                      if brmul(B, x, y).s != elems[t]]
+        powers = range(len(elems)), T.theta  # theta^0 and theta^1 on ids
+        for j, k in [] if bad else [(0, 1), (0, 0), (1, 0)]:
+            xs, ys = [BRElem(0, a, j) for a in elems], [BRElem(k, b, 0) for b in elems]
+            want = [[(k, elems[p], j) for p in map(T.products[powers[k][a]].__getitem__, powers[j])] for a in powers[0]]
+            for route, rows in (("brmul", ([brmul(B, x, y) for y in ys] for x in xs)),
+                                ("brmul_ids", ([decode(B, c, 2) for c in row] for row in brmul_ids(B, xs, ys, 2)))):
+                bad += [f"{route} gives {format_elem(x)}*{format_elem(y)} = {format_elem(p)}, not {format_elem(BRElem(*q))}"
+                        for x, got, row in zip(xs, rows, want) for y, p, q in zip(ys, got, row) if p != q]
     return SuiteResult("structure", B.name, {}, 1, bad)
 
 
@@ -486,7 +490,7 @@ def suite_pushforward_roundtrip(B: BRSystem, seed: int, samples: int = 100) -> S
         u = BasicZeroNbhd.excluding(
             (rng.randrange(12), rng.randrange(12)) for _ in range(rng.randint(0, 4))
         )
-        if pullback_points(pushforward_basic(u)) != u:
+        if BasicZeroNbhd.excluding(u.excluded) != u:  # the image's points, u's pairs, pulled back
             bad.append(f"round trip moved {sorted(map(tuple, u.excluded))}")
     return SuiteResult(
         "pushforward_roundtrip", B.name, {"seed": seed, "samples": samples}, samples + 2, bad

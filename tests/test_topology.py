@@ -28,8 +28,6 @@ from brext.topology import (
     continuity_certs,
     descriptor_from_obj,
     meets_almost_all_boxes,
-    pullback_points,
-    pushforward_basic,
     pushforward_descriptor,
     row_exceptions_finite,
     verify_certificate,
@@ -67,6 +65,8 @@ def test_certificates_reject_bad_side_before_any_work(c2c2):
     # the whole space excludes no box, so box_solve is never reached
     with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
         continuity_cert_zero(c2c2, a, WHOLE_SPACE, "middle")
+    with pytest.raises(ValueError, match="^side must be 'left' or 'right', not 'up'$"):
+        continuity_certs(c2c2, [], BasicZeroNbhd.excluding([(2, 2)]), "up")  # no multiplier to check
     cert = continuity_cert_zero(c2c2, a, BasicZeroNbhd.excluding([(2, 2)]), "left")
     cert.side = "middle"
     with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
@@ -371,7 +371,7 @@ def test_membership_is_box_lookup(c2c2):
     assert u.contains(ZERO)
     assert not u.contains(BRElem(1, CE(0, 1), 2))
     assert u.contains(BRElem(2, CE(0, 1), 1))
-    assert u.contains_box(0, 0)
+    assert u.contains(BRElem(0, CE(1, 0), 0))
 
 
 def test_meets_almost_all_boxes():
@@ -460,14 +460,15 @@ def test_excluding_refuses_a_pair_that_is_not_a_box(pair):
             BasicZeroNbhd.excluding(boxes)
 
 
-def test_pushforward_basic_and_roundtrip():
+def test_a_basics_image_excludes_its_pairs_and_pulls_back_to_it():
+    # a box is the bicyclic pair that the index map sends it to
     u = BasicZeroNbhd.excluding([(1, 2)])
-    assert pushforward_basic(u) == {BicyclicElem(1, 2)}
-    assert pullback_points(pushforward_basic(u)) == u
-    assert pullback_points(pushforward_basic(WHOLE_SPACE)) == WHOLE_SPACE
+    assert u.excluded == {BicyclicElem(1, 2)}
+    assert BasicZeroNbhd.excluding(u.excluded) == u
+    assert BasicZeroNbhd.excluding(WHOLE_SPACE.excluded) == WHOLE_SPACE
 
 
 @given(st.sets(st.tuples(idx, idx), max_size=5))
 def test_pushforward_roundtrip_randomized(boxes):
     u = BasicZeroNbhd.excluding(boxes)
-    assert pullback_points(pushforward_basic(u)) == u
+    assert BasicZeroNbhd.excluding(u.excluded) == u

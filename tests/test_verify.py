@@ -1,3 +1,5 @@
+import random
+from copy import copy
 from dataclasses import replace
 
 import pytest
@@ -7,6 +9,7 @@ from brext.bicyclic import BicyclicElem, ZERO, bmul, rho_table
 from brext.bruck_reilly import BRElem, BRSystem, brmul_ids, decode, encode, eta, format_elem, parse_elem, window_elements
 from brext.clifford import CliffordElement, CliffordSystem, cmul_oracle, theta_pow, theta_pow_oracle
 from brext.config import data_path, load_system
+from brext.topology import EXCLUDED_BOXES_BASE, ISOLATED_ZERO
 from brext.verify import SUITES, SuiteResult, run_all
 from conftest import FIXTURES
 from test_bicyclic import oracle_mul
@@ -409,10 +412,27 @@ def test_structure_compares_the_compiled_theta_with_the_oracle(c2c2):
     ]
 
 
+def _probe_violations(T, route, relations):
+    """structure's violations for a kernel that reads theta^j(b)*theta^k(a)
+    for the group part of (0,a,j)*(k,b,0), on the given (j, k)."""
+    def ordered(a, b, j, k):
+        return cmul_oracle(T, theta_pow_oracle(T, a, k), theta_pow_oracle(T, b, j))
+
+    return [
+        f"{route} gives {format_elem(BRElem(0, a, j))}*{format_elem(BRElem(k, b, 0))} = "
+        f"{format_elem(BRElem(k, CliffordElement(*ordered(b, a, k, j)), j))}, "
+        f"not {format_elem(BRElem(k, CliffordElement(*ordered(a, b, j, k)), j))}"
+        for j, k in relations
+        for a in T.elements()
+        for b in T.elements()
+        if ordered(a, b, j, k) != ordered(b, a, k, j)
+    ]
+
+
 def test_structure_checks_the_order_of_the_factors_in_brmuls_shifted_branch(s3c2, monkeypatch):
     # brmul's j < k branch reading T's product as b * theta^d(s) in place of
     # theta^d(s) * b: the window suites read brmul_ids and continuity only
-    # boxes, so on s3c2 only structure's (0,a,1)*(2,b,0) sees it
+    # boxes, so on s3c2 only structure's (0,a,0)*(1,b,0) sees it
     original = bruck_reilly.brmul
 
     def mutant(B, x, y):
@@ -423,18 +443,53 @@ def test_structure_checks_the_order_of_the_factors_in_brmuls_shifted_branch(s3c2
 
     for module in (bruck_reilly, topology, verify):
         monkeypatch.setattr(module, "brmul", mutant)
-    T = s3c2.sys
-    wrong = [
-        f"brmul gives {format_elem(BRElem(0, a, 1))}*{format_elem(BRElem(2, b, 0))} "
-        f"a group part other than {tuple(cmul_oracle(T, theta_pow_oracle(T, a, 1), b))}"
-        for a in T.elements()
-        for b in T.elements()
-        if cmul_oracle(T, theta_pow_oracle(T, a, 1), b) != cmul_oracle(T, b, theta_pow_oracle(T, a, 1))
-    ]
+    wrong = _probe_violations(s3c2.sys, "brmul", [(0, 1)])
     assert len(wrong) == 16  # the 4 elements with theta = (12) against the 4 of S3 outside its centralizer
     results = run_all(load_system(FIXTURES / "s3c2.json"), window=3)
     assert [(r.suite, r.violations) for r in results if not r.ok] == [("structure", wrong)]
     assert results[0].checked == 1
+
+
+def _brmul_equal_branch_transposed(original):
+    def mutant(B, x, y):
+        if type(x) is BRElem and type(y) is BRElem and x.j == y.i:
+            T = B.sys.compiled
+            return BRElem(x.i, T.elements[T.products[T.ids[y.s]][T.ids[x.s]]], y.j)
+        return original(B, x, y)
+
+    return mutant
+
+
+def _brmul_ids_transposed(original):
+    def mutant(B, xs, ys, n):
+        sys = copy(B.sys)
+        sys.__dict__["compiled"] = B.sys.compiled._replace(products=[list(c) for c in zip(*B.sys.compiled.products)])
+        return original(replace(B, sys=sys), xs, ys, n)
+
+    return mutant
+
+
+@pytest.mark.parametrize("name, plant, relations", [
+    ("brmul", _brmul_equal_branch_transposed, [(0, 0)]),
+    ("brmul_ids", _brmul_ids_transposed, [(0, 1), (0, 0), (1, 0)]),
+], ids=["brmul-equal-branch", "brmul_ids"])
+@pytest.mark.parametrize("path, failing", [
+    (FIXTURES / "s3c2.json", ["structure"]),
+    (data_path("c2c2"), []),  # T is abelian on these two
+    (data_path("trivial"), []),
+], ids=["s3c2", "c2c2", "trivial"])
+def test_structure_catches_a_kernel_that_reads_t_transposed(monkeypatch, name, plant, relations, path, failing):
+    # each kernel computes BR(T^op, theta) here, itself a Bruck-Reilly
+    # extension, so every structural suite holds; only structure's probes,
+    # read from T's compiled form, see the order of the factors
+    mutant = plant(getattr(bruck_reilly, name))
+    for module in (bruck_reilly, topology, verify):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, mutant)
+    B = load_system(path)  # fresh: windows are cached per system
+    results = run_all(B, window=3)
+    assert [r.suite for r in results if not r.ok] == failing
+    assert results[0].violations == (_probe_violations(B.sys, name, relations) if failing else [])
 
 
 def test_associativity_catches_a_theta_one_step_short_on_a_long_orbit(monkeypatch):
@@ -505,6 +560,78 @@ def test_runtime_layers_read_t_from_its_compiled_form_alone(s3c2, monkeypatch):
     assert [s.run(B, 3, 0, 64).record() for s in SUITES[1:] if s.applies(B)] == records
     monkeypatch.setattr(CliffordSystem, "group", refuse)
     assert queries() == want
+
+
+def _negated(check):
+    return lambda *args: not check(*args)
+
+
+def _swapped(pushforward):
+    return lambda d: {"cofinite": "discrete", "discrete": "cofinite"}[pushforward(d)]
+
+
+def _swapped_verdicts(classify):
+    return lambda d: classify(ISOLATED_ZERO if d == EXCLUDED_BOXES_BASE else EXCLUDED_BOXES_BASE)
+
+
+def _transposed_excluding(excluding):
+    return classmethod(lambda cls, boxes: excluding([(j, i) for i, j in boxes]))
+
+
+def _transposed_round_trips(seed=0, samples=100):
+    """suite_pushforward_roundtrip's violations when excluding transposes:
+    its samples replayed, each excluding the transposes of its pairs."""
+    rng, moved = random.Random(seed), []
+    for _ in range(samples):
+        pairs = {(rng.randrange(12), rng.randrange(12)) for _ in range(rng.randint(0, 4))}
+        if pairs != {(j, i) for i, j in pairs}:
+            moved.append(f"round trip moved {sorted((j, i) for i, j in pairs)}")
+    return moved
+
+
+TOPOLOGY_FAULTS = [  # (id, module, name, fault, each topology suite's violations)
+    ("meets_almost_all_boxes-negated", verify, "meets_almost_all_boxes", _negated, {"zero_nbhd_checks": [
+        "cofinite basic flagged as missing too many boxes", "whole space flagged as missing too many boxes",
+        "single-row family not refuted"]}),
+    ("row_exceptions_finite-negated", verify, "row_exceptions_finite", _negated, {"zero_nbhd_checks": [
+        "two exceptions in row 2 flagged as infinite", "empty exception set in row 3 flagged as infinite",
+        "fully removed row not refuted", "untouched row flagged as infinite"]}),
+    ("column_exceptions_finite-negated", verify, "column_exceptions_finite", _negated,
+     {"zero_nbhd_checks": ["fully removed column not refuted"]}),
+    ("classify_descriptor-swapped", verify, "classify_descriptor", _swapped_verdicts,
+     {"descriptor_classification": ["isolated descriptor misclassified", "box-complement descriptor misclassified"]}),
+    ("descriptor_from_obj-accepts-any-kind", verify, "descriptor_from_obj", lambda f: lambda obj: ISOLATED_ZERO,
+     {"descriptor_classification": ["unknown descriptor accepted"]}),
+    ("compactness_remainder-one-short", verify, "compactness_remainder", lambda f: lambda B, u: f(B, u)[:-1],
+     {"descriptor_classification": ["remainder size 7, expected 8"]}),  # c2c2: 2 boxes of |T| = 4
+    ("compactness_remainder-outside-the-boxes", verify, "compactness_remainder",
+     lambda f: lambda B, u: [x._replace(i=x.i + 1) for x in f(B, u)],
+     {"descriptor_classification": ["remainder overlaps the neighborhood"]}),
+    ("pushforward_descriptor-swapped", verify, "pushforward_descriptor", _swapped, {"pushforward_roundtrip": [
+        "box-complement base must push to the cofinite base", "isolated zero must push to the discrete structure"]}),
+    ("excluding-transposed", topology.BasicZeroNbhd, "excluding", _transposed_excluding,
+     {"pushforward_roundtrip": _transposed_round_trips()}),
+]
+TOPOLOGY_SUITES = {
+    "zero_nbhd_checks": lambda B: verify.suite_zero_nbhd_checks(B, 64),
+    "descriptor_classification": verify.suite_descriptor_classification,
+    "pushforward_roundtrip": lambda B: verify.suite_pushforward_roundtrip(B, 0),
+}
+
+
+@pytest.mark.parametrize("module, name, fault, want", [pytest.param(*f[1:], id=f[0]) for f in TOPOLOGY_FAULTS])
+def test_topology_suites_report_a_fault_in_each_name_they_read(c2c2, monkeypatch, module, name, fault, want):
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    assert {suite: run(c2c2).violations for suite, run in TOPOLOGY_SUITES.items()} == {
+        suite: want.get(suite, []) for suite in TOPOLOGY_SUITES
+    }
+
+
+def test_the_planted_topology_faults_reach_every_violation_line():
+    # 8 lines in zero_nbhd_checks, 5 in descriptor_classification, 3 in
+    # pushforward_roundtrip; a round trip's line names its sample
+    lines = {v.split(" [")[0] for *_, want in TOPOLOGY_FAULTS for vs in want.values() for v in vs}
+    assert len(lines) == 16 and "round trip moved" in lines
 
 
 def test_box_solver_and_continuity_catch_a_box_solve_one_box_short(monkeypatch):

@@ -83,6 +83,7 @@ def box_solve(a_box: Box, target: Box, side: str) -> frozenset[Box]:
     """
     a1, a2 = a_box
     t1, t2 = target
+    _check_side(side)
     if side == "left":
         if t1 == a1:
             lo = max(0, a2 - t2)
@@ -90,14 +91,12 @@ def box_solve(a_box: Box, target: Box, side: str) -> frozenset[Box]:
         if t1 > a1:
             return frozenset({Box(t1 - a1 + a2, t2)})
         return frozenset()
-    if side == "right":
-        if t2 == a2:
-            lo = max(0, a1 - t1)
-            return frozenset(map(Box, range(lo + t1 - a1, t1 + 1), range(lo, a1 + 1)))
-        if t2 > a2:
-            return frozenset({Box(t1, t2 - a2 + a1)})
-        return frozenset()
-    raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    if t2 == a2:
+        lo = max(0, a1 - t1)
+        return frozenset(map(Box, range(lo + t1 - a1, t1 + 1), range(lo, a1 + 1)))
+    if t2 > a2:
+        return frozenset({Box(t1, t2 - a2 + a1)})
+    return frozenset()
 
 
 def _check_side(side: str) -> None:
@@ -105,8 +104,7 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
-def _check_multiplier(B: BRSystem, a: BRElem, side: str) -> None:
-    _check_side(side)
+def _check_multiplier(B: BRSystem, a: BRElem) -> None:
     if is_zero(a):
         raise ValueError("the multiplier must be a nonzero element")
     _check(B, a)
@@ -161,7 +159,7 @@ def continuity_certs(B: BRSystem, multipliers: list[BRElem], target: BasicZeroNb
     checked up front and re-verified with products of its own."""
     _check_side(side)
     for a in multipliers:
-        _check_multiplier(B, a, side)
+        _check_multiplier(B, a)
     s0, shared, out = B.sys.unit(), {}, []  # any group part decides a product's box
     for a in multipliers:
         if (ab := box(a)) not in shared:
@@ -187,7 +185,8 @@ def verify_certificate(B: BRSystem, cert: ContinuityCertificate) -> list[str]:
     brmul, as a product's box ignores group parts.  Failing boxes are
     walked element by element, in order.
     """
-    _check_multiplier(B, cert.a, cert.side)
+    _check_side(cert.side)
+    _check_multiplier(B, cert.a)
     probes, preimage = _recheck(box(cert.a), cert.found.excluded, cert.target.excluded, cert.side, B.sys.unit())
     return _reverify(B, cert, probes, preimage)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brext import verify
-from brext.cli import MAX_PROBE_BOUND, main
+from brext.cli import MAX_PROBE_BOUND, entry, main
 from brext.config import data_path, load_system
 from brext.errors import ValidationFailed
 
@@ -120,9 +120,10 @@ def test_validate_fault_corpus_exits_one_with_violations(capsys, path, fragment)
     assert any(fragment in v for v in rec["violations"])
 
 
-def test_validate_parse_damage_exits_two(capsys):
-    for bad in ("junk.json", "malformed_table.json"):
-        code, out, err = run(capsys, "validate", "--system", str(FIXTURES / bad))
+def test_validate_parse_damage_exits_two(capsys, tmp_path):
+    (tmp_path / "list.json").write_text("[]")  # JSON, but not an object
+    for bad in (FIXTURES / "junk.json", FIXTURES / "malformed_table.json", tmp_path / "list.json"):
+        code, out, err = run(capsys, "validate", "--system", str(bad))
         assert code == 2
         assert out == ""
         assert "error:" in err
@@ -336,6 +337,20 @@ def test_zeroscan(capsys):
     rec = json.loads(out)
     assert code == 0
     assert rec["counterexamples"] == [] and rec["checked"] == 256
+
+
+def test_zeroscan_lists_each_pair_whose_product_is_zero(capsys, monkeypatch):
+    from brext import bruck_reilly
+
+    original, pair = bruck_reilly.brmul_ids, tuple(map(bruck_reilly.parse_elem, ("(0,0:1,1)", "(1,1:0,0)")))
+
+    def rows(B, xs, ys, n):
+        for x, row in zip(xs, original(B, xs, ys, n)):
+            yield [bruck_reilly.ZERO_ID if (x, y) == pair else p for y, p in zip(ys, row)]
+
+    monkeypatch.setattr(bruck_reilly, "brmul_ids", rows)
+    code, out, err = run(capsys, "zeroscan", "--system", C2C2, "--window", "2", "--json")
+    assert (code, json.loads(out)["counterexamples"], err) == (1, [["(0,0:1,1)", "(1,1:0,0)"]], "")
 
 
 def test_zeroscan_without_zero_exits_two(capsys, tmp_path, c2c2_obj):
@@ -582,7 +597,7 @@ def test_stdout_is_identical_with_and_without_json_flag(capsys):
     assert err_plain != "" and err_quiet == ""
 
 
-def test_console_script_entry_point():
+def test_console_script_entry_point(capsys, monkeypatch):
     proc = subprocess.run(
         [sys.executable, "-m", "brext.cli", "validate", "--system", C2C2, "--json"],
         capture_output=True,
@@ -590,6 +605,10 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+    monkeypatch.setattr(sys, "argv", ["brext"])  # the console script's entry point, with no command
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == 2 and "required: cmd" in capsys.readouterr().err
 
 
 def test_every_exported_name_resolves():

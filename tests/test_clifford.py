@@ -335,8 +335,9 @@ def test_theta_pow_errors_match_the_oracle():
             if a.level != 0:
                 assert raised[0][1] == f"level {a.level} outside chain of size 2", (a, n)
     fresh = make_z4z2()
-    with pytest.raises(ValueError):
-        theta_pow(fresh, CliffordElement(0, 1), -1)
+    for route in (theta_pow, theta_pow_oracle):
+        with pytest.raises(ValueError, match="^negative theta power$"):
+            route(fresh, CliffordElement(0, 1), -1)
     assert "compiled" not in vars(fresh)
 
 

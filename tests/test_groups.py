@@ -78,6 +78,8 @@ def test_gmul_ginv_z4():
         gmul(g, 4, 0)
     with pytest.raises(IndexOutOfRange):
         ginv(g, -1)
+    with pytest.raises(MalformedTable, match="^element 1 has no two-sided inverse$"):
+        ginv(GroupTable([[0, 1], [1, 1]], identity=0), 1)  # a monoid, 1 * 1 = 1
 
 
 def test_order_cap_enforced():

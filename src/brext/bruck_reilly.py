@@ -201,15 +201,18 @@ class Window(NamedTuple):
 
 
 def compile_window(B: BRSystem, n: int) -> Window:
-    """Both products through brmul_ids, inverses from brinv; the products
-    are decoded once, as operands of the second pass."""
+    """Both products through brmul_ids, inverses from brinv looked up among the
+    elements; the products are decoded once, as operands of the second pass."""
     elems, width = window_elements(B, n), 3 * n
     ids = {encode(B, x, width): p for p, x in enumerate(elems)}
     table = [[ids.setdefault(c, len(ids)) for c in row] for row in brmul_ids(B, elems, elems, width)]
     codes = list(ids)
     prods = elems + [decode(B, c, width) for c in codes[len(elems):]]
     right = [tuple(row) for row in brmul_ids(B, prods, elems, width)]
-    return Window(elems, prods, codes, [ids[encode(B, brinv(B, x), width)] for x in elems], table, right, width)
+    where = {x: p for p, x in enumerate(elems)}
+    if None in (inv := [where.get(brinv(B, x)) for x in elems]):
+        raise WitnessVerificationFailed(f"the inverse of {format_elem(elems[inv.index(None)])} lies outside the window")
+    return Window(elems, prods, codes, inv, table, right, width)
 
 
 def brinv(B: BRSystem, x: Element) -> Element:

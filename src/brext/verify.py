@@ -188,7 +188,7 @@ def suite_eta_congruence(B: BRSystem, window: int) -> SuiteResult:
     group parts are; that is exactly saying the eta fibers form a
     congruence."""
     w = B.window(window)
-    boxes = [box(p) for p in w.prods]
+    boxes = [eta(p) for p in w.prods]  # a zero product is a box of its own
     fibers = {}
     for x, e in enumerate(w.elems):
         fibers.setdefault(box(e), []).append(x)
@@ -199,7 +199,8 @@ def suite_eta_congruence(B: BRSystem, window: int) -> SuiteResult:
             prods = {boxes[w.table[x][y]] for x in f1 for y in f2}
             checked += len(f1) * len(f2)
             if len(prods) != 1:
-                bad.append(f"product box of {tuple(b1)}*{tuple(b2)} not constant: {sorted(map(tuple, prods))}")
+                shown = [p if p is ZERO else tuple(p) for p in sorted(prods, key=lambda p: (p is not ZERO, p))]
+                bad.append(f"product box of {tuple(b1)}*{tuple(b2)} not constant: {shown}")
     return SuiteResult("eta_congruence", B.name, {"window": window}, checked, bad)
 
 
@@ -243,6 +244,9 @@ def suite_nat_order(B: BRSystem, window: int) -> SuiteResult:
     bad = []
     for x, (xe, xi) in enumerate(zip(elems, w.inv)):
         e = table[xi][x]  # x^-1 x
+        if e >= len(elems):
+            bad.append(f"{format_elem(xe)}^-1*{format_elem(xe)} lies outside the window")
+            continue
         for y, ye in enumerate(elems):
             fast = nat_order(B, xe, ye)
             if fast != (table[y][e] == x):
@@ -564,6 +568,13 @@ SUITES = (
 
 
 def run_all(B: BRSystem, window: int = 3, seed: int = 0, probe_bound: int = 64) -> list[SuiteResult]:
-    """Every suite of SUITES that applies to the given system, in order; a
-    suite reports a failed re-verification as a violation, so all of them run."""
-    return [s.run(B, window, seed, probe_bound) for s in SUITES if s.applies(B)]
+    """Every suite of SUITES that applies to the given system, in order; a failed
+    re-verification, or an exception out of a suite, is a violation, so all run."""
+    results = []
+    for s in filter(lambda s: s.applies(B), SUITES):
+        try:
+            results.append(s.run(B, window, seed, probe_bound))
+        except Exception as exc:  # a fault of the program, not a refused input
+            bad = [f"{s.name} could not finish: {type(exc).__name__}: {exc}"]
+            results.append(SuiteResult(s.name, B.name, {}, 0, bad))
+    return results

@@ -1,8 +1,10 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from brext.bruck_reilly import decode, encode, parse_elem
 from brext.config import data_path, load_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -36,6 +38,39 @@ def c4c2c2():
 @pytest.fixture(scope="session")
 def c2c2_obj():
     return json.loads(data_path("c2c2").read_text())
+
+
+def plant(monkeypatch, target, fault, B=None):
+    """Install fault(original) for monkeypatch to undo: a target
+    "compiled.<field>" replaces that field of B's compiled form of T, a
+    "Class.attr" that attribute of the brext class, and a name what it names
+    in every brext module that binds it, found where it is defined."""
+    if target.startswith("compiled."):
+        field, compiled = target.removeprefix("compiled."), B.sys.compiled
+        monkeypatch.setitem(vars(B.sys), "compiled", compiled._replace(**{field: fault(getattr(compiled, field))}))
+        return
+    name, _, attr = target.partition(".")
+    modules = [m for key, m in sys.modules.items() if key.partition(".")[0] == "brext"]
+    original = next(obj for m in modules if getattr(obj := vars(m).get(name), "__module__", None) == m.__name__)
+    if attr:
+        monkeypatch.setattr(original, attr, fault(getattr(original, attr)))
+        return
+    mutant = fault(original)
+    for module, binding in [(m, binding) for m in modules for binding, obj in vars(m).items() if obj is original]:
+        monkeypatch.setattr(module, binding, mutant)
+
+
+def corrupt(pair, change):
+    """A fault for brmul_ids: its rows with the one product pair[0] * pair[1]
+    replaced by change(B, product), wherever it appears."""
+    x0, y0 = map(parse_elem, pair)
+
+    def fault(brmul_ids):
+        def rows(B, xs, ys, n):
+            for x, row in zip(xs, brmul_ids(B, xs, ys, n)):
+                yield [encode(B, change(B, decode(B, p, n)), n) if (x, y) == (x0, y0) else p for y, p in zip(ys, row)]
+        return rows
+    return fault
 
 
 def fault_files():

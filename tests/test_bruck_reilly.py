@@ -33,6 +33,7 @@ from brext.bruck_reilly import (
 from brext.clifford import CliffordElement as CE
 from brext.clifford import cmul_oracle, idempotents, theta_pow_oracle
 from brext.errors import WindowTooLarge, WitnessVerificationFailed, ZeroNotAdjoined
+from conftest import corrupt, plant
 from test_clifford import make_c12_c6_c3
 
 
@@ -174,13 +175,8 @@ def test_brmul_ids_matches_brmul_and_the_defining_formula(c2c2, trivial, s3c2):
 def test_brmul_ids_reads_theta_from_theta_pow_alone(c2c2, monkeypatch):
     # a wrong theta that still lands in the top group: brmul and brmul_ids
     # both follow it, the defining formula (theta_pow_oracle) does not
-    real = bruck_reilly.theta_pow
-
-    def skewed(sys, a, n):
-        v = real(sys, a, n)
-        return v if n == 0 else sys.compiled.elements[(v.elem + 1) % sys.group(0).order]
-
-    monkeypatch.setattr(bruck_reilly, "theta_pow", skewed)
+    plant(monkeypatch, "theta_pow", lambda real: lambda sys, a, n: real(sys, a, n) if n == 0 else
+          sys.compiled.elements[(real(sys, a, n).elem + 1) % sys.group(0).order])
     chain3 = BRSystem(sys=make_c12_c6_c3(), name="chain3")
     for B in (c2c2, chain3):
         differs = False
@@ -302,7 +298,7 @@ def test_idempotent_window_needs_no_pairwise_product(c2c2, monkeypatch):
     def refuse(B, x, y):
         raise AssertionError("brmul called")
 
-    monkeypatch.setattr(bruck_reilly, "brmul", refuse)
+    plant(monkeypatch, "brmul", lambda brmul: refuse)
     assert idempotents_window(c2c2, 2)[-1] == BRElem(1, CE(1, 0), 1)
     assert len(idempotents_window(c2c2, 16)) == 32
 
@@ -478,8 +474,7 @@ def test_witness_rejects_zero(c2c2):
 
 def test_witness_failure_is_written_in_the_element_grammar(c2c2, monkeypatch):
     # every product lands in row 9, so x*a*y misses b in its first index
-    real = bruck_reilly.brmul
-    monkeypatch.setattr(bruck_reilly, "brmul", lambda B, x, y: real(B, x, y)._replace(i=9))
+    plant(monkeypatch, "brmul", lambda real: lambda B, x, y: real(B, x, y)._replace(i=9))
     with pytest.raises(WitnessVerificationFailed) as info:
         simplicity_witness(c2c2, BRElem(0, CE(0, 1), 1), BRElem(3, CE(1, 1), 2))
     assert str(info.value) == "x*a*y = (9,1:1,2), expected (3,1:1,2)"
@@ -493,17 +488,9 @@ def test_zero_divisor_scan_clean(c2c2, trivial):
 
 
 def test_zero_divisor_scan_catches_corruption(c2c2, monkeypatch):
-    culprit = BRElem(0, CE(0, 1), 1)
-    original = brmul_ids
-
-    def corrupted(B, xs, ys, n):
-        for x, row in zip(xs, original(B, xs, ys, n)):
-            yield [ZERO_ID if (x, y) == (culprit, culprit) else p for y, p in zip(ys, row)]
-
-    monkeypatch.setattr("brext.bruck_reilly.brmul_ids", corrupted)
+    plant(monkeypatch, "brmul_ids", corrupt(("(0,0:1,1)", "(0,0:1,1)"), lambda B, p: ZERO))
     rep = zero_divisor_scan(c2c2, 2)
-    assert not rep.ok
-    assert (culprit, culprit) in rep.counterexamples
+    assert rep.counterexamples == [(BRElem(0, CE(0, 1), 1),) * 2]
 
 
 def test_window_cap(c2c2):

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brext import verify
+from brext.bruck_reilly import ZERO, parse_elem
 from brext.cli import MAX_PROBE_BOUND, entry, main
 from brext.config import data_path, load_system
 from brext.errors import ValidationFailed
 
-from conftest import FIXTURES, GOLDEN, fault_files
+from conftest import FIXTURES, GOLDEN, corrupt, fault_files, plant
 
 C2C2 = str(data_path("c2c2"))
 TRIVIAL = str(data_path("trivial"))
@@ -265,24 +266,15 @@ def test_hclass(capsys):
 
 
 def _lower_left_products(monkeypatch, kernel, culprit):
-    """Bind the kernel ("brmul" or "brmul_ids"), wherever the package looks
-    it up, so that every product with the culprit on the left lands one box
-    lower."""
-    from brext import bruck_reilly, topology, verify
-
-    original, x0 = getattr(bruck_reilly, kernel), bruck_reilly.parse_elem(culprit)
-
-    def corrupted_brmul(B, x, y):
-        p = original(B, x, y)
-        return p._replace(i=p.i + 1) if x == x0 else p
-
-    def corrupted_rows(B, xs, ys, n):
-        for x, row in zip(xs, original(B, xs, ys, n)):
-            yield [p + B.sys.order() * n if x == x0 else p for p in row]
-
-    for module in (bruck_reilly, topology, verify):
-        if hasattr(module, kernel):
-            monkeypatch.setattr(module, kernel, corrupted_brmul if kernel == "brmul" else corrupted_rows)
+    """Plant the kernel ("brmul" or "brmul_ids") so that every product with
+    the culprit on the left lands one box lower (one row of codes on)."""
+    x0 = parse_elem(culprit)
+    lowered = {
+        "brmul": lambda brmul: lambda B, x, y: (p := brmul(B, x, y))._replace(i=p.i + 1) if x == x0 else brmul(B, x, y),
+        "brmul_ids": lambda rows: lambda B, xs, ys, n: (
+            [p + B.sys.order() * n if x == x0 else p for p in row] for x, row in zip(xs, rows(B, xs, ys, n))),
+    }
+    plant(monkeypatch, kernel, lowered[kernel])
 
 
 @pytest.mark.parametrize("argv,kernel,culprit,message", [
@@ -340,15 +332,7 @@ def test_zeroscan(capsys):
 
 
 def test_zeroscan_lists_each_pair_whose_product_is_zero(capsys, monkeypatch):
-    from brext import bruck_reilly
-
-    original, pair = bruck_reilly.brmul_ids, tuple(map(bruck_reilly.parse_elem, ("(0,0:1,1)", "(1,1:0,0)")))
-
-    def rows(B, xs, ys, n):
-        for x, row in zip(xs, original(B, xs, ys, n)):
-            yield [bruck_reilly.ZERO_ID if (x, y) == pair else p for y, p in zip(ys, row)]
-
-    monkeypatch.setattr(bruck_reilly, "brmul_ids", rows)
+    plant(monkeypatch, "brmul_ids", corrupt(("(0,0:1,1)", "(1,1:0,0)"), lambda B, p: ZERO))
     code, out, err = run(capsys, "zeroscan", "--system", C2C2, "--window", "2", "--json")
     assert (code, json.loads(out)["counterexamples"], err) == (1, [["(0,0:1,1)", "(1,1:0,0)"]], "")
 
@@ -460,7 +444,7 @@ def test_a_fault_inside_hclass_is_reported_not_refused(capsys, monkeypatch):
 
     s3c2 = str(FIXTURES / "s3c2.json")
     _, want, _ = run(capsys, "verify", "--all", "--system", s3c2, "--window", "2")
-    monkeypatch.setattr(verify, "hclass", broken)
+    plant(monkeypatch, "hclass", lambda hclass: broken)
     code, out, err = run(capsys, "verify", "--all", "--system", s3c2, "--window", "2")
     assert code == 1 and "error:" not in err
     got, records = [json.loads(line) for line in out.splitlines()], [json.loads(line) for line in want.splitlines()]
@@ -470,6 +454,18 @@ def test_a_fault_inside_hclass_is_reported_not_refused(capsys, monkeypatch):
     hclass = next(r for r in got if r["suite"] == "hclass")
     assert hclass["violations"][0] == "H-class of (0,0:0,0): group coordinate (0, 0) is not an element of T"
     assert len(hclass["violations"]) == verify.MAX_REPORTED + 1
+
+
+def test_a_suite_that_raises_is_reported_not_refused(capsys, monkeypatch):
+    # (0,0:1,1)*(1,1:0,1) with its second index 2w = 6 too high: the window's second
+    # pass refuses its width, and each suite that reads the window reports that
+    plant(monkeypatch, "brmul_ids", corrupt(("(0,0:1,1)", "(1,1:0,1)"), lambda B, p: p._replace(j=p.j + 6)))
+    code, out, err = run(capsys, "verify", "--all", "--system", C2C2, "--window", "3", "--json")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert (code, len(records), err) == (1, 18, "")
+    assert {r["suite"]: r["violations"] for r in records[:-1] if not r["ok"]} == {
+        suite: [f"{suite} could not finish: ValueError: code width 9 is too small for second indices summing to 9"]
+        for suite in ("associativity", "inverse_axioms", "eta_homomorphism", "eta_congruence", "nat_order", "hclass")}
 
 
 def test_verify_fault_config_exits_one(capsys):

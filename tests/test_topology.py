@@ -33,6 +33,7 @@ from brext.topology import (
     verify_certificate,
 )
 from brext.verify import suite_continuity
+from conftest import plant
 
 idx = st.integers(min_value=0, max_value=12)
 
@@ -209,7 +210,7 @@ def test_continuity_checks_each_multiplier_once(c2c2, monkeypatch):
     assert result.ok and result.checked == len(calls) == 3600
 
 
-def off_by_one_box(part):
+def off_by_one_box(part, brmul=brmul):
     """brmul with every product that has a factor of group part `part`
     landing one box lower: a fault in the products of some multipliers
     that leaves their box-mates' products alone."""
@@ -229,6 +230,7 @@ def test_batched_certificates_equal_certificates_made_one_at_a_time(c2c2, trivia
     target = BasicZeroNbhd.excluding(data.draw(st.sets(st.tuples(st.integers(0, 10), st.integers(0, 10)), max_size=3)))
     ms = data.draw(st.lists(st.sampled_from(window_elements(B, 3)), min_size=1, max_size=24))
     part = data.draw(st.sampled_from([None, *B.sys.compiled.elements]))
+    # topology's binding, the one both continuity_certs and continuity_cert_zero read
     with mock.patch.object(topology, "brmul", off_by_one_box(part) if part else brmul):
         got = continuity_certs(B, ms, target, side)
         want = [continuity_cert_zero(B, a, target, side) for a in ms]
@@ -240,7 +242,7 @@ def test_continuity_multiplies_by_each_multiplier_not_one_per_box(c2c2, monkeypa
     # with products by one group part one box off, the suite fails, and
     # only on multipliers of that part: none of their box-mates
     part = CE(1, 1)
-    monkeypatch.setattr(topology, "brmul", off_by_one_box(part))
+    plant(monkeypatch, "brmul", lambda brmul: off_by_one_box(part, brmul))
     result = suite_continuity(c2c2, 0)
     assert not result.ok
     named = {re.match(r"certificate for a=(\S+), side=", v)[1] for v in result.violations}

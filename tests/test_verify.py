@@ -1,19 +1,17 @@
 import random
-import sys
 from copy import copy
 from dataclasses import replace
 
 import pytest
 
-import brext
-from brext import bruck_reilly, clifford, groups, topology, verify
+from brext import bruck_reilly, groups, topology, verify
 from brext.bicyclic import BicyclicElem, ZERO, bmul, rho_table
-from brext.bruck_reilly import BRElem, BRSystem, brmul_ids, decode, encode, eta, format_elem, parse_elem, window_elements
-from brext.clifford import CliffordElement, CliffordSystem, cmul, cmul_oracle, idempotents, theta_pow, theta_pow_oracle
+from brext.bruck_reilly import BRElem, BRSystem, eta, format_elem, window_elements
+from brext.clifford import CliffordElement, cmul, cmul_oracle, idempotents, theta_pow, theta_pow_oracle
 from brext.config import data_path, load_system
 from brext.topology import EXCLUDED_BOXES_BASE, ISOLATED_ZERO
 from brext.verify import SUITES, SuiteResult, run_all
-from conftest import FIXTURES
+from conftest import FIXTURES, corrupt, plant
 from test_bicyclic import oracle_mul
 from test_clifford import make_c12_c6_c3
 
@@ -97,94 +95,21 @@ def test_window_is_recorded_in_params(c2c2_results):
     assert results["bicyclic_oracle"].params == {"max_index": 8}
 
 
-def _corrupt(pair, change):
-    """brmul_ids with the single product pair[0] * pair[1] changed, in every
-    row it appears in."""
-    x0, y0 = map(parse_elem, pair)
-
-    def rows(B, xs, ys, n):
-        for x, row in zip(xs, brmul_ids(B, xs, ys, n)):
-            yield [encode(B, change(decode(B, p, n)), n) if (x, y) == (x0, y0) else p for y, p in zip(ys, row)]
-
-    return rows
-
-
-def _flip_group(p):
-    return p._replace(s=CliffordElement(p.s.level, 1 - p.s.elem))
-
-
-def _shift_index(p):
-    return p._replace(i=p.i + 1)
-
-
-# One corrupted product per window suite: an index change for the eta
-# suites, a group-part change for the others.  Associativity has a second
-# case, at window 2, whose corrupted product is one of the (x*y)*z with
-# x*y outside the window; idempotent_chain has one for each of hi*lo and
-# lo*hi, the two products it reads per pair.
-CORRUPTIONS = [
-    ("associativity", 1, ("(0,0:1,0)", "(0,1:1,0)"), _flip_group, [
-        "((0,0:1,0)*(0,0:1,0))*(0,1:0,0) != (0,0:1,0)*((0,0:1,0)*(0,1:0,0))",
-        "((0,0:1,0)*(0,1:0,0))*(0,0:1,0) != (0,0:1,0)*((0,1:0,0)*(0,0:1,0))",
-        "((0,0:1,0)*(0,1:0,0))*(0,1:1,0) != (0,0:1,0)*((0,1:0,0)*(0,1:1,0))",
-        "((0,0:1,0)*(0,1:1,0))*(0,0:1,0) != (0,0:1,0)*((0,1:1,0)*(0,0:1,0))",
-        "((0,0:1,0)*(0,1:1,0))*(0,1:1,0) != (0,0:1,0)*((0,1:1,0)*(0,1:1,0))",
-        "((0,1:0,0)*(0,0:1,0))*(0,1:1,0) != (0,1:0,0)*((0,0:1,0)*(0,1:1,0))",
-        "((0,1:1,0)*(0,0:1,0))*(0,1:1,0) != (0,1:1,0)*((0,0:1,0)*(0,1:1,0))",
-    ]),
-    ("inverse_axioms", 2, ("(0,0:1,1)", "(1,0:1,0)"), _flip_group, [
-        "inverse axioms fail for (0,0:1,1)",
-        "inverse axioms fail for (1,0:1,0)",
-    ]),
-    ("eta_homomorphism", 2, ("(0,0:1,1)", "(1,1:0,0)"), _shift_index, [
-        "eta breaks at (0,0:1,1), (1,1:0,0)",
-    ]),
-    ("eta_congruence", 2, ("(0,0:1,1)", "(1,1:0,0)"), _shift_index, [
-        "product box of (0, 1)*(1, 0) not constant: [(0, 0), (1, 0)]",
-    ]),
-    ("idempotent_chain", 2, ("(1,0:0,1)", "(1,1:0,1)"), _flip_group, [
-        "window 2: (1,1:0,1) not strictly below (1,0:0,1)",
-    ]),
-    pytest.param("idempotent_chain", 2, ("(1,1:0,1)", "(1,0:0,1)"), _flip_group, [
-        "window 2: (1,1:0,1) not strictly below (1,0:0,1)",
-    ], id="idempotent_chain-lo-times-hi"),
-    ("nat_order", 2, ("(0,0:1,1)", "(1,0:0,1)"), _flip_group, [
-        "closed form says False for (0,0:0,1) <= (0,0:1,1)",
-        "closed form says True for (0,0:1,1) <= (0,0:1,1)",
-    ]),
-    ("hclass", 2, ("(1,1:1,0)", "(0,1:1,1)"), _flip_group, [
-        "H-class mismatch at (0,1:0,1)",
-        "H-class mismatch at (0,1:1,1)",
-        "H-class mismatch at (1,1:0,0)",
-        "H-class mismatch at (1,1:1,0)",
-    ]),
-    pytest.param("associativity", 2, ("(2,1:1,0)", "(1,0:1,0)"), _flip_group, [
-        "((1,0:0,0)*(1,1:1,0))*(1,0:1,0) != (1,0:0,0)*((1,1:1,0)*(1,0:1,0))",
-        "((1,0:1,0)*(1,1:0,0))*(1,0:1,0) != (1,0:1,0)*((1,1:0,0)*(1,0:1,0))",
-        "((1,1:0,0)*(1,1:1,0))*(1,0:1,0) != (1,1:0,0)*((1,1:1,0)*(1,0:1,0))",
-        "((1,1:1,0)*(1,1:0,0))*(1,0:1,0) != (1,1:1,0)*((1,1:0,0)*(1,0:1,0))",
-    ], id="associativity-product-outside-window"),
-]
-
-
-@pytest.mark.parametrize(
-    "suite,arg,pair,change,expected", CORRUPTIONS, ids=[getattr(c, "id", c[0]) for c in CORRUPTIONS]
-)
-def test_window_suite_reports_a_corrupted_product(c2c2, monkeypatch, suite, arg, pair, change, expected):
-    _plant(monkeypatch, c2c2, "brmul_ids", lambda f: _corrupt(pair, change))
-    assert getattr(verify, f"suite_{suite}")(c2c2, arg).violations == expected
+def _next_group_part(B, p):
+    """p with its group part moved to the next element of its level."""
+    level, elem = p.s
+    return p._replace(s=CliffordElement(level, (elem + 1) % B.sys.group(level).order))
 
 
 def test_idempotent_chain_reports_a_window_that_is_not_a_prefix_of_the_longest(c2c2, monkeypatch):
-    real = verify.idempotents_window
-    monkeypatch.setattr(verify, "idempotents_window", lambda B, n: real(B, n)[::-1] if n == 1 else real(B, n))
+    plant(monkeypatch, "idempotents_window", lambda real: lambda B, n: real(B, n)[::-1] if n == 1 else real(B, n))
     assert verify.suite_idempotent_chain(c2c2, 2).violations == ["window 1: not a prefix of window 2"]
 
 
 def test_idempotent_chain_reports_a_refused_window_and_checks_the_others(c2c2, monkeypatch):
     # lo*hi at index 2 is wrong, so idempotents_window refuses windows 3 and
     # 4; windows 1 and 2 still pass their length and prefix checks
-    _plant(monkeypatch, c2c2, "brmul_ids", lambda f: _corrupt(("(2,1:0,2)", "(2,0:0,2)"), _flip_group))
+    plant(monkeypatch, "brmul_ids", corrupt(("(2,1:0,2)", "(2,0:0,2)"), _next_group_part))
     result = verify.suite_idempotent_chain(c2c2, 4)
     assert result.violations == [
         "window 3: (2,1:0,2) not strictly below (2,0:0,2)",
@@ -197,15 +122,16 @@ def test_idempotent_chain_reports_a_refused_window_and_checks_the_others(c2c2, m
 
 def test_a_cached_window_cannot_hide_a_patched_kernel(c2c2, monkeypatch):
     # c2c2 is session-scoped: compile its window with the real kernel first
-    _, arg, pair, change, expected = CORRUPTIONS[0]
-    assert verify.suite_associativity(c2c2, arg).ok
-    cached = c2c2.window(arg)
-    _plant(monkeypatch, c2c2, "brmul_ids", lambda f: _corrupt(pair, change))
-    assert verify.suite_associativity(c2c2, arg).violations == expected
-    assert c2c2.window(arg) is not cached
+    _, target, fault, cells = next(f for f in FAULTS if f[0] == "brmul_ids-one-group-part-moved")
+    assert verify.suite_associativity(c2c2, 3).ok
+    cached = c2c2.window(3)
+    plant(monkeypatch, target, fault)
+    violations = verify.suite_associativity(c2c2, 3).violations
+    assert (len(violations), violations[0]) == cells["c2c2"]["associativity"]
+    assert c2c2.window(3) is not cached
     monkeypatch.undo()
-    assert c2c2.window(arg) is cached
-    assert verify.suite_associativity(c2c2, arg).ok
+    assert c2c2.window(3) is cached
+    assert verify.suite_associativity(c2c2, 3).ok
 
 
 def _bmul_mutant(d):
@@ -246,7 +172,7 @@ def test_bicyclic_oracle_catches_bmul_mutants(monkeypatch, name):
         if mutant(x, y) != oracle_mul(x, y)
     ]
     assert wrong
-    monkeypatch.setattr(verify, "bmul_codes", _codes(mutant))
+    plant(monkeypatch, "bmul_codes", lambda bmul_codes: _codes(mutant))
     result = verify.suite_bicyclic_oracle("mutant", 4)
     assert result.violations == wrong
     assert result.checked == 5 ** 4
@@ -276,7 +202,7 @@ def test_bicyclic_axioms_catches_bmul_mutants(monkeypatch, name):
         if mul(mul(x, y), x) == x and mul(mul(y, x), y) == y and y != (x.l, x.k)
     ]
     assert wrong
-    monkeypatch.setattr(verify, "bmul_codes", _codes(mul))
+    plant(monkeypatch, "bmul_codes", lambda bmul_codes: _codes(mul))
     result = verify.suite_bicyclic_axioms("mutant", 6)
     assert result.violations == wrong
     assert result.checked == len(elems) ** 2
@@ -284,8 +210,8 @@ def test_bicyclic_axioms_catches_bmul_mutants(monkeypatch, name):
 
 @pytest.mark.parametrize("name", BMUL_MUTANTS)
 def test_box_solver_catches_bmul_mutants(monkeypatch, name):
-    # the brute scan multiplies through verify.bmul_codes, not an inlined formula
-    monkeypatch.setattr(verify, "bmul_codes", _codes(BMUL_MUTANTS[name]))
+    # the brute scan multiplies through bmul_codes, not an inlined formula
+    plant(monkeypatch, "bmul_codes", lambda bmul_codes: _codes(BMUL_MUTANTS[name]))
     assert verify.suite_box_solver("mutant", 4).violations
 
 
@@ -300,7 +226,7 @@ def test_eta_homomorphism_catches_bmul_mutants(c2c2, monkeypatch, name):
         if mutant(eta(x), eta(y)) != bmul(eta(x), eta(y))
     ]
     assert wrong
-    monkeypatch.setattr(verify, "bmul_codes", _codes(mutant))
+    plant(monkeypatch, "bmul_codes", lambda bmul_codes: _codes(mutant))
     result = verify.suite_eta_homomorphism(c2c2, 2)
     assert result.violations == wrong
     assert result.checked == len(elems) ** 2
@@ -335,7 +261,7 @@ def test_window_suites_check_what_their_closed_forms_predict(request, c2c2, syst
 
 def test_run_all_runs_the_suite_bound_on_the_module_at_call_time(c2c2, monkeypatch):
     marker = SuiteResult("hclass", "marker", {}, 0, [])
-    monkeypatch.setattr(verify, "suite_hclass", lambda B, window: marker)
+    monkeypatch.setattr(verify, "suite_hclass", lambda B, window: marker)  # the binding Suite.run reads
     results = run_all(c2c2, window=1)
     assert results[C2C2_SUITES.index("hclass")] is marker
     assert [r.suite for r in results] == C2C2_SUITES == [s.name for s in SUITES if s.applies(c2c2)]
@@ -358,7 +284,7 @@ def test_bicyclic_oracle_reports_products_outside_the_table(monkeypatch):
         (BicyclicElem(4, 0), BicyclicElem(0, 4)): 81,
     }
     rows = lambda xs, ys, n: ([odd.get((x, y), _code(bmul(x, y), n)) for y in ys] for x in xs)
-    monkeypatch.setattr(verify, "bmul_codes", rows)
+    plant(monkeypatch, "bmul_codes", lambda bmul_codes: rows)
     result = verify.suite_bicyclic_oracle("mutant", 4)
     assert result.violations == [
         "(1,2)*(3,0) disagrees",
@@ -391,20 +317,6 @@ def _probe_violations(T, route, relations):
     ]
 
 
-def _plant(monkeypatch, B, target, plant):
-    """Install a fault on a freshly loaded B: a target "compiled.<field>"
-    replaces that field of T's compiled form by plant(field), a function's
-    name rebinds it to plant(function) in every brext module that binds it."""
-    if target.startswith("compiled."):
-        field = target.removeprefix("compiled.")
-        B.sys.__dict__["compiled"] = B.sys.compiled._replace(**{field: plant(getattr(B.sys.compiled, field))})
-        return
-    original = getattr(brext, target)  # found in each namespace as bench/tracing.py finds it
-    mutant, modules = plant(original), [m for name, m in sys.modules.items() if name.partition(".")[0] == "brext"]
-    for module, attr in [(m, attr) for m in modules for attr, obj in vars(m).items() if obj is original]:
-        monkeypatch.setattr(module, attr, mutant)
-
-
 def _on_a_copy_of_t(change):
     """brmul_ids run on a copy of T that takes its attributes from change(T)."""
     def plant(brmul_ids):
@@ -425,8 +337,41 @@ NO_INVERSE = {system: {  # every element of c2c2 and trivial is its own inverse
     "hclass": (hclass, f"H-class of (0,0:0,0): (0,0:{a},0) is not H-related to (0,0:0,0)"),
 } for system, a, count, hclass in [("s3c2", 3, 36, 54), ("c4c2c2", 1, 64, 64)]}
 ONE_STEP_SHORT = "((0,0:1,0)*(1,0:0,0))*(1,0:0,0) != (0,0:1,0)*((1,0:0,0)*(1,0:0,0))"
+BELOW = "H-class of (1,0:0,0): (1,0:1,0) is not H-related to (1,0:0,0)"
+BELOW_DIAGONAL = [(1, 0), (2, 0), (2, 1)]  # the boxes of window 3 below the diagonal
+MOVED = {system: {  # (0,0:1,1)*(1,0:1,0) moved within its H-class, of box (0,0)
+    "inverse_axioms": (2, "inverse axioms fail for (0,0:1,1)", "inverse axioms fail for (1,0:1,0)"),
+    "nat_order": (2, "closed form says False for (1,0:1,0) <= (1,0:0,0)",
+                  "closed form says True for (1,0:1,0) <= (1,0:1,0)"),
+    "hclass": (2 * order, *[f"H-class mismatch at ({i},0:{e},{j})" for i, j in [(0, 1), (1, 0)] for e in range(order)]),
+} for system, order in [("s3c2", 6), ("c2c2", 2)]}
+IDEMPOTENT_CHAIN = (7, *[f"window {n}: (1,1:0,1) not strictly below (1,0:0,1)" for n in range(2, 9)])
+UNFINISHED = {suite: (1, f"{suite} could not finish: WitnessVerificationFailed: the inverse of (0,0:0,0) lies "
+                         "outside the window") for suite in ("associativity", "inverse_axioms", "eta_homomorphism",
+                                                             "eta_congruence", "nat_order", "hclass")}
 
-# (id, target, plant, cells), plant installed on target by _plant: cells maps
+
+def _assoc(x, y, z):
+    return f"({x}*{y})*{z} != {x}*({y}*{z})"
+
+
+def _past_the_window(T):
+    """associativity's violations when (4,1:1,0)*(1,0:1,0) alone is wrong:
+    the (x*y)*(1,0:1,0) with x = (2,a,0), y = (2,b,0) and theta^2(a)*b = (1,1)."""
+    elems = list(T.elements())
+    pairs = [(a, b) for a in elems for b in elems if cmul_oracle(T, theta_pow_oracle(T, a, 2), b) == (1, 1)]
+    return [_assoc(format_elem(BRElem(2, a, 0)), format_elem(BRElem(2, b, 0)), "(1,0:1,0)") for a, b in pairs]
+
+
+def _one_box_off(eta_congruence, **other):
+    """The cells of (0,0:1,1)*(1,1:0,0), of box (0,0), out of its box."""
+    return {system: {"associativity": (count, _assoc("(0,0:1,0)", "(0,0:0,1)", "(1,1:0,0)")),
+                     "eta_homomorphism": (1, "eta breaks at (0,0:1,1), (1,1:0,0)"),
+                     "eta_congruence": (1, f"product box of (0, 1)*(1, 0) not constant: {eta_congruence}"), **other}
+            for system, count in [("s3c2", 216), ("c2c2", 100)]}
+
+
+# (id, target, fault, cells), fault planted on target: cells maps
 # a system to each suite failing there, with its violation count and first
 # violations (all of them where they number the count); a system left out
 # fails none.  A kernel computing another Bruck-Reilly extension keeps every
@@ -473,6 +418,26 @@ FAULTS = [
     ("brmul_ids-theta-once", "brmul_ids",
      _on_a_copy_of_t(lambda T: {"theta": (groups.identity_hom(T.groups[0]), *T.theta[1:])}),
      {"c4c2c2": {"associativity": (28672, ONE_STEP_SHORT)}}),
+    # one product of brmul_ids changed, on each path by which the window
+    # suites read one: the window's table, a box, the idempotent chain's
+    # hi*lo and lo*hi, and right, past the window
+    ("brmul_ids-one-group-part-moved", "brmul_ids", corrupt(("(0,0:1,1)", "(1,0:1,0)"), _next_group_part), {
+        system: {"associativity": (count, _assoc("(0,0:1,0)", "(0,0:0,1)", "(1,0:1,0)")), **MOVED.get(system, {})}
+        for system, count in [("s3c2", 198), ("c4c2c2", 214), ("c2c2", 90)]}),
+    ("brmul_ids-one-first-index-up", "brmul_ids",
+     corrupt(("(0,0:1,1)", "(1,1:0,0)"), lambda B, p: p._replace(i=p.i + 1)), _one_box_off("[(0, 0), (1, 0)]")),
+    ("brmul_ids-hi-times-lo-moved", "brmul_ids", corrupt(("(1,0:0,1)", "(1,1:0,1)"), _next_group_part), {
+        system: {"associativity": (count, _assoc("(0,0:1,0)", "(1,0:0,1)", "(1,1:0,1)")),
+                 "idempotent_chain": IDEMPOTENT_CHAIN,
+                 "nat_order": (2, "closed form says True for (1,1:0,1) <= (1,0:0,1)",
+                               "closed form says False for (1,1:1,1) <= (1,0:0,1)")}
+        for system, count in [("s3c2", 233), ("c2c2", 109)]}),
+    ("brmul_ids-lo-times-hi-moved", "brmul_ids", corrupt(("(1,1:0,1)", "(1,0:0,1)"), _next_group_part), {
+        system: {"associativity": (count, _assoc("(0,0:1,0)", "(1,1:0,1)", "(1,0:0,1)")),
+                 "idempotent_chain": IDEMPOTENT_CHAIN} for system, count in [("s3c2", 233), ("c2c2", 109)]}),
+    ("brmul_ids-past-the-window-moved", "brmul_ids", corrupt(("(4,1:1,0)", "(1,0:1,0)"), _next_group_part), {
+        system: {"associativity": (len(v), *v)} for system, v in [("s3c2", _past_the_window(S3C2)),
+                                                                  ("c2c2", _past_the_window(C2C2))]}),
     ("brinv-without-group-inverse", "brinv",
      lambda brinv: lambda B, x: y if (y := brinv(B, x)) is ZERO else y._replace(s=x.s), NO_INVERSE),
     # x <= y read at the gap d = max(i - m, 0), whatever j - n is
@@ -490,9 +455,33 @@ FAULTS = [
          "inverse_axioms": (inverse, "inverse is not an involution at (0,0:0,1)"),
          "nat_order": (nat_order, "closed form says False for (1,0:0,0) <= (0,0:0,0)"), **other,
      } for system, inverse, nat_order, other in [
-         ("s3c2", 96, 260, {"hclass": (18, "H-class of (1,0:0,0): (1,0:1,0) is not H-related to (1,0:0,0)")}),
-         ("c4c2c2", 64, 64, {"hclass": (16, "H-class of (1,0:0,0): (1,0:1,0) is not H-related to (1,0:0,0)")}),
+         ("s3c2", 96, 260, {"hclass": (18, BELOW)}), ("c4c2c2", 64, 64, {"hclass": (16, BELOW)}),
          ("c2c2", 48, 84, {}), ("trivial", 12, 12, {"bicyclic_isomorphism": (3, "inverses disagree at (1,0:0,0)")})]}),
+    # a window that cannot be compiled ends the suites that read it
+    ("brinv-past-the-window", "brinv",
+     lambda brinv: lambda B, x: y if (y := brinv(B, x)) is ZERO else y._replace(i=y.i + 5),
+     {**dict.fromkeys(["s3c2", "c4c2c2", "c2c2"], UNFINISHED), "trivial": {**UNFINISHED, "bicyclic_isomorphism": (
+         9, *[f"inverses disagree at ({i},0:0,{j})" for i in range(3) for j in range(3)])}}),
+    # x^-1 x of (2,s,0) lands in box (4,0), past the window
+    ("brinv-in-its-own-box-below-diagonal", "brinv",
+     lambda brinv: lambda B, x: y if (y := brinv(B, x)) is ZERO or x.i <= x.j else y._replace(i=x.i, j=x.j), {
+         "s3c2": {"inverse_axioms": (72, "inverse is not an involution at (0,0:0,1)"),
+                  "nat_order": (76, "closed form says False for (1,0:0,0) <= (0,0:0,1)"), "hclass": (18, BELOW)},
+         "c4c2c2": {"inverse_axioms": (48, "inverse is not an involution at (0,0:0,1)"),
+                    "nat_order": (16, "(1,0:0,0)^-1*(1,0:0,0) lies outside the window"), "hclass": (16, BELOW)},
+         "c2c2": {"inverse_axioms": (36, "inverse is not an involution at (0,0:0,1)"),
+                  "nat_order": (28, "closed form says False for (1,0:0,0) <= (0,0:0,1)")},
+         "trivial": {"inverse_axioms": (9, *[  # (i,0:0,j) is its own inverse for i > j
+             f"inverse is not an involution at ({i},0:0,{j})" if i < j else f"inverse axioms fail for ({i},0:0,{j})"
+             for i in range(3) for j in range(3) if i != j], *[f"second inverse ({j},0:0,{i}) for ({i},0:0,{j})"
+                                                               for i, j in BELOW_DIAGONAL]),
+                     "nat_order": (5, *[f"closed form says {fast} for (1,0:0,0) <= {y}" for fast, y in [
+                         (False, "(0,0:0,1)"), (True, "(1,0:0,0)"), (False, "(1,0:0,2)")]],
+                         *[f"({i},0:0,{j})^-1*({i},0:0,{j}) lies outside the window" for i, j in BELOW_DIAGONAL[1:]]),
+                     "bicyclic_isomorphism": (3, *[f"inverses disagree at ({i},0:0,{j})"
+                                                   for i, j in BELOW_DIAGONAL])}}),
+    ("brmul_ids-one-product-zero", "brmul_ids", corrupt(("(0,0:1,1)", "(1,1:0,0)"), lambda B, p: ZERO),
+     _one_box_off("[0, (0, 0)]", zero_divisors=(1, "(0,0:1,1) * (1,1:0,0) = 0"))),
     ("idempotents_window-one-short", "idempotents_window", lambda window: lambda B, n: window(B, n)[:-1], {
         system: {"idempotent_chain": (8, f"window 1: {levels - 1} idempotents, expected {levels}")}
         for system, levels in [("s3c2", 2), ("c4c2c2", 1), ("c2c2", 2), ("trivial", 1)]}),
@@ -508,27 +497,16 @@ FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("target, plant, path, window, want", [
-    pytest.param(target, plant, *SYSTEMS[system], cells.get(system, {}), id=f"{fault}-{system}")
-    for fault, target, plant, cells in FAULTS for system in SYSTEMS])
-def test_planted_fault_fails_exactly_its_suites(monkeypatch, target, plant, path, window, want):
+@pytest.mark.parametrize("target, fault, path, window, want", [
+    pytest.param(target, fault, *SYSTEMS[system], cells.get(system, {}), id=f"{name}-{system}")
+    for name, target, fault, cells in FAULTS for system in SYSTEMS])
+def test_planted_fault_fails_exactly_its_suites(monkeypatch, target, fault, path, window, want):
     B = load_system(path)  # fresh: windows are cached per system
-    _plant(monkeypatch, B, target, plant)
+    plant(monkeypatch, target, fault, B)
     results = run_all(B, window=window)
     got = {r.suite: r.violations for r in results if not r.ok}
     assert {suite: (len(v), *v[:len(want.get(suite, (0,))) - 1]) for suite, v in got.items()} == want
     assert results[0].checked == 1
-
-
-def test_the_planted_faults_reach_every_window_suite_violation_line(c2c2):
-    # verify.py's lines that no sound system reaches; then the one refusal
-    pinned = [v for *_, cells in FAULTS for cell in cells.values() for _, *vs in cell.values() for v in vs]
-    for line in ("inverse is not an involution at ", " idempotents, expected ", "antisymmetry fails at ",
-                 "zero is not strictly least under ", "H-class size off at ", "witness for ",
-                 "index map not injective on the window", "inverses disagree at "):
-        assert any(line in v for v in pinned), line
-    with pytest.raises(ValueError, match="^isomorphism suite applies to the trivial fiber only$"):
-        verify.suite_bicyclic_isomorphism(c2c2, 1)
 
 
 class Uncompiled(Exception):
@@ -563,13 +541,12 @@ def test_runtime_layers_read_t_from_its_compiled_form_alone(s3c2, monkeypatch):
     def refuse(*args):
         raise Uncompiled
 
-    for module, name in ((groups, "gmul"), (groups, "ginv"), (clifford, "gmul"), (clifford, "ginv"), (verify, "ginv")):
-        monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(CliffordSystem, "elements", refuse)
+    for target in ("gmul", "ginv", "CliffordSystem.elements"):
+        plant(monkeypatch, target, lambda f: refuse)
     with pytest.raises(Uncompiled):
         verify.suite_structure(B)
     assert [s.run(B, 3, 0, 64).record() for s in SUITES[1:] if s.applies(B)] == records
-    monkeypatch.setattr(CliffordSystem, "group", refuse)
+    plant(monkeypatch, "CliffordSystem.group", lambda f: refuse)
     assert queries() == want
 
 
@@ -600,27 +577,27 @@ def _transposed_round_trips(seed=0, samples=100):
     return moved
 
 
-TOPOLOGY_FAULTS = [  # (id, module, name, fault, each topology suite's violations)
-    ("meets_almost_all_boxes-negated", verify, "meets_almost_all_boxes", _negated, {"zero_nbhd_checks": [
+TOPOLOGY_FAULTS = [  # (id, target, fault, each topology suite's violations)
+    ("meets_almost_all_boxes-negated", "meets_almost_all_boxes", _negated, {"zero_nbhd_checks": [
         "cofinite basic flagged as missing too many boxes", "whole space flagged as missing too many boxes",
         "single-row family not refuted"]}),
-    ("row_exceptions_finite-negated", verify, "row_exceptions_finite", _negated, {"zero_nbhd_checks": [
+    ("row_exceptions_finite-negated", "row_exceptions_finite", _negated, {"zero_nbhd_checks": [
         "two exceptions in row 2 flagged as infinite", "empty exception set in row 3 flagged as infinite",
         "fully removed row not refuted", "untouched row flagged as infinite"]}),
-    ("column_exceptions_finite-negated", verify, "column_exceptions_finite", _negated,
+    ("column_exceptions_finite-negated", "column_exceptions_finite", _negated,
      {"zero_nbhd_checks": ["fully removed column not refuted"]}),
-    ("classify_descriptor-swapped", verify, "classify_descriptor", _swapped_verdicts,
+    ("classify_descriptor-swapped", "classify_descriptor", _swapped_verdicts,
      {"descriptor_classification": ["isolated descriptor misclassified", "box-complement descriptor misclassified"]}),
-    ("descriptor_from_obj-accepts-any-kind", verify, "descriptor_from_obj", lambda f: lambda obj: ISOLATED_ZERO,
+    ("descriptor_from_obj-accepts-any-kind", "descriptor_from_obj", lambda f: lambda obj: ISOLATED_ZERO,
      {"descriptor_classification": ["unknown descriptor accepted"]}),
-    ("compactness_remainder-one-short", verify, "compactness_remainder", lambda f: lambda B, u: f(B, u)[:-1],
+    ("compactness_remainder-one-short", "compactness_remainder", lambda f: lambda B, u: f(B, u)[:-1],
      {"descriptor_classification": ["remainder size 7, expected 8"]}),  # c2c2: 2 boxes of |T| = 4
-    ("compactness_remainder-outside-the-boxes", verify, "compactness_remainder",
+    ("compactness_remainder-outside-the-boxes", "compactness_remainder",
      lambda f: lambda B, u: [x._replace(i=x.i + 1) for x in f(B, u)],
      {"descriptor_classification": ["remainder overlaps the neighborhood"]}),
-    ("pushforward_descriptor-swapped", verify, "pushforward_descriptor", _swapped, {"pushforward_roundtrip": [
+    ("pushforward_descriptor-swapped", "pushforward_descriptor", _swapped, {"pushforward_roundtrip": [
         "box-complement base must push to the cofinite base", "isolated zero must push to the discrete structure"]}),
-    ("excluding-transposed", topology.BasicZeroNbhd, "excluding", _transposed_excluding,
+    ("excluding-transposed", "BasicZeroNbhd.excluding", _transposed_excluding,
      {"pushforward_roundtrip": _transposed_round_trips()}),
 ]
 TOPOLOGY_SUITES = {
@@ -630,27 +607,25 @@ TOPOLOGY_SUITES = {
 }
 
 
-@pytest.mark.parametrize("module, name, fault, want", [pytest.param(*f[1:], id=f[0]) for f in TOPOLOGY_FAULTS])
-def test_topology_suites_report_a_fault_in_each_name_they_read(c2c2, monkeypatch, module, name, fault, want):
-    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+@pytest.mark.parametrize("target, fault, want", [pytest.param(*f[1:], id=f[0]) for f in TOPOLOGY_FAULTS])
+def test_topology_suites_report_a_fault_in_each_name_they_read(c2c2, monkeypatch, target, fault, want):
+    plant(monkeypatch, target, fault)
     assert {suite: run(c2c2).violations for suite, run in TOPOLOGY_SUITES.items()} == {
         suite: want.get(suite, []) for suite in TOPOLOGY_SUITES
     }
 
 
-def test_the_planted_topology_faults_reach_every_violation_line():
-    # 8 lines in zero_nbhd_checks, 5 in descriptor_classification, 3 in
-    # pushforward_roundtrip; a round trip's line names its sample
+def test_the_planted_faults_reach_every_window_suite_violation_line(c2c2):
+    # verify.py's window-suite lines that no sound system reaches, the 16 of
+    # the topology suites (8 in zero_nbhd_checks, 5 in descriptor_classification,
+    # 3 in pushforward_roundtrip; a round trip's names its sample), the one refusal
+    pinned = [v for *_, cells in FAULTS for cell in cells.values() for _, *vs in cell.values() for v in vs]
+    for line in ("inverse is not an involution at ", " idempotents, expected ", "antisymmetry fails at ",
+                 "zero is not strictly least under ", "H-class size off at ", "witness for ",
+                 "index map not injective on the window", "inverses disagree at ", "could not finish: ",
+                 "lies outside the window", " = 0"):
+        assert any(line in v for v in pinned), line
     lines = {v.split(" [")[0] for *_, want in TOPOLOGY_FAULTS for vs in want.values() for v in vs}
     assert len(lines) == 16 and "round trip moved" in lines
-
-
-def test_bicyclic_oracle_refuses_a_negative_code(monkeypatch):
-    # unguarded, c11[-63] would read the true product's entry and the fault
-    # would go unseen
-    def rows(xs, ys, n):
-        for x in xs:
-            yield [_code(bmul(x, y), n) - n * n * ((x, y) == ((1, 2), (3, 0))) for y in ys]
-
-    monkeypatch.setattr(verify, "bmul_codes", rows)
-    assert verify.suite_bicyclic_oracle("mutant", 4).violations == ["(1,2)*(3,0) disagrees"]
+    with pytest.raises(ValueError, match="^isomorphism suite applies to the trivial fiber only$"):
+        verify.suite_bicyclic_isomorphism(c2c2, 1)

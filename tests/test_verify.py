@@ -101,6 +101,49 @@ def _next_group_part(B, p):
     return p._replace(s=CliffordElement(level, (elem + 1) % B.sys.group(level).order))
 
 
+# One corrupted product of c2c2 per window suite that reads the window's
+# table or a box, checked by that suite alone: an index change for the eta
+# suites, a group-part change for the others.  The idempotent chain's two
+# read paths and associativity's past the window are FAULTS rows.
+CORRUPTIONS = [
+    ("associativity", 1, ("(0,0:1,0)", "(0,1:1,0)"), _next_group_part, [
+        "((0,0:1,0)*(0,0:1,0))*(0,1:0,0) != (0,0:1,0)*((0,0:1,0)*(0,1:0,0))",
+        "((0,0:1,0)*(0,1:0,0))*(0,0:1,0) != (0,0:1,0)*((0,1:0,0)*(0,0:1,0))",
+        "((0,0:1,0)*(0,1:0,0))*(0,1:1,0) != (0,0:1,0)*((0,1:0,0)*(0,1:1,0))",
+        "((0,0:1,0)*(0,1:1,0))*(0,0:1,0) != (0,0:1,0)*((0,1:1,0)*(0,0:1,0))",
+        "((0,0:1,0)*(0,1:1,0))*(0,1:1,0) != (0,0:1,0)*((0,1:1,0)*(0,1:1,0))",
+        "((0,1:0,0)*(0,0:1,0))*(0,1:1,0) != (0,1:0,0)*((0,0:1,0)*(0,1:1,0))",
+        "((0,1:1,0)*(0,0:1,0))*(0,1:1,0) != (0,1:1,0)*((0,0:1,0)*(0,1:1,0))",
+    ]),
+    ("inverse_axioms", 2, ("(0,0:1,1)", "(1,0:1,0)"), _next_group_part, [
+        "inverse axioms fail for (0,0:1,1)",
+        "inverse axioms fail for (1,0:1,0)",
+    ]),
+    ("eta_homomorphism", 2, ("(0,0:1,1)", "(1,1:0,0)"), lambda B, p: p._replace(i=p.i + 1), [
+        "eta breaks at (0,0:1,1), (1,1:0,0)",
+    ]),
+    ("eta_congruence", 2, ("(0,0:1,1)", "(1,1:0,0)"), lambda B, p: p._replace(i=p.i + 1), [
+        "product box of (0, 1)*(1, 0) not constant: [(0, 0), (1, 0)]",
+    ]),
+    ("nat_order", 2, ("(0,0:1,1)", "(1,0:0,1)"), _next_group_part, [
+        "closed form says False for (0,0:0,1) <= (0,0:1,1)",
+        "closed form says True for (0,0:1,1) <= (0,0:1,1)",
+    ]),
+    ("hclass", 2, ("(1,1:1,0)", "(0,1:1,1)"), _next_group_part, [
+        "H-class mismatch at (0,1:0,1)",
+        "H-class mismatch at (0,1:1,1)",
+        "H-class mismatch at (1,1:0,0)",
+        "H-class mismatch at (1,1:1,0)",
+    ]),
+]
+
+
+@pytest.mark.parametrize("suite,arg,pair,change,expected", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS])
+def test_window_suite_reports_a_corrupted_product(c2c2, monkeypatch, suite, arg, pair, change, expected):
+    plant(monkeypatch, "brmul_ids", corrupt(pair, change))
+    assert getattr(verify, f"suite_{suite}")(c2c2, arg).violations == expected
+
+
 def test_idempotent_chain_reports_a_window_that_is_not_a_prefix_of_the_longest(c2c2, monkeypatch):
     plant(monkeypatch, "idempotents_window", lambda real: lambda B, n: real(B, n)[::-1] if n == 1 else real(B, n))
     assert verify.suite_idempotent_chain(c2c2, 2).violations == ["window 1: not a prefix of window 2"]
@@ -292,6 +335,17 @@ def test_bicyclic_oracle_reports_products_outside_the_table(monkeypatch):
         "(3,3)*(3,3) disagrees",
         "(4,0)*(0,4) disagrees",
     ]
+
+
+def test_bicyclic_oracle_refuses_a_negative_code(monkeypatch):
+    # unguarded, c11[-63] would read the true product's entry and the fault
+    # would go unseen
+    def rows(xs, ys, n):
+        for x in xs:
+            yield [_code(bmul(x, y), n) - n * n * ((x, y) == ((1, 2), (3, 0))) for y in ys]
+
+    plant(monkeypatch, "bmul_codes", lambda bmul_codes: rows)
+    assert verify.suite_bicyclic_oracle("mutant", 4).violations == ["(1,2)*(3,0) disagrees"]
 
 
 def test_packed_images_are_distinct_on_the_oracle_table():
@@ -616,16 +670,19 @@ def test_topology_suites_report_a_fault_in_each_name_they_read(c2c2, monkeypatch
 
 
 def test_the_planted_faults_reach_every_window_suite_violation_line(c2c2):
-    # verify.py's window-suite lines that no sound system reaches, the 16 of
-    # the topology suites (8 in zero_nbhd_checks, 5 in descriptor_classification,
-    # 3 in pushforward_roundtrip; a round trip's names its sample), the one refusal
+    # verify.py's window-suite lines that no sound system reaches; then the one refusal
     pinned = [v for *_, cells in FAULTS for cell in cells.values() for _, *vs in cell.values() for v in vs]
     for line in ("inverse is not an involution at ", " idempotents, expected ", "antisymmetry fails at ",
                  "zero is not strictly least under ", "H-class size off at ", "witness for ",
                  "index map not injective on the window", "inverses disagree at ", "could not finish: ",
                  "lies outside the window", " = 0"):
         assert any(line in v for v in pinned), line
-    lines = {v.split(" [")[0] for *_, want in TOPOLOGY_FAULTS for vs in want.values() for v in vs}
-    assert len(lines) == 16 and "round trip moved" in lines
     with pytest.raises(ValueError, match="^isomorphism suite applies to the trivial fiber only$"):
         verify.suite_bicyclic_isomorphism(c2c2, 1)
+
+
+def test_the_planted_topology_faults_reach_every_violation_line():
+    # 8 lines in zero_nbhd_checks, 5 in descriptor_classification, 3 in
+    # pushforward_roundtrip; a round trip's line names its sample
+    lines = {v.split(" [")[0] for *_, want in TOPOLOGY_FAULTS for vs in want.values() for v in vs}
+    assert len(lines) == 16 and "round trip moved" in lines

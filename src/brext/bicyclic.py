@@ -41,8 +41,6 @@ ZERO_ID = -1  # ZERO's code at every width
 
 Element = Union[BicyclicElem, _AdjoinedZero]
 
-IDENTITY = BicyclicElem(0, 0)
-
 
 def is_zero(x: Element) -> bool:
     return x is ZERO

@@ -137,9 +137,8 @@ def _cmd_validate(args) -> Outcome:
 
 def _cmd_mul(args) -> Outcome:
     if args.system:
-        B = _need_system(args)
         x, y = bruck_reilly.parse_elem(args.x), bruck_reilly.parse_elem(args.y)
-        res = bruck_reilly.format_elem(brmul(B, x, y))
+        res = bruck_reilly.format_elem(brmul(_need_system(args), x, y))
     else:
         res = bicyclic.format_elem(
             bicyclic.bmul(bicyclic.parse_elem(args.x), bicyclic.parse_elem(args.y))
@@ -149,8 +148,8 @@ def _cmd_mul(args) -> Outcome:
 
 def _cmd_inv(args) -> Outcome:
     if args.system:
-        B = _need_system(args)
-        res = bruck_reilly.format_elem(brinv(B, bruck_reilly.parse_elem(args.x)))
+        x = bruck_reilly.parse_elem(args.x)
+        res = bruck_reilly.format_elem(brinv(_need_system(args), x))
     else:
         res = bicyclic.format_elem(bicyclic.binv(bicyclic.parse_elem(args.x)))
     return [{"op": "inv", "inputs": [args.x], "result": res, "ok": True}], f"inv: {res}"
@@ -163,8 +162,8 @@ def _cmd_eta(args) -> Outcome:
 
 
 def _cmd_order(args) -> Outcome:
-    B = _need_system(args)
     x, y = bruck_reilly.parse_elem(args.x), bruck_reilly.parse_elem(args.y)
+    B = _need_system(args)
     fast = nat_order(B, x, y)
     slow = nat_order_oracle(B, x, y)
     ok = fast == slow
@@ -181,17 +180,16 @@ def _cmd_idempotents(args) -> Outcome:
 
 
 def _cmd_hclass(args) -> Outcome:
-    B = _need_system(args)
-    members = hclass(B, bruck_reilly.parse_elem(args.x))
+    x = bruck_reilly.parse_elem(args.x)
+    members = hclass(_need_system(args), x)
     rendered = [bruck_reilly.format_elem(e) for e in members]
     record = {"op": "hclass", "inputs": [args.x], "result": rendered, "ok": True}
     return [record], f"hclass: {len(members)} elements"
 
 
 def _cmd_witness(args) -> Outcome:
-    B = _need_system(args)
     a, b = bruck_reilly.parse_elem(args.a), bruck_reilly.parse_elem(args.b)
-    x, y = simplicity_witness(B, a, b)
+    x, y = simplicity_witness(_need_system(args), a, b)
     record = {
         "op": "witness",
         "inputs": [args.a, args.b],

@@ -69,9 +69,6 @@ class BasicZeroNbhd:
         return is_zero(x) or Box(x.i, x.j) not in self.excluded
 
 
-WHOLE_SPACE = BasicZeroNbhd(frozenset())
-
-
 def box_solve(a_box: Box, target: Box, side: str) -> frozenset[Box]:
     """All boxes x with a_box * x = target (side 'left') or x * a_box = target.
 

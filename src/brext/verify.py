@@ -204,7 +204,7 @@ def suite_eta_congruence(B: BRSystem, window: int) -> SuiteResult:
     return SuiteResult("eta_congruence", B.name, {"window": window}, checked, bad)
 
 
-def suite_idempotent_chain(B: BRSystem, max_window: int = 8) -> SuiteResult:
+def suite_idempotent_chain(B: BRSystem, max_window: int) -> SuiteResult:
     """idempotents_window gives a strict chain of the promised length for
     every window up to max_window, matching an initial segment of the
     naturals under the reversed order.
@@ -295,12 +295,10 @@ def _random_elem(B: BRSystem, rng: random.Random, max_index: int) -> BRElem:
     )
 
 
-def suite_simplicity(
-    B: BRSystem, seed: int, pairs: int = 1000, max_index: int = 50
-) -> SuiteResult:
+def suite_simplicity(B: BRSystem, seed: int) -> SuiteResult:
     """simplicity_witness self-verifies; here we just exercise it widely,
-    including the a = b corner."""
-    rng = random.Random(seed)
+    on 1000 pairs with indices up to 50, including the a = b corner."""
+    rng, pairs, max_index = random.Random(seed), 1000, 50
     bad = []
     for n in range(pairs):
         a = _random_elem(B, rng, max_index)
@@ -312,18 +310,19 @@ def suite_simplicity(
     return SuiteResult("simplicity", B.name, {"seed": seed, "pairs": pairs, "max_index": max_index}, pairs, bad)
 
 
-def suite_zero_divisors(B: BRSystem, window: int = 4) -> SuiteResult:
+def suite_zero_divisors(B: BRSystem, window: int) -> SuiteResult:
     rep = zero_divisor_scan(B, window)
     bad = [f"{format_elem(x)} * {format_elem(y)} = 0" for x, y in rep.counterexamples]
     return SuiteResult("zero_divisors", B.name, {"window": window}, rep.checked, bad)
 
 
-def suite_bicyclic_axioms(system_name: str, max_index: int = 6) -> SuiteResult:
+def suite_bicyclic_axioms(system_name: str) -> SuiteResult:
     """Idempotent shape and order, inverse axioms and inverse uniqueness on
-    the bicyclic monoid itself, read as suite_inverse_axioms reads them: x*y
-    from one bmul_codes pass at width 3 * max_index + 1, and (x*y)*z from a
-    second over the distinct products, of which one whose code is no pair's,
-    or zero, times z equals no z; back[x][y] says (x*y)*x == x."""
+    the bicyclic pairs up to max_index, read as suite_inverse_axioms reads
+    them: x*y from one bmul_codes pass at width 3 * max_index + 1, and (x*y)*z
+    from a second over the distinct products, of which one whose code is no
+    pair's, or zero, times z equals no z; back[x][y] says (x*y)*x == x."""
+    max_index = 6
     n, r = 3 * max_index + 1, range(max_index + 1)
     elems = [BicyclicElem(k, l) for k in r for l in r]
     codes = [k * n + l for k, l in elems]
@@ -357,7 +356,7 @@ def pack_images(images: list, n: int) -> list[int]:
     return [(a11 * b + a12) * b + a22 for a11, a12, a22 in images]
 
 
-def suite_bicyclic_oracle(system_name: str, max_index: int = 12) -> SuiteResult:
+def suite_bicyclic_oracle(system_name: str, max_index: int) -> SuiteResult:
     """Closed-form index arithmetic against the faithful max-plus image.
 
     rho, built by products of the generator images up to index 2 * max_index
@@ -392,7 +391,7 @@ def suite_bicyclic_oracle(system_name: str, max_index: int = 12) -> SuiteResult:
     return SuiteResult("bicyclic_oracle", system_name, {"max_index": max_index}, (max_index + 1) ** 4, bad)
 
 
-def suite_box_solver(system_name: str, max_index: int = 6) -> SuiteResult:
+def suite_box_solver(system_name: str, max_index: int) -> SuiteResult:
     """Closed-form box equation solutions against a full scan, both sides.
 
     Multipliers and targets are the boxes with indices up to max_index.
@@ -421,11 +420,11 @@ def suite_box_solver(system_name: str, max_index: int = 6) -> SuiteResult:
                        2 * len(small) ** 2, bad)
 
 
-def suite_continuity(B: BRSystem, seed: int, samples: int = 100, a_window: int = 3) -> SuiteResult:
-    """Random targets, every multiplier with indices below a_window, both
+def suite_continuity(B: BRSystem, seed: int, a_window: int = 3) -> SuiteResult:
+    """100 random targets, every multiplier with indices below a_window, both
     sides, all multipliers of a sample in one continuity_certs call; each
     certificate carries its own box-by-box re-verification."""
-    rng = random.Random(seed)
+    rng, samples = random.Random(seed), 100
     multipliers = window_elements(B, a_window)
     bad = []
     for _ in range(samples):
@@ -437,7 +436,7 @@ def suite_continuity(B: BRSystem, seed: int, samples: int = 100, a_window: int =
                        samples * len(multipliers), bad)
 
 
-def suite_zero_nbhd_checks(B: BRSystem, probe_bound: int = 64) -> SuiteResult:
+def suite_zero_nbhd_checks(B: BRSystem, probe_bound: int) -> SuiteResult:
     """Bounded finiteness checkers on honest basics and on degenerate
     families built to fail them."""
     bad = []
@@ -483,8 +482,8 @@ def suite_descriptor_classification(B: BRSystem) -> SuiteResult:
     return SuiteResult("descriptor_classification", B.name, {}, 4, bad)
 
 
-def suite_pushforward_roundtrip(B: BRSystem, seed: int, samples: int = 100) -> SuiteResult:
-    rng = random.Random(seed)
+def suite_pushforward_roundtrip(B: BRSystem, seed: int) -> SuiteResult:
+    rng, samples = random.Random(seed), 100
     bad = []
     if pushforward_descriptor(EXCLUDED_BOXES_BASE) != "cofinite":
         bad.append("box-complement base must push to the cofinite base")
@@ -553,7 +552,7 @@ SUITES = (
     Suite("simplicity", lambda B, w, seed, pb: suite_simplicity(B, seed), lambda B, w: 1000),
     Suite("zero_divisors", lambda B, w, seed, pb: suite_zero_divisors(B, 4), lambda B, w: _w(B, 4) ** 2,
           lambda B: B.with_zero),
-    Suite("bicyclic_axioms", lambda B, w, seed, pb: suite_bicyclic_axioms(B.name, 6), lambda B, w: 7 ** 4),
+    Suite("bicyclic_axioms", lambda B, w, seed, pb: suite_bicyclic_axioms(B.name), lambda B, w: 7 ** 4),
     Suite("bicyclic_oracle", lambda B, w, seed, pb: suite_bicyclic_oracle(B.name, 4 * w),
           lambda B, w: (4 * w + 1) ** 4),
     Suite("box_solver", lambda B, w, seed, pb: suite_box_solver(B.name, 2 * w), lambda B, w: 2 * (2 * w + 1) ** 4),

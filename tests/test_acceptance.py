@@ -119,8 +119,8 @@ def test_criterion_4_idempotent_chain(c2c2, trivial):
 def test_criterion_5_simplicity_witnesses(c2c2, trivial):
     with criterion(5, "simplicity witnesses and zero divisors", budget=5.0):
         for B in (c2c2, trivial):
-            r = _no_violations(suite_simplicity(B, seed=0, pairs=1000, max_index=50))
-            assert r.checked == 1000
+            r = _no_violations(suite_simplicity(B, seed=0))
+            assert r.checked == 1000 and r.params == {"seed": 0, "pairs": 1000, "max_index": 50}
             r = _no_violations(suite_zero_divisors(B, window=4))
             assert r.checked == (4 * 4 * B.sys.order()) ** 2
 
@@ -135,10 +135,11 @@ def test_criterion_7_topology_certificates(c2c2):
     with criterion(7, "box solver, continuity certificates, classification", budget=5.0):
         r = _no_violations(suite_box_solver("bicyclic", max_index=6))
         assert r.checked == 2 * 7**4
-        r = _no_violations(suite_continuity(c2c2, seed=0, samples=100))
-        assert r.checked >= 100
+        r = _no_violations(suite_continuity(c2c2, seed=0))
+        assert r.checked >= 100 and r.params["samples"] == 100
         _no_violations(suite_descriptor_classification(c2c2))
-        _no_violations(suite_pushforward_roundtrip(c2c2, seed=0, samples=100))
+        r = _no_violations(suite_pushforward_roundtrip(c2c2, seed=0))
+        assert r.params["samples"] == 100
         for side in ("left", "right"):
             assert large_index_certificate(c2c2, 256, side).ok
 

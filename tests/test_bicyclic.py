@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from brext import topology
 from brext.bicyclic import (
-    IDENTITY,
     TROP_E,
     TROP_P,
     TROP_Q,
@@ -25,6 +24,7 @@ from brext.errors import WitnessVerificationFailed
 
 small = st.integers(min_value=0, max_value=40)
 huge = st.integers(min_value=0, max_value=10**18)
+IDENTITY = BicyclicElem(0, 0)
 
 
 def oracle_mul(x, y, pad: int = 4):

@@ -155,6 +155,15 @@ def test_window_cap_is_enforced(capsys, tmp_path):
                 assert run(capsys, *cmd, "--system", config, "--window", window) == refused, (config, cmd, window)
 
 
+def test_element_literals_are_refused_before_the_config_loads(capsys, tmp_path):
+    # as --window is: a missing config and a faulty one give the literal's error alone
+    bad, good = "(1,0:0", "(0,0:0,0)"
+    refused = (2, "", f"error: cannot parse extension element {bad!r}\n")
+    for config in (str(tmp_path / "missing.json"), str(fault_files()[0][0])):
+        for cmd in (["mul", bad, good], ["inv", bad], ["order", good, bad], ["hclass", bad], ["witness", good, bad]):
+            assert run(capsys, *cmd, "--system", config) == refused, (config, cmd)
+
+
 @pytest.mark.parametrize("bound", ["-1", "0", "1"])
 def test_probe_bound_below_two_exits_two(capsys, bound):
     code, out, err = run(capsys, "verify", "--all", "--system", C2C2, "--probe-bound", bound)

@@ -1,10 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from brext import groups
-from brext.bruck_reilly import BRElem, nat_order
+from brext.bruck_reilly import BRElem, BRSystem, nat_order
 from brext.clifford import (
     CliffordElement,
     CliffordSystem,
@@ -19,6 +19,7 @@ from brext.clifford import (
 from brext.config import load_system
 from brext.errors import IndexOutOfRange, MalformedMap, MissingBond, NotAGroup
 from brext.groups import cyclic_group, hom, identity_hom
+from brext.verify import SUITES, run_all
 from conftest import FIXTURES, plant
 from test_groups import constant_hom
 
@@ -540,6 +541,17 @@ def cyclic_chains(draw):
 @given(sys=cyclic_chains())
 def test_fast_routes_agree_with_the_exhaustive_scans(sys):
     assert validate_system(sys) == reference_system_violations(sys)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(sys=cyclic_chains())
+def test_every_suite_passes_on_a_drawn_system(sys):
+    # with and without zero, each suite checking what its closed form predicts
+    assume(not validate_system(sys))
+    for with_zero in (False, True):
+        B = BRSystem(sys=sys, with_zero=with_zero, name="drawn")
+        assert [(r.suite, r.violations, r.checked) for r in run_all(B, window=2)] == [
+            (s.name, [], s.checked(B, 2)) for s in SUITES if s.applies(B)]
 
 
 def test_coherence_of_a_long_chain_reports_every_triple():

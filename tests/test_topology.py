@@ -15,7 +15,6 @@ from brext.errors import MalformedDescriptor
 from brext.topology import (
     EXCLUDED_BOXES_BASE,
     ISOLATED_ZERO,
-    WHOLE_SPACE,
     BasicZeroNbhd,
     ZeroNbhdDescriptor,
     box_solve,
@@ -36,6 +35,7 @@ from brext.verify import suite_continuity
 from conftest import plant
 
 idx = st.integers(min_value=0, max_value=12)
+WHOLE_SPACE = BasicZeroNbhd(frozenset())
 
 
 def test_box_solve_unique_solution():

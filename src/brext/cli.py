@@ -30,8 +30,6 @@ from .topology import (
 from .verify import listed, run_all
 
 
-MAX_PROBE_BOUND = 2**20  # two checks of verify --all walk about probe_bound / 2 boxes each
-
 # What every command handler returns: its records, the last one the verdict,
 # and the stderr summary line (None: main writes a timing line instead).
 Outcome = tuple[list[dict], str | None]
@@ -79,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("verify", _cmd_verify, window, "run the property suites")
     sp.add_argument("--all", action="store_true", help="run every applicable suite")
     sp.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    sp.add_argument("--probe-bound", type=int, default=64, dest="probe_bound", help=f"probe bound for finiteness checks (2..{MAX_PROBE_BOUND})")
     return p
 
 
@@ -107,13 +104,13 @@ def _parse_descriptor(text: str):
     if s.startswith("{"):
         try:
             return descriptor_from_obj(json.loads(s))
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"descriptor: {exc}") from exc
     path = Path(s)
     try:  # the probe too: a name over 255 bytes raises OSError there
         if path.exists():
-            return descriptor_from_obj(json.loads(path.read_text()))
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+            return descriptor_from_obj(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"descriptor file {s}: {exc}") from exc
     raise ParseError(f"descriptor must be 'isolated', 'excluded_boxes', JSON, or a file: {text!r}")
 
@@ -263,12 +260,8 @@ def _cmd_pushforward(args) -> Outcome:
 def _cmd_verify(args) -> Outcome:
     if not args.all:
         raise ParseError("verify needs --all")
-    if args.probe_bound < 2:
-        raise ParseError("--probe-bound must be at least 2")
-    if args.probe_bound > MAX_PROBE_BOUND:
-        raise ParseError(f"--probe-bound must be at most {MAX_PROBE_BOUND}")
     n, B = _window(args), _need_system(args)
-    records = [r.record() for r in run_all(B, window=n, seed=args.seed, probe_bound=args.probe_bound)]
+    records = [r.record() for r in run_all(B, n, args.seed)]
     failed = sum(not r["ok"] for r in records)
     records.append(
         {

@@ -123,12 +123,12 @@ def system_from_obj(obj, name: str = "") -> BRSystem:
 
 def load_system(path) -> BRSystem:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
+    try:  # ValueError: bytes that are not UTF-8
+        text = path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
+    try:  # ValueError: bad JSON, or an integer over CPython's digit limit
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     return system_from_obj(obj, name=path.stem)

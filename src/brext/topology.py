@@ -23,6 +23,7 @@ from .groups import is_int
 
 ISOLATED = "isolated"
 EXCLUDED_BOXES = "excluded_boxes"
+PROBE_BOUND = 64  # the bounded checks' window; their verdicts on the suite's families hold at any bound >= 2
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,7 @@ def _reverify(B: BRSystem, cert: ContinuityCertificate, probes: list[BRElem], pr
 
 @dataclass(frozen=True)
 class BoundedCheck:
-    """Outcome of a probe-bounded finiteness check.
+    """Outcome of a finiteness check over a bounded probe window.
 
     A False result means refuted within the probe bound, never an
     unconditional falsehood; `note` spells the qualification out and
@@ -272,7 +273,7 @@ def _probe(u, probe_bound: int, structural, probes, refuted: str, clean: str) ->
     return BoundedCheck(True, probe_bound, (), clean)
 
 
-def meets_almost_all_boxes(u, probe_bound: int = 64) -> BoundedCheck:
+def meets_almost_all_boxes(u, probe_bound: int = PROBE_BOUND) -> BoundedCheck:
     """Does the neighborhood intersect all but finitely many boxes?
 
     Structurally true for any BasicZeroNbhd.  A box predicate (i, j) -> bool
@@ -286,7 +287,7 @@ def meets_almost_all_boxes(u, probe_bound: int = 64) -> BoundedCheck:
                   f"no misses beyond {half} within probe bound {probe_bound}")
 
 
-def row_exceptions_finite(u, i0: int, probe_bound: int = 64) -> BoundedCheck:
+def row_exceptions_finite(u, i0: int, probe_bound: int = PROBE_BOUND) -> BoundedCheck:
     """Are there only finitely many j with box (i0, j) outside u?"""
     half = probe_bound // 2
     return _probe(u, probe_bound, lambda ex: tuple(sorted(b.l for b in ex if b.k == i0)),
@@ -294,7 +295,7 @@ def row_exceptions_finite(u, i0: int, probe_bound: int = 64) -> BoundedCheck:
                   f"row {i0} misses keep appearing", f"row {i0} misses stop before {half}")
 
 
-def column_exceptions_finite(u, j0: int, probe_bound: int = 64) -> BoundedCheck:
+def column_exceptions_finite(u, j0: int, probe_bound: int = PROBE_BOUND) -> BoundedCheck:
     """Mirror of row_exceptions_finite for a fixed second index."""
     half = probe_bound // 2
     return _probe(u, probe_bound, lambda ex: tuple(sorted(b.k for b in ex if b.l == j0)),

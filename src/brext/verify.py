@@ -54,6 +54,7 @@ from .topology import (
     BasicZeroNbhd,
     EXCLUDED_BOXES_BASE,
     ISOLATED_ZERO,
+    PROBE_BOUND,
     box_solve,
     classify_descriptor,
     compactness_remainder,
@@ -436,30 +437,30 @@ def suite_continuity(B: BRSystem, seed: int, a_window: int = 3) -> SuiteResult:
                        samples * len(multipliers), bad)
 
 
-def suite_zero_nbhd_checks(B: BRSystem, probe_bound: int) -> SuiteResult:
+def suite_zero_nbhd_checks(B: BRSystem) -> SuiteResult:
     """Bounded finiteness checkers on honest basics and on degenerate
     families built to fail them."""
     bad = []
     basic = BasicZeroNbhd.excluding([(2, 5), (2, 7), (9, 0)])
-    if not meets_almost_all_boxes(basic, probe_bound):
+    if not meets_almost_all_boxes(basic):
         bad.append("cofinite basic flagged as missing too many boxes")
-    if not meets_almost_all_boxes(BasicZeroNbhd(frozenset()), probe_bound):
+    if not meets_almost_all_boxes(BasicZeroNbhd(frozenset())):
         bad.append("whole space flagged as missing too many boxes")
     single_row = lambda i, j: i == 0
-    if meets_almost_all_boxes(single_row, probe_bound):
+    if meets_almost_all_boxes(single_row):
         bad.append("single-row family not refuted")
-    if not row_exceptions_finite(basic, 2, probe_bound):
+    if not row_exceptions_finite(basic, 2):
         bad.append("two exceptions in row 2 flagged as infinite")
-    if not row_exceptions_finite(basic, 3, probe_bound):
+    if not row_exceptions_finite(basic, 3):
         bad.append("empty exception set in row 3 flagged as infinite")
     row_gone = lambda i, j: i != 4
-    if row_exceptions_finite(row_gone, 4, probe_bound):
+    if row_exceptions_finite(row_gone, 4):
         bad.append("fully removed row not refuted")
-    if not row_exceptions_finite(row_gone, 0, probe_bound):
+    if not row_exceptions_finite(row_gone, 0):
         bad.append("untouched row flagged as infinite")
-    if column_exceptions_finite(lambda i, j: j != 1, 1, probe_bound):
+    if column_exceptions_finite(lambda i, j: j != 1, 1):
         bad.append("fully removed column not refuted")
-    return SuiteResult("zero_nbhd_checks", B.name, {"probe_bound": probe_bound}, 8, bad)
+    return SuiteResult("zero_nbhd_checks", B.name, {"probe_bound": PROBE_BOUND}, 8, bad)
 
 
 def suite_descriptor_classification(B: BRSystem) -> SuiteResult:
@@ -527,52 +528,52 @@ def _w(B: BRSystem, n: int) -> int:
 
 
 class Suite(NamedTuple):
-    """One suite of `verify --all`.  run(B, window, seed, probe_bound) calls
-    it by its module-level name, so a rebound suite_* is the one run;
-    checked(B, window) is its checked count in closed form; applies(B) says
-    whether run_all runs it on B."""
+    """One suite of `verify --all`.  run(B, window, seed) calls it by its
+    module-level name, so a rebound suite_* is the one run; checked(B, window)
+    is its checked count in closed form; applies(B) says whether run_all runs
+    it on B."""
 
     name: str
-    run: Callable[[BRSystem, int, int, int], SuiteResult]
+    run: Callable[[BRSystem, int, int], SuiteResult]
     checked: Callable[[BRSystem, int], int]
     applies: Callable[[BRSystem], bool] = lambda B: True
 
 
 SUITES = (
-    Suite("structure", lambda B, w, seed, pb: suite_structure(B), lambda B, w: 1),
-    Suite("associativity", lambda B, w, seed, pb: suite_associativity(B, w), lambda B, w: _w(B, w) ** 3),
-    Suite("inverse_axioms", lambda B, w, seed, pb: suite_inverse_axioms(B, w),
+    Suite("structure", lambda B, w, seed: suite_structure(B), lambda B, w: 1),
+    Suite("associativity", lambda B, w, seed: suite_associativity(B, w), lambda B, w: _w(B, w) ** 3),
+    Suite("inverse_axioms", lambda B, w, seed: suite_inverse_axioms(B, w),
           lambda B, w: _w(B, w) ** 2 + _w(B, w)),
-    Suite("eta_homomorphism", lambda B, w, seed, pb: suite_eta_homomorphism(B, w), lambda B, w: _w(B, w) ** 2),
-    Suite("eta_congruence", lambda B, w, seed, pb: suite_eta_congruence(B, w), lambda B, w: _w(B, w) ** 2),
-    Suite("idempotent_chain", lambda B, w, seed, pb: suite_idempotent_chain(B, 8),
+    Suite("eta_homomorphism", lambda B, w, seed: suite_eta_homomorphism(B, w), lambda B, w: _w(B, w) ** 2),
+    Suite("eta_congruence", lambda B, w, seed: suite_eta_congruence(B, w), lambda B, w: _w(B, w) ** 2),
+    Suite("idempotent_chain", lambda B, w, seed: suite_idempotent_chain(B, 8),
           lambda B, w: sum(comb(n * len(idempotents(B.sys)), 2) for n in range(1, 9))),
-    Suite("nat_order", lambda B, w, seed, pb: suite_nat_order(B, w), lambda B, w: _w(B, w) ** 2),
-    Suite("hclass", lambda B, w, seed, pb: suite_hclass(B, w), lambda B, w: _w(B, w)),
-    Suite("simplicity", lambda B, w, seed, pb: suite_simplicity(B, seed), lambda B, w: 1000),
-    Suite("zero_divisors", lambda B, w, seed, pb: suite_zero_divisors(B, 4), lambda B, w: _w(B, 4) ** 2,
+    Suite("nat_order", lambda B, w, seed: suite_nat_order(B, w), lambda B, w: _w(B, w) ** 2),
+    Suite("hclass", lambda B, w, seed: suite_hclass(B, w), lambda B, w: _w(B, w)),
+    Suite("simplicity", lambda B, w, seed: suite_simplicity(B, seed), lambda B, w: 1000),
+    Suite("zero_divisors", lambda B, w, seed: suite_zero_divisors(B, 4), lambda B, w: _w(B, 4) ** 2,
           lambda B: B.with_zero),
-    Suite("bicyclic_axioms", lambda B, w, seed, pb: suite_bicyclic_axioms(B.name), lambda B, w: 7 ** 4),
-    Suite("bicyclic_oracle", lambda B, w, seed, pb: suite_bicyclic_oracle(B.name, 4 * w),
+    Suite("bicyclic_axioms", lambda B, w, seed: suite_bicyclic_axioms(B.name), lambda B, w: 7 ** 4),
+    Suite("bicyclic_oracle", lambda B, w, seed: suite_bicyclic_oracle(B.name, 4 * w),
           lambda B, w: (4 * w + 1) ** 4),
-    Suite("box_solver", lambda B, w, seed, pb: suite_box_solver(B.name, 2 * w), lambda B, w: 2 * (2 * w + 1) ** 4),
-    Suite("continuity", lambda B, w, seed, pb: suite_continuity(B, seed, a_window=min(w, 3)),
+    Suite("box_solver", lambda B, w, seed: suite_box_solver(B.name, 2 * w), lambda B, w: 2 * (2 * w + 1) ** 4),
+    Suite("continuity", lambda B, w, seed: suite_continuity(B, seed, a_window=min(w, 3)),
           lambda B, w: 100 * _w(B, min(w, 3))),
-    Suite("zero_nbhd_checks", lambda B, w, seed, pb: suite_zero_nbhd_checks(B, pb), lambda B, w: 8),
-    Suite("descriptor_classification", lambda B, w, seed, pb: suite_descriptor_classification(B), lambda B, w: 4),
-    Suite("pushforward_roundtrip", lambda B, w, seed, pb: suite_pushforward_roundtrip(B, seed), lambda B, w: 102),
-    Suite("bicyclic_isomorphism", lambda B, w, seed, pb: suite_bicyclic_isomorphism(B, w),
+    Suite("zero_nbhd_checks", lambda B, w, seed: suite_zero_nbhd_checks(B), lambda B, w: 8),
+    Suite("descriptor_classification", lambda B, w, seed: suite_descriptor_classification(B), lambda B, w: 4),
+    Suite("pushforward_roundtrip", lambda B, w, seed: suite_pushforward_roundtrip(B, seed), lambda B, w: 102),
+    Suite("bicyclic_isomorphism", lambda B, w, seed: suite_bicyclic_isomorphism(B, w),
           lambda B, w: _w(B, w) ** 2, lambda B: B.sys.order() == 1),
 )
 
 
-def run_all(B: BRSystem, window: int = 3, seed: int = 0, probe_bound: int = 64) -> list[SuiteResult]:
+def run_all(B: BRSystem, window: int, seed: int) -> list[SuiteResult]:
     """Every suite of SUITES that applies to the given system, in order; a failed
     re-verification, or an exception out of a suite, is a violation, so all run."""
     results = []
     for s in filter(lambda s: s.applies(B), SUITES):
         try:
-            results.append(s.run(B, window, seed, probe_bound))
+            results.append(s.run(B, window, seed))
         except Exception as exc:  # a fault of the program, not a refused input
             bad = [f"{s.name} could not finish: {type(exc).__name__}: {exc}"]
             results.append(SuiteResult(s.name, B.name, {}, 0, bad))

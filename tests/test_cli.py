@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from brext import verify
 from brext.bruck_reilly import ZERO, parse_elem
-from brext.cli import MAX_PROBE_BOUND, entry, main
+from brext.cli import entry, main
 from brext.config import data_path, load_system
 from brext.errors import ValidationFailed
 
@@ -146,8 +146,8 @@ def test_window_cap_is_enforced(capsys, tmp_path):
     code, _, err = run(capsys, "idempotents", "--system", C2C2, "--window", "17")
     assert code == 2
     assert "1..16" in err
-    # refused before the config loads, as --probe-bound is: a missing config
-    # and a faulty one (exit 1 once loaded) give the window's error alone
+    # refused before the config loads: a missing config and a faulty one
+    # (exit 1 once loaded) give the window's error alone
     refused = (2, "", "error: --window must be within 1..16\n")
     for config in (str(tmp_path / "missing.json"), str(fault_files()[0][0])):
         for cmd in (["idempotents"], ["zeroscan"], ["verify", "--all"]):
@@ -162,29 +162,6 @@ def test_element_literals_are_refused_before_the_config_loads(capsys, tmp_path):
     for config in (str(tmp_path / "missing.json"), str(fault_files()[0][0])):
         for cmd in (["mul", bad, good], ["inv", bad], ["order", good, bad], ["hclass", bad], ["witness", good, bad]):
             assert run(capsys, *cmd, "--system", config) == refused, (config, cmd)
-
-
-@pytest.mark.parametrize("bound", ["-1", "0", "1"])
-def test_probe_bound_below_two_exits_two(capsys, bound):
-    code, out, err = run(capsys, "verify", "--all", "--system", C2C2, "--probe-bound", bound)
-    assert code == 2
-    assert out == ""
-    assert err == "error: --probe-bound must be at least 2\n"
-
-
-@pytest.mark.parametrize("bound", [str(MAX_PROBE_BOUND + 1), "9" * 40])
-def test_probe_bound_above_the_cap_exits_two_before_the_config_loads(capsys, tmp_path, bound):
-    missing = str(tmp_path / "missing.json")
-    code, out, err = run(capsys, "verify", "--all", "--system", missing, "--probe-bound", bound)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: --probe-bound must be at most {MAX_PROBE_BOUND}\n" == "error: --probe-bound must be at most 1048576\n"
-
-
-def test_probe_bound_two_is_accepted(capsys):
-    code, out, _ = run(capsys, "verify", "--all", "--system", TRIVIAL, "--window", "1", "--probe-bound", "2")
-    assert code == 0
-    assert json.loads(out.splitlines()[-1])["ok"] is True
 
 
 @pytest.mark.parametrize(
@@ -249,8 +226,10 @@ def test_continuity_at_the_window_cap_is_accepted(capsys):
         ["classify", "--window", "2", "isolated"],
         ["zeroscan", "--seed", "1", "--system", C2C2],
         ["mul", "--quiet", "(1,2)", "(2,1)"],
+        ["verify", "--all", "--system", C2C2, "--probe-bound", "64"],
     ],
-    ids=["mul-seed", "mul-window", "hclass-probe-bound", "eta-system", "classify-window", "zeroscan-seed", "mul-quiet"],
+    ids=["mul-seed", "mul-window", "hclass-probe-bound", "eta-system", "classify-window", "zeroscan-seed", "mul-quiet",
+         "verify-probe-bound"],
 )
 def test_flag_the_command_does_not_read_is_refused(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -399,6 +378,36 @@ def test_classify_reads_a_descriptor_file_and_refuses_bad_input(capsys, tmp_path
     assert code == 2 and "error: descriptor:" in err
     code, _, err = run(capsys, "classify", str(tmp_path))
     assert code == 2 and f"error: descriptor file {tmp_path}:" in err
+
+
+def _refused_naming_the_input(capsys, cases, cause):
+    for argv, prefix in cases:
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, out, err.count("\n")) == (2, "", 1) and err.startswith(f"error: {prefix}{cause}"), (argv, err)
+
+
+def test_a_file_that_is_not_utf8_is_named_in_its_error(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'\xff{"kind": "isolated"}')
+    _refused_naming_the_input(capsys, [
+        (["validate", "--system", str(path)], f"cannot read {path}: "),
+        (["classify", str(path)], f"descriptor file {path}: "),
+        (["pushforward", str(path)], f"descriptor file {path}: "),
+    ], "'utf-8' codec can't decode byte 0xff in position 0")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+def test_an_integer_over_the_digit_limit_is_named_in_its_error(capsys, tmp_path):
+    text = '{"kind": ' + "9" * (sys.get_int_max_str_digits() + 1) + "}"
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    _refused_naming_the_input(capsys, [
+        (["validate", "--system", str(path)], f"{path} is not valid JSON: "),
+        (["classify", str(path)], f"descriptor file {path}: "),
+        (["pushforward", str(path)], f"descriptor file {path}: "),
+        (["classify", text], "descriptor: "),
+        (["pushforward", text], "descriptor: "),
+    ], "Exceeds the limit")
 
 
 def test_classify_unknown_descriptor_exits_two(capsys):

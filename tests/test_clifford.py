@@ -550,7 +550,7 @@ def test_every_suite_passes_on_a_drawn_system(sys):
     assume(not validate_system(sys))
     for with_zero in (False, True):
         B = BRSystem(sys=sys, with_zero=with_zero, name="drawn")
-        assert [(r.suite, r.violations, r.checked) for r in run_all(B, window=2)] == [
+        assert [(r.suite, r.violations, r.checked) for r in run_all(B, window=2, seed=0)] == [
             (s.name, [], s.checked(B, 2)) for s in SUITES if s.applies(B)]
 
 

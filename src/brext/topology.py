@@ -81,20 +81,16 @@ def box_solve(a_box: Box, target: Box, side: str) -> frozenset[Box]:
     """
     a1, a2 = a_box
     t1, t2 = target
-    _check_side(side)
     if side == "left":
         if t1 == a1:
             lo = max(0, a2 - t2)
             return frozenset(map(Box, range(lo, a2 + 1), range(lo + t2 - a2, t2 + 1)))
-        if t1 > a1:
-            return frozenset({Box(t1 - a1 + a2, t2)})
-        return frozenset()
+        return frozenset((Box(t1 - a1 + a2, t2),)) if t1 > a1 else frozenset()
+    _check_side(side)
     if t2 == a2:
         lo = max(0, a1 - t1)
         return frozenset(map(Box, range(lo + t1 - a1, t1 + 1), range(lo, a1 + 1)))
-    if t2 > a2:
-        return frozenset({Box(t1, t2 - a2 + a1)})
-    return frozenset()
+    return frozenset((Box(t1, t2 - a2 + a1),)) if t2 > a2 else frozenset()
 
 
 def _check_side(side: str) -> None:
@@ -154,19 +150,23 @@ def continuity_certs(B: BRSystem, multipliers: list[BRElem], target: BasicZeroNb
     is both sound and exact.  Such a U always exists: the union is finite.
     A product's box depends on a only through box(a), so the multipliers of
     one box share the solutions and _recheck's probes and preimage; each is
-    checked up front and re-verified with products of its own."""
+    checked up front and decided by its own product with each found box's
+    probe.  Only a certificate with a probe that leaves the target, or with
+    a non-empty preimage, goes to verify_certificate to list its violations."""
     _check_side(side)
     for a in multipliers:
         _check_multiplier(B, a)
-    s0, shared, out = B.sys.unit(), {}, []  # any group part decides a product's box
+    s0, shared, out, excluded = B.sys.unit(), {}, [], target.excluded  # any group part decides a product's box
+    targets, left = sorted(excluded), side == "left"
     for a in multipliers:
-        if (ab := box(a)) not in shared:
-            trace = {w: box_solve(ab, w, side) for w in sorted(target.excluded)}
+        if (ab := (a.i, a.j)) not in shared:
+            trace = {w: box_solve(ab, w, side) for w in targets}
             found = frozenset().union(*trace.values())
-            shared[ab] = BasicZeroNbhd(found), trace, *_recheck(ab, found, target.excluded, side, s0)
+            shared[ab] = BasicZeroNbhd(found), trace, *_recheck(ab, found, excluded, side, s0)
         found, trace, probes, preimage = shared[ab]
         cert = ContinuityCertificate(a, side, target, found, trace)
-        cert.violations = _reverify(B, cert, probes, preimage)
+        if preimage or any((brmul(B, a, p) if left else brmul(B, p, a))[::2] not in excluded for p in probes):
+            cert.violations = verify_certificate(B, cert)
         out.append(cert)
     return out
 
@@ -183,10 +183,22 @@ def verify_certificate(B: BRSystem, cert: ContinuityCertificate) -> list[str]:
     brmul, as a product's box ignores group parts.  Failing boxes are
     walked element by element, in order.
     """
-    _check_side(cert.side)
-    _check_multiplier(B, cert.a)
-    probes, preimage = _recheck(box(cert.a), cert.found.excluded, cert.target.excluded, cert.side, B.sys.unit())
-    return _reverify(B, cert, probes, preimage)
+    a, side = cert.a, cert.side
+    found, target = cert.found.excluded, cert.target.excluded
+    _check_side(side)
+    _check_multiplier(B, a)
+    probes, preimage = _recheck(box(a), found, target, side, B.sys.unit())
+    mul = (lambda x: brmul(B, a, x)) if side == "left" else (lambda x: brmul(B, x, a))
+    failing = preimage.union([p[::2] for p in probes if mul(p)[::2] not in target])  # [::2]: a box
+    bad = []
+    for i, j in sorted(failing):
+        inside = (i, j) in found
+        for s in B.sys.compiled.elements:
+            x = BRElem(i, s, j)
+            if (box(mul(x)) in target) != inside:
+                bad.append(f"{format_elem(x)} was excluded but its product stays in the target" if inside
+                           else f"{format_elem(x)} is in U but its product leaves the target")
+    return bad
 
 
 def _rho(k: int, l: int) -> tuple:
@@ -217,29 +229,13 @@ def _residuate(ra: tuple, t: Box, side: str) -> frozenset[Box]:
 
 
 def _recheck(ab: Box, found: frozenset[Box], target: frozenset[Box], side: str, s0) -> tuple:
-    """_reverify's input for a multiplier in box ab: a probe (k, s0, l) per
-    found box, and the residuated preimage of the target outside found."""
+    """verify_certificate's probes and preimage for a multiplier in box ab: a
+    probe (k, s0, l) per found box, and the target's residuated preimage
+    outside found."""
     ra, preimage = _rho(*ab), set()
     for t in target:
         preimage |= _residuate(ra, t, side)
     return [BRElem(f.k, s0, f.l) for f in found], preimage - found
-
-
-def _reverify(B: BRSystem, cert: ContinuityCertificate, probes: list[BRElem], preimage: set[Box]) -> list[str]:
-    """verify_certificate after its multiplier check, on _recheck's output."""
-    a, side = cert.a, cert.side
-    found, target = cert.found.excluded, cert.target.excluded
-    mul = (lambda x: brmul(B, a, x)) if side == "left" else (lambda x: brmul(B, x, a))
-    failing = preimage.union([p[::2] for p in probes if mul(p)[::2] not in target])  # [::2]: a box
-    bad = []
-    for i, j in sorted(failing):
-        inside = (i, j) in found
-        for s in B.sys.compiled.elements:
-            x = BRElem(i, s, j)
-            if (box(mul(x)) in target) != inside:
-                bad.append(f"{format_elem(x)} was excluded but its product stays in the target" if inside
-                           else f"{format_elem(x)} is in U but its product leaves the target")
-    return bad
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ code), the closed form for nat_order, the group fibers for hclass.  The
 bicyclic row scans (bicyclic_axioms, the packed max-plus bicyclic_oracle,
 box_solver) take their products as rows of integer codes from bmul_codes;
 continuity certifies a sample's multipliers in one continuity_certs call,
-solving and residuating once per box, with each multiplier's own products.
+solving and residuating once per box; a multiplier's own products with the
+found boxes decide its certificate, and only a failure is walked element
+by element.
 """
 
 from __future__ import annotations
@@ -286,24 +288,23 @@ def suite_hclass(B: BRSystem, window: int) -> SuiteResult:
     return SuiteResult("hclass", B.name, {"window": window}, len(w.elems), bad)
 
 
-def _random_elem(B: BRSystem, rng: random.Random, max_index: int) -> BRElem:
-    level = rng.randrange(len(B.sys.groups))
-    elem = rng.randrange(B.sys.group(level).order)
-    return BRElem(
-        rng.randrange(max_index + 1),
-        CliffordElement(level, elem),
-        rng.randrange(max_index + 1),
-    )
-
-
 def suite_simplicity(B: BRSystem, seed: int) -> SuiteResult:
     """simplicity_witness self-verifies; here we just exercise it widely,
-    on 1000 pairs with indices up to 50, including the a = b corner."""
-    rng, pairs, max_index = random.Random(seed), 1000, 50
-    bad = []
+    on 1000 pairs with indices up to 50, including the a = b corner.  Each
+    element takes four draws, in order: level, group element, i and j."""
+    randrange, pairs, max_index = random.Random(seed).randrange, 1000, 50
+    levels = [[CliffordElement(level, e) for e in range(g.order)] for level, g in enumerate(B.sys.groups)]
+
+    def draws():
+        while True:
+            parts = levels[randrange(len(levels))]
+            s = parts[randrange(len(parts))]
+            yield BRElem(randrange(max_index + 1), s, randrange(max_index + 1))
+
+    elems, bad = draws(), []
     for n in range(pairs):
-        a = _random_elem(B, rng, max_index)
-        b = a if n % 100 == 0 else _random_elem(B, rng, max_index)
+        a = next(elems)
+        b = a if n % 100 == 0 else next(elems)
         try:
             simplicity_witness(B, a, b)
         except WitnessVerificationFailed as exc:
@@ -401,7 +402,9 @@ def suite_box_solver(system_name: str, max_index: int) -> SuiteResult:
     max(20, 2 * max_index).  The products come from bmul_codes as rows of
     codes, wide enough for every product: a * x over the boxes x for the
     left side, and x * a transposed for the right, so each multiplier gets
-    one row per side, of which only the codes of targets are kept.
+    one row per side, of which only the codes of targets are kept.  A
+    multiplier's solution sets are compared as one list, and only a list
+    that differs is walked target by target.
     """
     brute_bound = max(20, 2 * max_index)
     n = brute_bound + max_index + 1
@@ -412,11 +415,12 @@ def suite_box_solver(system_name: str, max_index: int) -> SuiteResult:
     bad = []
     for side, rows in ("left", bmul_codes(small, grid, n)), ("right", zip(*bmul_codes(grid, small, n))):
         for a, row in zip(small, rows):
-            sols = [[] for _ in small]
+            sols = [set() for _ in small]
             for c, b in compress(zip(row, grid), map(ids.__contains__, row)):
-                sols[ids[c]].append(b)
-            bad.extend(f"{side} solutions differ for a={tuple(a)}, target={tuple(t)}"
-                       for t, s in zip(small, sols) if box_solve(a, t, side) != frozenset(s))
+                sols[ids[c]].add(b)
+            if (got := [box_solve(a, t, side) for t in small]) != sols:
+                bad.extend(f"{side} solutions differ for a={tuple(a)}, target={tuple(t)}"
+                           for t, g, s in zip(small, got, sols) if g != s)
     return SuiteResult("box_solver", system_name, {"max_index": max_index, "brute_bound": brute_bound},
                        2 * len(small) ** 2, bad)
 

@@ -56,9 +56,13 @@ def test_box_solve_right_side():
     assert box_solve(Box(1, 2), Box(0, 1), "right") == frozenset()
 
 
-def test_box_solve_bad_side():
-    with pytest.raises(ValueError):
-        box_solve(Box(0, 0), Box(0, 0), "middle")
+@pytest.mark.parametrize("t", [pytest.param(Box(t1, t2), id=f"{n1}-{n2}")
+                               for t1, n1 in [(1, "below"), (2, "at"), (3, "above")]
+                               for t2, n2 in [(3, "below"), (4, "at"), (5, "above")]])
+def test_box_solve_bad_side(t):
+    # the target's indices below, at and above a = (2, 4)'s: every branch of either side
+    with pytest.raises(ValueError, match="^side must be 'left' or 'right', not 'middle'$"):
+        box_solve(Box(2, 4), t, "middle")
 
 
 def test_certificates_reject_bad_side_before_any_work(c2c2):
@@ -236,6 +240,22 @@ def test_batched_certificates_equal_certificates_made_one_at_a_time(c2c2, trivia
         want = [continuity_cert_zero(B, a, target, side) for a in ms]
     assert [astuple(c) for c in got] == [astuple(c) for c in want]
     assert [c.a for c in got] == ms and all(c.side == side and c.target is target for c in got)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_certificates_list_what_verify_certificate_finds(c2c2, trivial, s3c2, c4c2c2, side):
+    # with products by one group part one box off, a certificate's own
+    # probes must fail exactly where verify_certificate finds violations
+    rng = random.Random(0)
+    for B in (c2c2, trivial, s3c2, c4c2c2):
+        ms, failed = window_elements(B, 3), 0
+        with mock.patch.object(topology, "brmul", off_by_one_box(B.sys.compiled.elements[-1])):
+            for _ in range(4):
+                target = BasicZeroNbhd.excluding((rng.randrange(11), rng.randrange(11)) for _ in range(rng.randint(0, 3)))
+                for c in continuity_certs(B, ms, target, side):
+                    assert c.violations == verify_certificate(B, c)
+                    failed += not c.ok
+        assert failed, B.name
 
 
 def test_continuity_multiplies_by_each_multiplier_not_one_per_box(c2c2, monkeypatch):

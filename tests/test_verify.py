@@ -88,6 +88,22 @@ def test_seed_changes_sampled_suites_but_not_verdicts(c2c2, c2c2_results):
     assert pa["simplicity"]["seed"] == 0 and pb["simplicity"]["seed"] == 99
 
 
+@pytest.mark.parametrize("system, third, last", [
+    ("c2c2", ("(8,0:1,48)", "(34,0:1,45)"), ("(15,0:1,29)", "(8,1:1,24)")),
+    ("s3c2", ("(8,0:2,48)", "(16,0:4,34)"), ("(48,0:4,39)", "(9,1:1,26)")),
+])
+def test_simplicity_draws_its_pairs_in_a_fixed_order(request, monkeypatch, system, third, last):
+    # level, group element, i, j per element from random.Random(0).randrange:
+    # the cmul-transposed cell of FAULTS rests on this order
+    pairs = []
+    plant(monkeypatch, "simplicity_witness", lambda witness: lambda B, a, b: pairs.append((a, b)) or witness(B, a, b))
+    assert verify.suite_simplicity(request.getfixturevalue(system), 0).ok
+    shown = [(format_elem(a), format_elem(b)) for a, b in pairs]
+    assert shown[:3] == [("(2,1:1,16)", "(2,1:1,16)"), ("(50,1:1,19)", "(37,1:1,13)"), third]
+    assert len(shown) == 1000 and shown[999] == last
+    assert all(a == b for a, b in pairs[::100])
+
+
 def test_window_is_recorded_in_params(c2c2_results):
     results = {r.suite: r for r in c2c2_results}
     assert results["associativity"].params == {"window": 2}

@@ -10,12 +10,13 @@ factors with theta before multiplying in T:
 which collapses to the bicyclic index arithmetic on the outer coordinates:
 eta(i, s, j) = (i, j) onto the bicyclic monoid names each box, the fiber
 {i} x T x {j}, by its pair (a Box is a BicyclicElem).  brmul computes one
-product; brmul_ids streams whole rows of products by the same formula,
-as integer codes (see encode): a box's bicyclic code times |T| plus an id
-in T, so eta on codes is // |T|.  A system compiles each window once from
-those rows (BRSystem.window) for the verification suites.  Systems may
-adjoin a zero; products of nonzero elements are never zero, and
-zero_divisor_scan certifies that on a window.  Exhaustive window
+product; brmul_ids yields whole rows of products by the same formula, as
+integer codes (see encode): a box's bicyclic code times |T| plus an id in
+T, so eta on codes is // |T|.  It gathers each row from code rows built
+once per call, so its rows share their int objects.  A system compiles
+each window once from those rows (BRSystem.window) for the verification
+suites.  Systems may adjoin a zero; products of nonzero elements are never
+zero, and zero_divisor_scan certifies that on a window.  Exhaustive window
 operations are capped at window 16.
 """
 
@@ -24,13 +25,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import groupby
-from operator import add
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from . import bicyclic
 from .bicyclic import _INDEX, ZERO, ZERO_ID, _AdjoinedZero, check_width, is_zero  # noqa: F401  (re-exported)
 from .clifford import CliffordElement, CliffordSystem, cinv, cmul, idempotents, theta_pow
 from .errors import WindowTooLarge, WitnessVerificationFailed, ZeroNotAdjoined
+from .groups import row_reader
 
 MAX_WINDOW = 16
 
@@ -132,12 +133,17 @@ def brmul_ids(B: BRSystem, xs: Sequence[Element], ys: Sequence[Element], n: int)
     product; then check_width refuses an n not above x.j + y.j.  theta is
     read from theta_pow alone, once per element of T and shift: powers[d]
     holds the ids of theta^d over T for every shift d = |x.j - y.i| the
-    nonzero operands make.  The ys are cut into maximal runs with one left
-    index k (or of zeros).  Against x = (i, s, j), a run with k > j reads
-    T's product row at powers[k-j][s], and a run with k <= j reads x's own
-    row at powers[j-k] of each group part.  Product rows carry the result's
-    first index as |T| * n * i and runs their second indices as |T| * j, so
-    each product is one table read and one addition.
+    nonzero operands make.  For x = (i, s, j) and y = (k, t, l), x*y is
+    (i', s' * t', L), where (s', i') = (theta^(k-j)(s), i + k - j) and
+    (t', L) = (t, l) when k > j, and (s', i') = (s, i) and
+    (t', L) = (theta^(j-k)(t), l + j - k) otherwise.  The nonzero ys, sorted
+    by k once, make one run per k, and only the distinct columns (t', L)
+    they use are numbered.  Each (s', i') gets one code row, built on first
+    use, with the code of (i', s' * t', L) in every column.  x's row is one
+    gather per run from its code row, at the run's columns for x's shift,
+    put back in the order of the ys (a zero reads ZERO_ID) when sorting
+    moved them.  So the rows share their int objects, and a product costs
+    no arithmetic of its own.
     """
     for x in xs:
         _check(B, x)
@@ -151,36 +157,37 @@ def brmul_ids(B: BRSystem, xs: Sequence[Element], ys: Sequence[Element], n: int)
     powers = {d: [theta_pow(B.sys, e, d).elem for e in compiled.elements]
               for d in {abs(j - k) for j in js for k in ks} - {0}}
     powers[0] = list(range(size))
-    runs = []
-    for k, run in groupby(ys, key=lambda y: None if y is ZERO else y.i):
-        run = list(run)
-        if k is None:
-            runs.append((k, [ZERO_ID] * len(run)))
-            continue
-        # shifted[d]: theta^d of the group ids, and the coded second indices + d
-        ts = [ids[y.s] for y in run]
-        runs.append((k, {d: ([powers[d][t] for t in ts], [size * (y.j + d) for y in run])
+    order = sorted((p for p, y in enumerate(ys) if y is not ZERO), key=lambda p: ys[p].i)
+    cols, runs = {}, []  # cols: (t', L) -> column number; runs: (k, {shift: reader of the run's columns})
+    for k, run in groupby(order, key=lambda p: ys[p].i):
+        tls = [(ids[ys[p].s], ys[p].j) for p in run]
+        runs.append((k, {d: row_reader([cols.setdefault((powers[d][t], l + d), len(cols)) for t, l in tls])
                          for d in {0} | {j - k for j in js if j > k}}))
-    rows = {}  # (id of s, d, i): T's product row at theta^d(s), plus i coded
+    cols = [(t, size * l) for t, l in cols]
+    code_rows = {}  # (s', i') -> the code of (i', s' * t', L) in each column (t', L)
 
-    def row_at(s: int, d: int, i: int) -> list[int]:
-        if (s, d, i) not in rows:
-            rows[s, d, i] = [size * n * i + p for p in table[powers[d][s]]]
-        return rows[s, d, i]
+    def code_row(s: int, i: int) -> list[int]:
+        if (s, i) not in code_rows:
+            base, products = size * n * i, table[s]
+            code_rows[s, i] = [base + l + products[t] for t, l in cols]
+        return code_rows[s, i]
 
+    at = None  # where each y's product sits in a row of sorted ys, the last ZERO_ID for a zero
+    if order != list(range(len(ys))):
+        at = dict(zip(order, range(len(order))))
+        at = [at.get(p, -1) for p in range(len(ys))]
     for x in xs:
         if x is ZERO:
             yield [ZERO_ID] * len(ys)
             continue
         i, s, j = x
         s, row = ids[s], []
-        for k, shifted in runs:
-            if k is None:
-                row += shifted
-                continue
-            ts, ls = shifted[max(j - k, 0)]
+        for k, readers in runs:
             up = max(k - j, 0)
-            row += map(add, map(row_at(s, up, i + up).__getitem__, ts), ls)
+            row += readers[max(j - k, 0)](code_row(powers[up][s], i + up))
+        if at is not None:
+            row.append(ZERO_ID)
+            row = list(map(row.__getitem__, at))
         yield row
 
 

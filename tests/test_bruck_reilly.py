@@ -16,6 +16,7 @@ from brext.bruck_reilly import (
     brinv,
     brmul,
     brmul_ids,
+    compile_window,
     decode,
     encode,
     eta,
@@ -242,6 +243,43 @@ def test_both_row_kernels_refuse_a_too_small_width_alike(c2c2):
         next(bmul_codes([eta(x)], [eta(y)], 5))
     assert list(brmul_ids(c2c2, [x], [y], 6)) == [[encode(c2c2, brmul(c2c2, x, y), 6)]]
     assert list(brmul_ids(c2c2, [x, ZERO], [ZERO], 1)) == [[ZERO_ID], [ZERO_ID]]
+
+
+# (xs, ys) as (i, index into T, j) triples, None for ZERO
+BRMUL_IDS_EDGES = {
+    # x.j + y.j = 5 + 2 = n - 1 at n = 8, reached when y.i = 0
+    "last-column": ([(1, 1, 5), (0, -1, 3), (2, 0, 0)], [(0, 0, 2), (0, -1, 2), (1, 1, 2), (0, 1, 0)]),
+    # first indices descending and interleaved, zeros between: sorted, then put back
+    "unsorted-with-zeros": ([(0, 0, 0), (1, 1, 2), (3, -1, 4), None],
+                            [(3, 1, 0), None, (1, 0, 2), (3, -1, 1), None, (0, 1, 0), (1, -1, 1), (2, 0, 2), None]),
+    "single-y": ([(0, 0, 0), (1, -1, 3), (2, 1, 1), None], [(2, 1, 1)]),
+    "all-zero-ys": ([(0, 0, 0), None, (4, 1, 2)], [None, None, None]),
+    "repeated-x": ([(1, 1, 2), (1, 1, 2), None, (1, 1, 2), (0, -1, 0)], [(0, 0, 1), (2, 1, 0), (2, -1, 3), (1, 1, 1)]),
+}
+
+
+@pytest.mark.parametrize("system", ["c2c2", "s3c2", "c4c2c2"])
+@pytest.mark.parametrize("case", BRMUL_IDS_EDGES)
+def test_brmul_ids_edge_cases_match_brmul(request, system, case):
+    B = request.getfixturevalue(system)
+    T = list(B.sys.elements())
+    xs, ys = ([ZERO if e is None else BRElem(e[0], T[e[1]], e[2]) for e in side] for side in BRMUL_IDS_EDGES[case])
+    n = 8
+    rows = list(brmul_ids(B, xs, ys, n))
+    assert rows == [[encode(B, brmul(B, x, y), n) for y in ys] for x in xs]
+    assert all(type(row) is list for row in rows)
+    if case == "last-column":
+        assert n - 1 in {decode(B, p, n).j for p in rows[0]}
+
+
+def test_window_products_share_their_int_objects(c2c2):
+    # a code is built once per code row that holds it, not once per
+    # product: the window's right rows hold at most |T| times as many int
+    # objects as distinct codes, not one per entry
+    right = compile_window(c2c2, 8).right
+    codes = {id(p): p for row in right for p in row}
+    assert sum(map(len, right)) == 180224 and len(set(codes.values())) == 1348
+    assert len(codes) <= c2c2.sys.order() * 1348
 
 
 def test_window_holds_every_product_of_two_window_elements(c2c2, trivial):

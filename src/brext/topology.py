@@ -149,20 +149,23 @@ def continuity_certs(B: BRSystem, multipliers: list[BRElem], target: BasicZeroNb
     the corresponding box equation, so excluding the union of solution sets
     is both sound and exact.  Such a U always exists: the union is finite.
     A product's box depends on a only through box(a), so the multipliers of
-    one box share the solutions and _recheck's probes and preimage; each is
-    checked up front and decided by its own product with each found box's
-    probe.  Only a certificate with a probe that leaves the target, or with
-    a non-empty preimage, goes to verify_certificate to list its violations."""
+    one box share the solutions and _recheck's probes and preimage, which
+    each box residuates from the target boxes' rho images, taken once per
+    call; each is checked up front and decided by its own product with each
+    found box's probe.  Only a certificate with a probe that leaves the
+    target, or with a non-empty preimage, goes to verify_certificate to list
+    its violations."""
     _check_side(side)
     for a in multipliers:
         _check_multiplier(B, a)
     s0, shared, out, excluded = B.sys.unit(), {}, [], target.excluded  # any group part decides a product's box
     targets, left = sorted(excluded), side == "left"
+    rho_targets = [_rho(*t) for t in targets]
     for a in multipliers:
         if (ab := (a.i, a.j)) not in shared:
             trace = {w: box_solve(ab, w, side) for w in targets}
             found = frozenset().union(*trace.values())
-            shared[ab] = BasicZeroNbhd(found), trace, *_recheck(ab, found, excluded, side, s0)
+            shared[ab] = BasicZeroNbhd(found), trace, *_recheck(ab, found, rho_targets, side, s0)
         found, trace, probes, preimage = shared[ab]
         cert = ContinuityCertificate(a, side, target, found, trace)
         if preimage or any((brmul(B, a, p) if left else brmul(B, p, a))[::2] not in excluded for p in probes):
@@ -187,7 +190,7 @@ def verify_certificate(B: BRSystem, cert: ContinuityCertificate) -> list[str]:
     found, target = cert.found.excluded, cert.target.excluded
     _check_side(side)
     _check_multiplier(B, a)
-    probes, preimage = _recheck(box(a), found, target, side, B.sys.unit())
+    probes, preimage = _recheck(box(a), found, [_rho(*t) for t in target], side, B.sys.unit())
     mul = (lambda x: brmul(B, a, x)) if side == "left" else (lambda x: brmul(B, x, a))
     failing = preimage.union([p[::2] for p in probes if mul(p)[::2] not in target])  # [::2]: a box
     bad = []
@@ -206,8 +209,9 @@ def _rho(k: int, l: int) -> tuple:
     return (2 * (k - l), 2 * k + l - 2, l - k)
 
 
-def _residuate(ra: tuple, t: Box, side: str) -> frozenset[Box]:
-    """Every box x with a * x = t (left) or x * a = t (right), given ra = rho(a).
+def _residuate(ra: tuple, rt: tuple, side: str) -> frozenset[Box]:
+    """Every box x with a * x = t (left) or x * a = t (right), given ra = rho(a)
+    and rt = rho(t).
 
     rho(a) (x) X = rho(t) (X (x) rho(a) on the right) forces X's diagonal;
     its corner x12 is forced, free up to the residual r, or impossible as the
@@ -216,7 +220,7 @@ def _residuate(ra: tuple, t: Box, side: str) -> frozenset[Box]:
     then d = i - j = -x22 and x12 = 3i - d - 2 <= r.
     """
     a11, a12, a22 = ra
-    t11, t12, t22 = _rho(*t)
+    t11, t12, t22 = rt
     x11, x22 = t11 - a11, t22 - a22
     fixed, r = (a12 + x22, t12 - a11) if side == "left" else (x11 + a12, t12 - a22)
     if x11 != -2 * x22 or fixed > t12:
@@ -228,14 +232,14 @@ def _residuate(ra: tuple, t: Box, side: str) -> frozenset[Box]:
     return frozenset(map(Box, range(max(0, d), hi + 1), range(max(0, -d), hi + 1 - d)))
 
 
-def _recheck(ab: Box, found: frozenset[Box], target: frozenset[Box], side: str, s0) -> tuple:
+def _recheck(ab: Box, found: frozenset[Box], rho_targets: list, side: str, s0) -> tuple:
     """verify_certificate's probes and preimage for a multiplier in box ab: a
-    probe (k, s0, l) per found box, and the target's residuated preimage
-    outside found."""
+    probe (k, s0, l) per found box, and the preimage, residuated from the
+    target boxes' rho images, outside found."""
     ra, preimage = _rho(*ab), set()
-    for t in target:
-        preimage |= _residuate(ra, t, side)
-    return [BRElem(f.k, s0, f.l) for f in found], preimage - found
+    for rt in rho_targets:
+        preimage |= _residuate(ra, rt, side)
+    return [BRElem(k, s0, l) for k, l in found], preimage - found
 
 
 @dataclass(frozen=True)

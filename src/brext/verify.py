@@ -16,12 +16,19 @@ box_solver) take their products as rows of integer codes from bmul_codes;
 continuity certifies a sample's multipliers in one continuity_certs call,
 solving and residuating once per box; a multiplier's own products with the
 found boxes decide its certificate, and only a failure is walked element
-by element.
+by element.  run_all runs the three suites that read only the system's name
+(FORKED: bicyclic_axioms, bicyclic_oracle, box_solver) in one forked child
+where os.fork exists and the process may run on two CPUs, and every other
+suite in-process; the records are the same either way.
 """
 
 from __future__ import annotations
 
+import io
+import os
+import pickle
 import random
+import signal
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -571,14 +578,60 @@ SUITES = (
 )
 
 
+FORKED = ("bicyclic_axioms", "bicyclic_oracle", "box_solver")  # they read only the system's name
+
+
+def _finished(s: Suite, B: BRSystem, run: Callable[[], SuiteResult]) -> SuiteResult:
+    """run(), or, when it raises, the suite's one violation naming the exception."""
+    try:
+        return run()
+    except Exception as exc:  # a fault of the program, not a refused input
+        return SuiteResult(s.name, B.name, {}, 0, [f"{s.name} could not finish: {type(exc).__name__}: {exc}"])
+
+
 def run_all(B: BRSystem, window: int, seed: int) -> list[SuiteResult]:
     """Every suite of SUITES that applies to the given system, in order; a failed
-    re-verification, or an exception out of a suite, is a violation, so all run."""
-    results = []
-    for s in filter(lambda s: s.applies(B), SUITES):
+    re-verification, or an exception out of a suite, is a violation, so all run.
+
+    Where os.fork exists and the process may run on two CPUs, a forked child
+    runs the FORKED suites and pipes their pickled results back while this
+    process runs the rest; elsewhere all run here, with the same results.  A
+    FORKED result that never arrives (the child died, or it could not be
+    pickled) reads `<suite> could not finish: ChildProcessError: ...`."""
+    suites = [s for s in SUITES if s.applies(B)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    forked = [s for s in suites if s.name in FORKED] if hasattr(os, "fork") and cpus >= 2 else []
+    run = lambda s: _finished(s, B, lambda: s.run(B, window, seed))
+    if not forked:
+        return list(map(run, suites))
+    r, w = os.pipe()
+    if (pid := os.fork()) == 0:
         try:
-            results.append(s.run(B, window, seed))
-        except Exception as exc:  # a fault of the program, not a refused input
-            bad = [f"{s.name} could not finish: {type(exc).__name__}: {exc}"]
-            results.append(SuiteResult(s.name, B.name, {}, 0, bad))
-    return results
+            os.close(r)
+            with open(w, "wb") as pipe:
+                for s in forked:  # each result is sent as soon as it is ready
+                    pipe.write(pickle.dumps(run(s)))
+                    pipe.flush()
+            os._exit(0)
+        finally:
+            os._exit(1)  # a result could not be sent
+    os.close(w)
+    with open(r, "rb") as pipe:
+        try:
+            results = {s.name: run(s) for s in suites if s not in forked}
+            sent = io.BytesIO(pipe.read())
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    lost = ChildProcessError(f"suite process exited with code {status}")
+
+    def received():
+        try:
+            return pickle.load(sent)
+        except Exception:
+            raise lost from None
+
+    results.update((s.name, _finished(s, B, received)) for s in forked)
+    return [results[s.name] for s in suites]

@@ -80,7 +80,7 @@ def test_certificates_reject_bad_side_before_any_work(c2c2):
 
 def residuate(a, t, side):
     """The certificate re-verification's route: max-plus residuation."""
-    return topology._residuate(topology._rho(*a), t, side)
+    return topology._residuate(topology._rho(*a), topology._rho(*t), side)
 
 
 def test_box_solve_matches_brute_force_small():

@@ -1,3 +1,4 @@
+import os
 import random
 from copy import copy
 from dataclasses import replace
@@ -547,6 +548,71 @@ def test_planted_fault_fails_exactly_its_suites(monkeypatch, target, fault, path
     got = {r.suite: r.violations for r in results if not r.ok}
     assert {suite: (len(v), *v[:len(want.get(suite, (0,))) - 1]) for suite, v in got.items()} == want
     assert results[0].checked == 1
+
+
+def _cpus(monkeypatch, n):
+    """run_all's CPU check sees n CPUs, whatever the machine has; returns the
+    pids os.fork gives this process from then on."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
+    return forks
+
+
+@pytest.mark.parametrize("seed", [0, 99])
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_the_forked_suites_give_the_records_of_an_in_process_run(monkeypatch, system, seed):
+    path, window = SYSTEMS[system]
+    forks = _cpus(monkeypatch, 1)
+    in_process = [r.record() for r in run_all(load_system(path), window, seed)]
+    assert forks == []
+    forks = _cpus(monkeypatch, 2)
+    assert [r.record() for r in run_all(load_system(path), window, seed)] == in_process
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("name", BMUL_MUTANTS)
+def test_a_plant_reaches_the_forked_suites(c2c2, monkeypatch, name):
+    forks = _cpus(monkeypatch, 2)
+    plant(monkeypatch, "bmul_codes", lambda bmul_codes: _codes(BMUL_MUTANTS[name]))
+    got = {r.suite: r.violations for r in run_all(c2c2, 2, 0)}
+    want = {s.name: s.run(c2c2, 2, 0).violations for s in SUITES if s.name in verify.FORKED}
+    assert {name: got[name] for name in verify.FORKED} == want and all(want.values())
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("suite, fault, code", [
+    ("box_solver", lambda suite: lambda *args: os._exit(3), 3),
+    ("bicyclic_axioms", lambda suite: lambda *args: os._exit(3), 3),
+    # a lambda among the violations: the child raises pickling the result
+    ("bicyclic_oracle", lambda suite: lambda *args: SuiteResult("bicyclic_oracle", "c2c2", {}, 0, [lambda: 0]), 1),
+])
+def test_a_forked_suite_whose_result_never_arrives_could_not_finish(c2c2, monkeypatch, suite, fault, code):
+    # results already sent arrive; the suites after the child's end are lost
+    forks = _cpus(monkeypatch, 2)
+    plant(monkeypatch, f"suite_{suite}", fault)
+    results = run_all(c2c2, 2, 0)
+    assert [r.suite for r in results] == C2C2_SUITES and len(forks) == 1
+    assert {r.suite: r.violations for r in results if not r.ok} == {
+        lost: [f"{lost} could not finish: ChildProcessError: suite process exited with code {code}"]
+        for lost in verify.FORKED[verify.FORKED.index(suite):]}
+
+
+def test_run_all_leaves_no_child_process(c2c2, monkeypatch):
+    forks = _cpus(monkeypatch, 2)
+    run_all(c2c2, 2, 0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    def interrupted(B):
+        raise KeyboardInterrupt
+
+    plant(monkeypatch, "suite_structure", lambda suite: interrupted)  # the first suite, while the child runs
+    with pytest.raises(KeyboardInterrupt):
+        run_all(c2c2, 2, 0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 2
 
 
 class Uncompiled(Exception):

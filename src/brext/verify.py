@@ -18,8 +18,8 @@ solving and residuating once per box; a multiplier's own products with the
 found boxes decide its certificate, and only a failure is walked element
 by element.  run_all runs the three suites that read only the system's name
 (FORKED: bicyclic_axioms, bicyclic_oracle, box_solver) in one forked child
-where os.fork exists and the process may run on two CPUs, and every other
-suite in-process; the records are the same either way.
+where os.fork exists and the process may run on two CPUs, the others here,
+then shares continuity's samples; the records are the same either way.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import pickle
 import random
 import signal
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress, repeat
 from math import comb
 from operator import add
@@ -432,20 +432,27 @@ def suite_box_solver(system_name: str, max_index: int) -> SuiteResult:
                        2 * len(small) ** 2, bad)
 
 
+def continuity_samples(B: BRSystem, seed: int, a_window: int) -> tuple[SuiteResult, list[BRElem], list]:
+    """continuity's record without violations, its multipliers (indices below
+    a_window) and its 100 seeded (target, side) samples, in draw order."""
+    rng, samples, multipliers = random.Random(seed), 100, window_elements(B, a_window)
+    drawn = [(BasicZeroNbhd.excluding((rng.randrange(11), rng.randrange(11)) for _ in range(rng.randint(0, 3))),
+              "left" if rng.random() < 0.5 else "right") for _ in range(samples)]
+    return (SuiteResult("continuity", B.name, {"seed": seed, "samples": samples, "a_window": a_window},
+                        samples * len(multipliers), []), multipliers, drawn)
+
+
+def continuity_violations(B: BRSystem, multipliers: list[BRElem], target: BasicZeroNbhd, side: str) -> list[str]:
+    """One sample's violations, all its multipliers in one continuity_certs call."""
+    return [f"certificate for a={format_elem(c.a)}, side={side}: {c.violations[0]}"
+            for c in continuity_certs(B, multipliers, target, side) if not c.ok]
+
+
 def suite_continuity(B: BRSystem, seed: int, a_window: int = 3) -> SuiteResult:
-    """100 random targets, every multiplier with indices below a_window, both
-    sides, all multipliers of a sample in one continuity_certs call; each
-    certificate carries its own box-by-box re-verification."""
-    rng, samples = random.Random(seed), 100
-    multipliers = window_elements(B, a_window)
-    bad = []
-    for _ in range(samples):
-        w = BasicZeroNbhd.excluding((rng.randrange(11), rng.randrange(11)) for _ in range(rng.randint(0, 3)))
-        side = "left" if rng.random() < 0.5 else "right"
-        bad.extend(f"certificate for a={format_elem(c.a)}, side={side}: {c.violations[0]}"
-                   for c in continuity_certs(B, multipliers, w, side) if not c.ok)
-    return SuiteResult("continuity", B.name, {"seed": seed, "samples": samples, "a_window": a_window},
-                       samples * len(multipliers), bad)
+    """continuity_violations of every sample of continuity_samples, in draw order."""
+    result, multipliers, samples = continuity_samples(B, seed, a_window)
+    result.violations = [v for target, side in samples for v in continuity_violations(B, multipliers, target, side)]
+    return result
 
 
 def suite_zero_nbhd_checks(B: BRSystem) -> SuiteResult:
@@ -542,7 +549,7 @@ class Suite(NamedTuple):
     """One suite of `verify --all`.  run(B, window, seed) calls it by its
     module-level name, so a rebound suite_* is the one run; checked(B, window)
     is its checked count in closed form; applies(B) says whether run_all runs
-    it on B."""
+    it on B; continuity's run(B, window, seed, part) calls part in its place."""
 
     name: str
     run: Callable[[BRSystem, int, int], SuiteResult]
@@ -568,7 +575,7 @@ SUITES = (
     Suite("bicyclic_oracle", lambda B, w, seed: suite_bicyclic_oracle(B.name, 4 * w),
           lambda B, w: (4 * w + 1) ** 4),
     Suite("box_solver", lambda B, w, seed: suite_box_solver(B.name, 2 * w), lambda B, w: 2 * (2 * w + 1) ** 4),
-    Suite("continuity", lambda B, w, seed: suite_continuity(B, seed, a_window=min(w, 3)),
+    Suite("continuity", lambda B, w, seed, part=None: (part or suite_continuity)(B, seed, min(w, 3)),
           lambda B, w: 100 * _w(B, min(w, 3))),
     Suite("zero_nbhd_checks", lambda B, w, seed: suite_zero_nbhd_checks(B), lambda B, w: 8),
     Suite("descriptor_classification", lambda B, w, seed: suite_descriptor_classification(B), lambda B, w: 4),
@@ -594,36 +601,54 @@ def run_all(B: BRSystem, window: int, seed: int) -> list[SuiteResult]:
     re-verification, or an exception out of a suite, is a violation, so all run.
 
     Where os.fork exists and the process may run on two CPUs, a forked child
-    runs the FORKED suites and pipes their pickled results back while this
-    process runs the rest; elsewhere all run here, with the same results.  A
-    FORKED result that never arrives (the child died, or it could not be
-    pickled) reads `<suite> could not finish: ChildProcessError: ...`."""
+    runs the FORKED suites while this process runs the rest; then both claim
+    continuity's samples one at a time, and the child pipes its pickled
+    results back.  Elsewhere, or when os.pipe or os.fork fails, all run here,
+    with the same results.  A result that never arrives (the child died, or it
+    could not be pickled) reads `<suite> could not finish: ChildProcessError:
+    ...`, and the first sample that raised, in sample order, reads as in-process."""
     suites = [s for s in SUITES if s.applies(B)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     forked = [s for s in suites if s.name in FORKED] if hasattr(os, "fork") and cpus >= 2 else []
     run = lambda s: _finished(s, B, lambda: s.run(B, window, seed))
     if not forked:
         return list(map(run, suites))
-    r, w = os.pipe()
-    if (pid := os.fork()) == 0:
+    shared, fds = next(s for s in suites if s.name == "continuity"), []
+    try:  # a draw that raises, or EAGAIN, EMFILE, ENOMEM from os.pipe or os.fork: every suite runs here
+        result, multipliers, samples = shared.run(B, window, seed, continuity_samples)
+        fds += os.pipe()
+        os.write(fds[1], bytes(range(len(samples))))  # one token per sample: its index
+        os.close(fds.pop())
+        fds += os.pipe()
+        pid = os.fork()
+    except Exception:
+        for fd in fds:
+            os.close(fd)
+        return list(map(run, suites))
+    tokens, r, w = fds
+    claim = lambda: {k: _finished(shared, B, lambda: continuity_violations(B, multipliers, *samples[k]))
+                     for (k,) in iter(lambda: os.read(tokens, 1), b"")}  # until no token is left
+    if pid == 0:
         try:
             os.close(r)
             with open(w, "wb") as pipe:
                 for s in forked:  # each result is sent as soon as it is ready
                     pipe.write(pickle.dumps(run(s)))
                     pipe.flush()
+                pipe.write(pickle.dumps(claim()))
             os._exit(0)
         finally:
             os._exit(1)  # a result could not be sent
     os.close(w)
     with open(r, "rb") as pipe:
         try:
-            results = {s.name: run(s) for s in suites if s not in forked}
+            results, mine = {s.name: run(s) for s in suites if s not in forked and s is not shared}, claim()
             sent = io.BytesIO(pipe.read())
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
+            os.close(tokens)
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     lost = ChildProcessError(f"suite process exited with code {status}")
 
@@ -634,4 +659,9 @@ def run_all(B: BRSystem, window: int, seed: int) -> list[SuiteResult]:
             raise lost from None
 
     results.update((s.name, _finished(s, B, received)) for s in forked)
+    theirs = _finished(shared, B, received)  # the child's samples, or the record of their loss
+    done = {**theirs, **mine} if isinstance(theirs, dict) else mine
+    outcomes = [done.get(k, theirs) for k in range(len(samples))]  # violations, or a record that could not finish
+    failed = [o for o in outcomes if isinstance(o, SuiteResult)]
+    results[shared.name] = failed[0] if failed else replace(result, violations=[v for vs in outcomes for v in vs])
     return [results[s.name] for s in suites]

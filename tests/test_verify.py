@@ -1,5 +1,8 @@
+import errno
 import os
 import random
+import select
+import signal
 from copy import copy
 from dataclasses import replace
 
@@ -8,11 +11,12 @@ import pytest
 from brext import bruck_reilly, groups, topology, verify
 from brext.bicyclic import BicyclicElem, ZERO, bmul, rho_table
 from brext.bruck_reilly import BRElem, BRSystem, eta, format_elem, window_elements
+from brext.cli import main
 from brext.clifford import CliffordElement, cmul, cmul_oracle, idempotents, theta_pow, theta_pow_oracle
 from brext.config import data_path, load_system
 from brext.topology import EXCLUDED_BOXES_BASE, ISOLATED_ZERO
 from brext.verify import SUITES, SuiteResult, run_all
-from conftest import FIXTURES, corrupt, plant
+from conftest import FIXTURES, GOLDEN, corrupt, plant
 from test_bicyclic import oracle_mul
 from test_clifford import make_c12_c6_c3
 
@@ -598,11 +602,52 @@ def test_a_forked_suite_whose_result_never_arrives_could_not_finish(c2c2, monkey
         for lost in verify.FORKED[verify.FORKED.index(suite):]}
 
 
-def test_run_all_leaves_no_child_process(c2c2, monkeypatch):
+def _open_fds():
+    """This process's open descriptors, or [] where /proc/self/fd does not
+    exist and they cannot be listed."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+def _fail(monkeypatch, failure):
+    """os.fork, or the first or second os.pipe call of each run_all, fails
+    as it does in a process that may start no more processes or open no more
+    files."""
+    if failure == "fork":
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", fork)
+        return
+    calls, pipe = [], os.pipe
+
+    def failing_pipe():
+        calls.append(None)
+        if len(calls) == failure:
+            calls.clear()
+            raise OSError(errno.EMFILE, "Too many open files")
+        return pipe()
+    monkeypatch.setattr(os, "pipe", failing_pipe)
+
+
+@pytest.mark.parametrize("failure", ["fork", 1, 2])
+@pytest.mark.parametrize("system", ["c2c2", "trivial"])
+def test_a_failed_fork_runs_every_suite_in_process(monkeypatch, capsys, system, failure):
+    path, window = SYSTEMS[system]
+    _cpus(monkeypatch, 1)
+    in_process = [r.record() for r in run_all(load_system(path), window, 0)]
     forks = _cpus(monkeypatch, 2)
+    _fail(monkeypatch, failure)
+    assert [r.record() for r in run_all(load_system(path), window, 0)] == in_process
+    code = main(["verify", "--all", "--system", str(path), "--window", str(window), "--seed", "0", "--json"])
+    assert (code, capsys.readouterr().out) == (0, (GOLDEN / f"verify_{system}.ndjson").read_text())
+    assert forks == []
+
+
+def test_run_all_leaves_no_child_process(c2c2, monkeypatch):
+    forks, before = _cpus(monkeypatch, 2), _open_fds()
     run_all(c2c2, 2, 0)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == before
 
     def interrupted(B):
         raise KeyboardInterrupt
@@ -612,7 +657,95 @@ def test_run_all_leaves_no_child_process(c2c2, monkeypatch):
         run_all(c2c2, 2, 0)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert len(forks) == 2
+    assert _open_fds() == before and len(forks) == 2
+    monkeypatch.undo()
+    for failure in "fork", 1, 2:  # the descriptors opened before the failure are closed
+        _cpus(monkeypatch, 2)
+        _fail(monkeypatch, failure)
+        run_all(c2c2, 2, 0)
+        assert _open_fds() == before
+        monkeypatch.undo()
+
+
+@pytest.fixture
+def child_first(monkeypatch):
+    """Plants continuity_violations so that run_all's forked child claims a
+    sample, and checks it through child(check), before the parent checks
+    its first; returns the list of the parent's waits, True where the child
+    had claimed one in time."""
+    parent, (r, w), waited = os.getpid(), os.pipe(), []
+
+    def install(child=lambda check: check):
+        def fault(check):
+            def violations(*args):
+                if os.getpid() != parent:
+                    os.write(w, b".")
+                    return child(check)(*args)
+                if not waited:
+                    waited.append(bool(select.select([r], [], [], 60)[0]))
+                return check(*args)
+            return violations
+        plant(monkeypatch, "continuity_violations", fault)
+        return waited
+    yield install
+    os.close(r)
+    os.close(w)
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_shared_continuity_samples_give_the_in_process_violations_in_sample_order(monkeypatch, child_first, system):
+    path, window = SYSTEMS[system]
+    _, target, fault, cells = next(f for f in FAULTS if f[0] == "box_solve-one-box-short")
+    plant(monkeypatch, target, fault)
+    _cpus(monkeypatch, 1)
+    in_process = next(r for r in run_all(load_system(path), window, 0) if r.suite == "continuity")
+    forks, waited = _cpus(monkeypatch, 2), child_first()
+    shared = next(r for r in run_all(load_system(path), window, 0) if r.suite == "continuity")
+    assert shared.violations == in_process.violations and len(shared.violations) == cells[system]["continuity"][0]
+    assert shared.record() == in_process.record() and len(forks) == 1 and waited == [True]
+
+
+@pytest.mark.parametrize("system", ["c2c2", "trivial"])
+def test_the_first_continuity_sample_that_raised_gives_the_record_on_both_paths(monkeypatch, child_first, system):
+    path, window = SYSTEMS[system]
+    _, _, samples = verify.continuity_samples(load_system(path), 0, min(window, 3))
+    unique = [sample for sample in samples if samples.count(sample) == 1]
+    raising = unique[len(unique) // 4], unique[3 * len(unique) // 4]
+
+    def fault(certs):
+        def raised(B, multipliers, target, side):
+            if (target, side) in raising:
+                raise ValueError(f"planted at {sorted(map(tuple, target.excluded))}, {side}")
+            return certs(B, multipliers, target, side)
+        return raised
+
+    plant(monkeypatch, "continuity_certs", fault)
+    _cpus(monkeypatch, 1)
+    in_process = next(r for r in run_all(load_system(path), window, 0) if r.suite == "continuity")
+    forks, waited = _cpus(monkeypatch, 2), child_first()
+    shared = next(r for r in run_all(load_system(path), window, 0) if r.suite == "continuity")
+    target, side = raising[0]
+    assert shared.record() == in_process.record() == SuiteResult("continuity", system, {}, 0, [
+        f"continuity could not finish: ValueError: planted at {sorted(map(tuple, target.excluded))}, {side}"]).record()
+    assert len(forks) == 1 and waited == [True]
+
+
+def test_a_continuity_sample_the_child_claimed_and_never_sent_could_not_finish(c2c2, monkeypatch, child_first):
+    def expired(signum, frame):
+        raise TimeoutError("run_all still waits for its child after 60 s")
+
+    forks, waited = _cpus(monkeypatch, 2), child_first(lambda check: lambda *args: os._exit(5))
+    handler = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    try:
+        results = run_all(c2c2, 2, 0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert [r.suite for r in results] == C2C2_SUITES and len(forks) == 1 and waited == [True]
+    assert {r.suite: r.violations for r in results if not r.ok} == {
+        "continuity": ["continuity could not finish: ChildProcessError: suite process exited with code 5"]}
+    assert all(r.checked for r in results if r.suite in verify.FORKED)
 
 
 class Uncompiled(Exception):

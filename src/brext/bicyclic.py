@@ -76,7 +76,8 @@ def bmul_codes(xs: Sequence[Element], ys: Sequence[Element], n: int) -> Iterator
     them, xs first, before any row; then check_width refuses an n not above
     x.l + y.l.  Against x = (k, l), a y = (m, q) gives
     k * n + l + (q - m) if m <= l and (k - l) * n + code(y) otherwise, so
-    with the ys sorted by m once a row is two shifted slices and a bisect."""
+    with the ys sorted by m once a row is two shifted slices and a bisect,
+    put back in the order of the ys only when sorting moved them."""
     for x in chain(xs, ys):
         _check(x)
     check_width(n, {x.l for x in xs if x is not ZERO}, {y.l for y in ys if y is not ZERO})
@@ -84,8 +85,8 @@ def bmul_codes(xs: Sequence[Element], ys: Sequence[Element], n: int) -> Iterator
     ms = [ys[j].k for j in order]
     shifts = [ys[j].l - ys[j].k for j in order]
     codes = [ys[j].k * n + ys[j].l for j in order]
-    at = dict(zip(order, range(len(order))))
-    at = [at.get(j, -1) for j in range(len(ys))]  # a zero y reads the ZERO_ID that ends each row
+    at = dict(zip(order, range(len(order))))  # a zero y reads the ZERO_ID put after a row of sorted ys
+    at = None if order == list(range(len(ys))) else [at.get(j, -1) for j in range(len(ys))]
     for x in xs:
         if x is ZERO:
             yield [ZERO_ID] * len(ys)
@@ -94,8 +95,7 @@ def bmul_codes(xs: Sequence[Element], ys: Sequence[Element], n: int) -> Iterator
         s = bisect_right(ms, l)
         row = list(map(add, repeat(k * n + l), shifts[:s]))
         row += map(add, repeat((k - l) * n), codes[s:])
-        row.append(ZERO_ID)
-        yield list(map(row.__getitem__, at))
+        yield row if at is None else list(map([*row, ZERO_ID].__getitem__, at))
 
 
 def binv(x: Element) -> Element:

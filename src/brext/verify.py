@@ -9,11 +9,13 @@ randomness only ever comes from random.Random(seed).  structure checks T's
 compiled form against cmul_oracle, theta_pow_oracle and ginv, then every
 branch of brmul and brmul_ids against that form.  The window suites read
 the system's compiled window (BRSystem.window) and check it against a
-second route each: bmul_codes for eta (a code // |T| is its box's bicyclic
-code), the closed form for nat_order, the group fibers for hclass.  The
-bicyclic row scans (bicyclic_axioms, the packed max-plus bicyclic_oracle,
-box_solver) take their products as rows of integer codes from bmul_codes;
-continuity certifies a sample's multipliers in one continuity_certs call,
+second route each: for associativity one more brmul_ids pass, transposed
+into columns over x and compared one block per middle factor; bmul_codes
+for eta (a code // |T| is its box's bicyclic code), the closed form for
+nat_order, the group fibers for hclass.  The bicyclic row scans
+(bicyclic_axioms, the packed max-plus bicyclic_oracle, box_solver) take
+their products as rows of integer codes from bmul_codes; continuity
+certifies a sample's multipliers in one continuity_certs call,
 solving and residuating once per box; a multiplier's own products with the
 found boxes decide its certificate, and only a failure is walked element
 by element.  run_all runs the three suites that read only the system's name
@@ -58,7 +60,7 @@ from .bruck_reilly import (
 )
 from .clifford import CliffordElement, cmul_oracle, idempotents, theta_pow_oracle, validate_system
 from .errors import BrextError, MalformedDescriptor, WitnessVerificationFailed
-from .groups import ginv, row_reader
+from .groups import ginv
 from .topology import (
     BasicZeroNbhd,
     EXCLUDED_BOXES_BASE,
@@ -137,25 +139,22 @@ def suite_structure(B: BRSystem) -> SuiteResult:
 def suite_associativity(B: BRSystem, window: int) -> SuiteResult:
     """(x*y)*z against x*(y*z) for every window triple.
 
-    (x*y)*z is the window's row right[id(x*y)], and, per x, left is the row
-    x*p over the window's distinct products p.  A pair (x, y) compares that
-    row with left read at the ids of the y*z by one row_reader per y, built
-    once, and only a row that differs is walked element by element."""
+    One brmul_ids pass over the window's x and distinct products p,
+    transposed, gives cols[p], the codes of x*p over x.  Per middle factor y
+    both sides are then columns over x: x*(y*z) is cols[id(y*z)], and
+    (x*y)*z is column z of the rows right[id(x*y)], so a y costs one list
+    comparison.  Only the ys whose blocks differ are walked, x first, then
+    y, then z, element by element."""
     w = B.window(window)
-    getters = [row_reader(yz_ids) for yz_ids in w.table]
-    bad = []
-    for x, xy_ids, left in zip(w.elems, w.table, brmul_ids(B, w.elems, w.prods, w.width)):
-        for y, xy_id, get_yz in zip(w.elems, xy_ids, getters):
-            xy_z, x_yz = w.right[xy_id], get_yz(left)
-            if xy_z == x_yz:
-                continue
-            for z, u, v in zip(w.elems, xy_z, x_yz):
-                if u != v:
-                    bad.append(
-                        f"({format_elem(x)}*{format_elem(y)})*{format_elem(z)} "
-                        f"!= {format_elem(x)}*({format_elem(y)}*{format_elem(z)})"
-                    )
-    return SuiteResult("associativity", B.name, {"window": window}, len(w.elems) ** 3, bad)
+    elems, table, right = w.elems, w.table, w.right
+    cols = list(zip(*brmul_ids(B, elems, w.prods, w.width)))
+    failing = [y for y, (yz_ids, xy_ids) in enumerate(zip(table, zip(*table)))
+               if list(zip(*map(right.__getitem__, xy_ids))) != list(map(cols.__getitem__, yz_ids))]
+    bad = [f"({format_elem(elems[x])}*{format_elem(elems[y])})*{format_elem(z)} "
+           f"!= {format_elem(elems[x])}*({format_elem(elems[y])}*{format_elem(z)})"
+           for x, xy_ids in enumerate(table) for y in failing
+           for z, u, x_col in zip(elems, right[xy_ids[y]], map(cols.__getitem__, table[y])) if u != x_col[x]]
+    return SuiteResult("associativity", B.name, {"window": window}, len(elems) ** 3, bad)
 
 
 def suite_inverse_axioms(B: BRSystem, window: int) -> SuiteResult:

@@ -129,6 +129,20 @@ def test_bmul_codes_matches_bmul_with_zeros_and_empty_lists():
     assert list(bmul_codes(xs[:3], [], n)) == [[], [], []]
 
 
+@pytest.mark.parametrize("arrange", [
+    pytest.param(lambda ys: sorted(ys, key=lambda y: y.k), id="sorted-by-first-index"),  # rows yielded as built
+    pytest.param(lambda ys: ys[::-1], id="reversed"),
+    pytest.param(lambda ys: random.Random(1).sample(ys, len(ys)), id="shuffled"),
+    pytest.param(lambda ys: sorted(ys, key=lambda y: (y.k, -y.l)), id="sorted-ties-reversed"),
+])
+def test_bmul_codes_matches_bmul_without_zeros(arrange):
+    r = range(5)
+    elems = [BicyclicElem(k, l) for k in r for l in r]
+    xs, ys, n = elems + [ZERO], arrange(elems + elems[::6]), 9
+    assert ZERO not in ys
+    assert list(bmul_codes(xs, ys, n)) == [[_code(bmul(x, y), n) for y in ys] for x in xs]
+
+
 bad_operands = st.sampled_from(
     [BicyclicElem(-1, 0), BicyclicElem(2, -3), (1, 2), None, "(1,2)"]
 )

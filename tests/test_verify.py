@@ -554,6 +554,53 @@ def test_planted_fault_fails_exactly_its_suites(monkeypatch, target, fault, path
     assert results[0].checked == 1
 
 
+def _associativity_pair_by_pair(B, window):
+    """associativity's violations by the route that checked one pair (x, y)
+    at a time: x's row over the window's products, read at the ids of y*z."""
+    w = B.window(window)
+    return [_assoc(format_elem(x), format_elem(y), format_elem(z))
+            for x, xy_ids, left in zip(w.elems, w.table, bruck_reilly.brmul_ids(B, w.elems, w.prods, w.width))
+            for y, xy, yz_ids in zip(w.elems, xy_ids, w.table)
+            for z, u, yz in zip(w.elems, w.right[xy], yz_ids) if u != left[yz]]
+
+
+@pytest.mark.parametrize("target, fault, path, window, count", [
+    pytest.param(target, fault, *SYSTEMS[system], cell["associativity"][0], id=f"{name}-{system}")
+    for name, target, fault, cells in FAULTS for system, cell in cells.items()
+    if cell.get("associativity", UNFINISHED["associativity"]) != UNFINISHED["associativity"]])  # it walked
+def test_associativity_lists_every_violation_in_the_pair_by_pair_order(monkeypatch, target, fault, path, window,
+                                                                       count):
+    B = load_system(path)
+    plant(monkeypatch, target, fault, B)
+    violations = verify.suite_associativity(B, window).violations
+    assert len(violations) == count
+    assert violations == _associativity_pair_by_pair(B, window)
+
+
+def _past_the_window_up(brmul_ids):
+    """brmul_ids with every product x*y whose y has first index 4 moved one
+    box down; at window 3 only associativity's x*(y*z) pass has such ys."""
+    def rows(B, xs, ys, n):
+        for row in brmul_ids(B, xs, ys, n):
+            yield [bruck_reilly.encode(B, (p := bruck_reilly.decode(B, c, n))._replace(i=p.i + 1), n)
+                   if y is not ZERO and y.i == 4 else c for y, c in zip(ys, row)]
+    return rows
+
+
+@pytest.mark.parametrize("system, count, middles", [
+    pytest.param("trivial", 9 * 3, ["(2,0:0,0)"], id="one-middle"),  # y*z = (4,0:0,j) only for y = (2,0:0,0)
+    pytest.param("c2c2", 36 * 4 * 12, [f"(2,{a}:{e},0)" for a in range(2) for e in range(2)], id="four-middles")])
+def test_associativity_walks_its_failing_middle_factors_in_the_pair_by_pair_order(request, monkeypatch, system,
+                                                                                   count, middles):
+    B = replace(request.getfixturevalue(system))  # a window cache of its own
+    plant(monkeypatch, "brmul_ids", _past_the_window_up, B)
+    violations = verify.suite_associativity(B, 3).violations
+    assert len(violations) == count
+    assert sorted({v.split("*")[1][:-1] for v in violations}) == middles
+    assert {v[1:].split("*")[0] for v in violations} == {format_elem(x) for x in window_elements(B, 3)}
+    assert violations == _associativity_pair_by_pair(B, 3)
+
+
 def _cpus(monkeypatch, n):
     """run_all's CPU check sees n CPUs, whatever the machine has; returns the
     pids os.fork gives this process from then on."""

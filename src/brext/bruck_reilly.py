@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import groupby
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from . import bicyclic
@@ -140,10 +141,11 @@ def brmul_ids(B: BRSystem, xs: Sequence[Element], ys: Sequence[Element], n: int)
     by k once, make one run per k, and only the distinct columns (t', L)
     they use are numbered.  Each (s', i') gets one code row, built on first
     use, with the code of (i', s' * t', L) in every column.  x's row is one
-    gather per run from its code row, at the run's columns for x's shift,
-    put back in the order of the ys (a zero reads ZERO_ID) when sorting
-    moved them.  So the rows share their int objects, and a product costs
-    no arithmetic of its own.
+    gather per run from its code row, at the run's columns for x's shift (a
+    list slice where they are consecutive and ascending, as for an unshifted
+    run of a window's ys), put back in the order of the ys (a zero reads
+    ZERO_ID) when sorting moved them.  So the rows share their int objects
+    (a slice copies references), and a product costs no arithmetic of its own.
     """
     for x in xs:
         _check(B, x)
@@ -159,9 +161,10 @@ def brmul_ids(B: BRSystem, xs: Sequence[Element], ys: Sequence[Element], n: int)
     powers[0] = list(range(size))
     order = sorted((p for p, y in enumerate(ys) if y is not ZERO), key=lambda p: ys[p].i)
     cols, runs = {}, []  # cols: (t', L) -> column number; runs: (k, {shift: reader of the run's columns})
+    reader = lambda c: itemgetter(slice(c[0], c[-1] + 1)) if c == [*range(c[0], c[0] + len(c))] else row_reader(c)
     for k, run in groupby(order, key=lambda p: ys[p].i):
         tls = [(ids[ys[p].s], ys[p].j) for p in run]
-        runs.append((k, {d: row_reader([cols.setdefault((powers[d][t], l + d), len(cols)) for t, l in tls])
+        runs.append((k, {d: reader([cols.setdefault((powers[d][t], l + d), len(cols)) for t, l in tls])
                          for d in {0} | {j - k for j in js if j > k}}))
     cols = [(t, size * l) for t, l in cols]
     code_rows = {}  # (s', i') -> the code of (i', s' * t', L) in each column (t', L)

@@ -100,7 +100,8 @@ class CliffordSystem:
             raise MissingBond(f"missing bonding map for levels ({upper},{lower})") from None
 
     def unit(self) -> CliffordElement:
-        return CliffordElement(0, self.groups[0].identity)
+        """The top identity, the compiled form's shared element: its id is its group coordinate."""
+        return self.compiled.elements[self.groups[0].identity]
 
     def elements(self) -> Iterator[CliffordElement]:
         for level, g in enumerate(self.groups):

@@ -15,13 +15,13 @@ for eta (a code // |T| is its box's bicyclic code), the closed form for
 nat_order, the group fibers for hclass.  The bicyclic row scans
 (bicyclic_axioms, the packed max-plus bicyclic_oracle, box_solver) take
 their products as rows of integer codes from bmul_codes; continuity
-certifies a sample's multipliers in one continuity_certs call,
-solving and residuating once per box; a multiplier's own products with the
-found boxes decide its certificate, and only a failure is walked element
-by element.  run_all runs the three suites that read only the system's name
-(FORKED: bicyclic_axioms, bicyclic_oracle, box_solver) in one forked child
-where os.fork exists and the process may run on two CPUs, the others here,
-then shares continuity's samples; the records are the same either way.
+certifies a sample's multipliers in one continuity_certs call, solving and
+residuating once per box; a multiplier's own products with the found boxes
+decide its certificate, and only a failure is walked element by element.
+run_all runs the three suites that read only the system's name (FORKED:
+bicyclic_axioms, bicyclic_oracle, box_solver) in one forked child where it
+may fork (see run_all), the others here, then shares continuity's samples;
+the records are the same either way.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import os
 import pickle
 import random
 import signal
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import compress, repeat
@@ -297,17 +298,22 @@ def suite_hclass(B: BRSystem, window: int) -> SuiteResult:
 def suite_simplicity(B: BRSystem, seed: int) -> SuiteResult:
     """simplicity_witness self-verifies; here we just exercise it widely,
     on 1000 pairs with indices up to 50, including the a = b corner.  Each
-    element takes four draws, in order: level, group element, i and j."""
-    randrange, pairs, max_index = random.Random(seed).randrange, 1000, 50
-    levels = [[CliffordElement(level, e) for e in range(g.order)] for level, g in enumerate(B.sys.groups)]
-
-    def draws():
-        while True:
-            parts = levels[randrange(len(levels))]
-            s = parts[randrange(len(parts))]
-            yield BRElem(randrange(max_index + 1), s, randrange(max_index + 1))
-
-    elems, bad = draws(), []
+    element takes four draws, in order: level, group element, i and j, each
+    below n by randrange(n)'s rule: getrandbits(n.bit_length()), again while
+    it reads n or more, so randrange's Mersenne Twister words, in its order."""
+    bits, pairs, max_index = random.Random(seed).getrandbits, 1000, 50
+    levels = [(g.order, g.order.bit_length(), [CliffordElement(level, e) for e in range(g.order)])
+              for level, g in enumerate(B.sys.groups)]
+    nl, kl, ni, ki = len(levels), len(levels).bit_length(), max_index + 1, (max_index + 1).bit_length()
+    elems = []
+    for _ in range(2 * pairs - pairs // 100):  # a pair whose number is a multiple of 100 draws one element
+        while (level := bits(kl)) >= nl: pass
+        size, k, parts = levels[level]
+        while (e := bits(k)) >= size: pass
+        while (i := bits(ki)) >= ni: pass
+        while (j := bits(ki)) >= ni: pass
+        elems.append(BRElem(i, parts[e], j))
+    elems, bad = iter(elems), []
     for n in range(pairs):
         a = next(elems)
         b = a if n % 100 == 0 else next(elems)
@@ -599,16 +605,18 @@ def run_all(B: BRSystem, window: int, seed: int) -> list[SuiteResult]:
     """Every suite of SUITES that applies to the given system, in order; a failed
     re-verification, or an exception out of a suite, is a violation, so all run.
 
-    Where os.fork exists and the process may run on two CPUs, a forked child
-    runs the FORKED suites while this process runs the rest; then both claim
-    continuity's samples one at a time, and the child pipes its pickled
-    results back.  Elsewhere, or when os.pipe or os.fork fails, all run here,
-    with the same results.  A result that never arrives (the child died, or it
-    could not be pickled) reads `<suite> could not finish: ChildProcessError:
-    ...`, and the first sample that raised, in sample order, reads as in-process."""
+    Where os.fork exists, no other thread runs and the process may run on two
+    CPUs, a forked child runs the FORKED suites while this process runs the
+    rest; then both claim continuity's samples one at a time, and the child
+    pipes its pickled results back.  Elsewhere, or when os.pipe or os.fork
+    fails, all run here, with the same results.  A result that never arrives
+    (the child died, or it could not be pickled) reads `<suite> could not
+    finish: ChildProcessError: ...`; the first sample that raised, in sample
+    order, reads as in-process."""
     suites = [s for s in SUITES if s.applies(B)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    forked = [s for s in suites if s.name in FORKED] if hasattr(os, "fork") and cpus >= 2 else []
+    alone = hasattr(os, "fork") and threading.active_count() == 1  # a fork under threads may deadlock the child
+    forked = [s for s in suites if s.name in FORKED] if alone and cpus >= 2 else []
     run = lambda s: _finished(s, B, lambda: s.run(B, window, seed))
     if not forked:
         return list(map(run, suites))

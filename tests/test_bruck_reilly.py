@@ -255,6 +255,11 @@ BRMUL_IDS_EDGES = {
     "single-y": ([(0, 0, 0), (1, -1, 3), (2, 1, 1), None], [(2, 1, 1)]),
     "all-zero-ys": ([(0, 0, 0), None, (4, 1, 2)], [None, None, None]),
     "repeated-x": ([(1, 1, 2), (1, 1, 2), None, (1, 1, 2), (0, -1, 0)], [(0, 0, 1), (2, 1, 0), (2, -1, 3), (1, 1, 1)]),
+    # the run k = 1 reads the columns of (t', L) = (1, 0) and (0, 0) as [1, 0]: consecutive, descending, not a slice
+    "descending-run": ([(0, 0, 0), (2, 1, 1), None, (1, -1, 3)], [(0, 1, 0), (0, 0, 0), (1, 0, 0), (1, 1, 0)]),
+    # the run k = 2 reads three new consecutive columns, from a nonzero one
+    "later-run-from-nonzero": ([(0, 0, 0), (1, 1, 2), None, (3, -1, 1)],
+                               [(0, 0, 0), (0, 1, 0), (2, 0, 3), (2, 1, 3), (2, -1, 3)]),
 }
 
 

@@ -3,6 +3,7 @@ import os
 import random
 import select
 import signal
+import threading
 from copy import copy
 from dataclasses import replace
 
@@ -107,6 +108,37 @@ def test_simplicity_draws_its_pairs_in_a_fixed_order(request, monkeypatch, syste
     assert shown[:3] == [("(2,1:1,16)", "(2,1:1,16)"), ("(50,1:1,19)", "(37,1:1,13)"), third]
     assert len(shown) == 1000 and shown[999] == last
     assert all(a == b for a, b in pairs[::100])
+
+
+def _randrange_pairs(B, seed):
+    """The simplicity suite's 1000 pairs as four random.Random(seed).randrange
+    calls per element drew them, kept as a reference for its own draws."""
+    randrange = random.Random(seed).randrange
+    levels = [[CliffordElement(level, e) for e in range(g.order)] for level, g in enumerate(B.sys.groups)]
+
+    def draws():
+        while True:
+            parts = levels[randrange(len(levels))]
+            s = parts[randrange(len(parts))]
+            yield BRElem(randrange(51), s, randrange(51))
+
+    elems, pairs = draws(), []
+    for n in range(1000):
+        a = next(elems)
+        pairs.append((a, a if n % 100 == 0 else next(elems)))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 99])
+@pytest.mark.parametrize("system", ["trivial", "c2c2", "s3c2", "c4c2c2", "chain3"])
+def test_simplicity_draws_the_pairs_of_randrange(request, monkeypatch, system, seed):
+    # on trivial every level and group draw is randrange(1), which redraws
+    # getrandbits(1) until it reads 0; a draw of getrandbits(k) % n would not
+    B = BRSystem(sys=make_c12_c6_c3(), name="chain3") if system == "chain3" else request.getfixturevalue(system)
+    pairs = []
+    plant(monkeypatch, "simplicity_witness", lambda witness: lambda B, a, b: pairs.append((a, b)) or witness(B, a, b))
+    assert verify.suite_simplicity(B, seed).ok
+    assert pairs == _randrange_pairs(B, seed)
 
 
 def test_window_is_recorded_in_params(c2c2_results):
@@ -620,6 +652,24 @@ def test_the_forked_suites_give_the_records_of_an_in_process_run(monkeypatch, sy
     forks = _cpus(monkeypatch, 2)
     assert [r.record() for r in run_all(load_system(path), window, seed)] == in_process
     assert len(forks) == 1
+
+
+@pytest.mark.parametrize("system", ["c2c2", "trivial"])
+def test_run_all_forks_no_child_under_threads(monkeypatch, system):
+    # a fork in a multi-threaded process may deadlock the child, and CPython
+    # 3.12 warns of it: with a second thread alive every suite runs here
+    path, window = SYSTEMS[system]
+    _cpus(monkeypatch, 1)
+    in_process = [r.record() for r in run_all(load_system(path), window, 0)]
+    forks, release = _cpus(monkeypatch, 2), threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        assert [r.record() for r in run_all(load_system(path), window, 0)] == in_process
+    finally:
+        release.set()
+        waiting.join(timeout=10)
+    assert forks == [] and not waiting.is_alive()
 
 
 @pytest.mark.parametrize("name", BMUL_MUTANTS)

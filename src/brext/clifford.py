@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .errors import IndexOutOfRange, MalformedMap, MissingBond, NotAGroup
-from .groups import GroupHom, GroupTable, ginv, gmul, identity_hom, row_reader, validate_group, validate_hom
+from .groups import GroupHom, GroupTable, ginv, gmul, row_reader, validate_group, validate_hom
 
 
 class CliffordElement(NamedTuple):
@@ -113,7 +113,7 @@ class CliffordSystem:
 
     @cached_property
     def _identity_homs(self) -> tuple[GroupHom, ...]:
-        return tuple(identity_hom(g) for g in self.groups)
+        return tuple(GroupHom(g, g, range(g.order)) for g in self.groups)
 
     @cached_property
     def compiled(self) -> CompiledSystem:

@@ -29,7 +29,7 @@ from pathlib import Path
 from .bruck_reilly import BRSystem
 from .clifford import CliffordSystem, validate_system
 from .errors import MalformedMap, MalformedTable, OrderTooLarge, ParseError, ValidationFailed
-from .groups import GroupHom, GroupTable, hom, is_int
+from .groups import GroupHom, GroupTable, is_int
 
 FORMAT_VERSION = "1"
 
@@ -97,7 +97,7 @@ def system_from_obj(obj, name: str = "") -> BRSystem:
         if a > b:
             raise ParseError(f"bond {key!r} goes up the chain")
         try:
-            bonds[(a, b)] = hom(groups[a], groups[b], mapping)
+            bonds[(a, b)] = GroupHom(groups[a], groups[b], mapping)
         except (MalformedMap, TypeError) as exc:
             raise ParseError(f"bond {key!r}: {exc}") from exc
 
@@ -106,7 +106,7 @@ def system_from_obj(obj, name: str = "") -> BRSystem:
     theta = []
     for level, mapping in enumerate(obj["theta"]):
         try:
-            theta.append(hom(groups[level], groups[0], mapping))
+            theta.append(GroupHom(groups[level], groups[0], mapping))
         except (MalformedMap, TypeError) as exc:
             raise ParseError(f"theta[{level}]: {exc}") from exc
 

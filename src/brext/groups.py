@@ -3,11 +3,11 @@
 Elements are indices 0..order-1.  Shape is checked once, where a table or a
 map is built: a GroupTable holds a square table of in-range entries and
 derives its order and inverse array from it, never from input, and a
-GroupHom holds one in-range value per domain element.  The validators check
-only the laws, comparing whole rows: associativity by Light's test on a
-greedy generating set, the hom law one domain row at a time.  The row and
-pair scans run only on a table or map that fails those, to list the
-violations.
+GroupHom, the one way a map is built, holds one in-range value per domain
+element.  The validators check only the laws, comparing whole rows:
+associativity by Light's test on a greedy generating set, the hom law one
+domain row at a time.  The row and pair scans run only on a table or map
+that fails those, to list the violations.
 """
 
 from __future__ import annotations
@@ -81,12 +81,6 @@ def _two_sided_inverse(tbl, a: int, e: int) -> int | None:
             return None
         if tbl[b][a] == e:
             return b
-
-
-def cyclic_group(n: int) -> GroupTable:
-    """Z_n with addition mod n; element i is the residue i."""
-    rows = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return GroupTable(rows, identity=0, labels=[str(i) for i in range(n)])
 
 
 def gmul(t: GroupTable, a: int, b: int) -> int:
@@ -194,14 +188,6 @@ class GroupHom:
         if not 0 <= a < self.domain.order:
             raise IndexOutOfRange(f"{a} outside domain of order {self.domain.order}")
         return self.map[a]
-
-
-def hom(domain: GroupTable, codomain: GroupTable, mapping) -> GroupHom:
-    return GroupHom(domain, codomain, mapping)
-
-
-def identity_hom(g: GroupTable) -> GroupHom:
-    return hom(g, g, range(g.order))
 
 
 def validate_hom(h: GroupHom) -> list[str]:

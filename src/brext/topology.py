@@ -244,12 +244,12 @@ def _recheck(ab: Box, found: frozenset[Box], rho_targets: list, side: str, s0) -
 
 @dataclass(frozen=True)
 class BoundedCheck:
-    """Outcome of a finiteness check over a bounded probe window.
+    """Outcome of a finiteness check over the one probe window, PROBE_BOUND
+    as read when the check ran, which probe_bound records.
 
     A False result means refuted within the probe bound, never an
     unconditional falsehood; `note` spells the qualification out and
-    `witnesses` lists offending boxes or indices from the outer probe
-    region.
+    `witnesses` lists offending boxes or indices from the outer probe region.
     """
 
     ok: bool
@@ -261,45 +261,45 @@ class BoundedCheck:
         return self.ok
 
 
-def _probe(u, probe_bound: int, structural, probes, refuted: str, clean: str) -> BoundedCheck:
+def _probe(u, structural, probes, refuted: str, clean: str) -> BoundedCheck:
     """A BasicZeroNbhd is answered structurally, with witnesses
     structural(u.excluded); a box predicate u(i, j) -> bool is refuted by the
     (witness, i, j) of the outer region `probes` where it is false, up to eight."""
     if isinstance(u, BasicZeroNbhd):
-        return BoundedCheck(True, probe_bound, structural(u.excluded), "cofinite by construction")
+        return BoundedCheck(True, PROBE_BOUND, structural(u.excluded), "cofinite by construction")
     misses = tuple(islice((w for w, i, j in probes if not u(i, j)), 8))
     if misses:
-        return BoundedCheck(False, probe_bound, misses, f"refuted within probe bound {probe_bound}: {refuted}")
-    return BoundedCheck(True, probe_bound, (), clean)
+        return BoundedCheck(False, PROBE_BOUND, misses, f"refuted within probe bound {PROBE_BOUND}: {refuted}")
+    return BoundedCheck(True, PROBE_BOUND, (), clean)
 
 
-def meets_almost_all_boxes(u, probe_bound: int = PROBE_BOUND) -> BoundedCheck:
+def meets_almost_all_boxes(u) -> BoundedCheck:
     """Does the neighborhood intersect all but finitely many boxes?
 
     Structurally true for any BasicZeroNbhd.  A box predicate (i, j) -> bool
-    is probed over the window and refuted when it misses a box in the outer
-    half, the region where the misses of a genuinely cofinite family probed
-    with any sensible bound have run out.
+    is probed over the PROBE_BOUND window and refuted when it misses a box in
+    the outer half, the region where the misses of a genuinely cofinite
+    family probed with any sensible bound have run out.
     """
-    half = probe_bound // 2
-    outer = ((Box(i, j), i, j) for i in range(probe_bound) for j in range(probe_bound) if max(i, j) >= half)
-    return _probe(u, probe_bound, lambda ex: (), outer, "misses reach the outer region",
-                  f"no misses beyond {half} within probe bound {probe_bound}")
+    half = PROBE_BOUND // 2
+    outer = ((Box(i, j), i, j) for i in range(PROBE_BOUND) for j in range(PROBE_BOUND) if max(i, j) >= half)
+    return _probe(u, lambda ex: (), outer, "misses reach the outer region",
+                  f"no misses beyond {half} within probe bound {PROBE_BOUND}")
 
 
-def row_exceptions_finite(u, i0: int, probe_bound: int = PROBE_BOUND) -> BoundedCheck:
+def row_exceptions_finite(u, i0: int) -> BoundedCheck:
     """Are there only finitely many j with box (i0, j) outside u?"""
-    half = probe_bound // 2
-    return _probe(u, probe_bound, lambda ex: tuple(sorted(b.l for b in ex if b.k == i0)),
-                  ((j, i0, j) for j in range(half, probe_bound)),
+    half = PROBE_BOUND // 2
+    return _probe(u, lambda ex: tuple(sorted(b.l for b in ex if b.k == i0)),
+                  ((j, i0, j) for j in range(half, PROBE_BOUND)),
                   f"row {i0} misses keep appearing", f"row {i0} misses stop before {half}")
 
 
-def column_exceptions_finite(u, j0: int, probe_bound: int = PROBE_BOUND) -> BoundedCheck:
+def column_exceptions_finite(u, j0: int) -> BoundedCheck:
     """Mirror of row_exceptions_finite for a fixed second index."""
-    half = probe_bound // 2
-    return _probe(u, probe_bound, lambda ex: tuple(sorted(b.k for b in ex if b.l == j0)),
-                  ((i, i, j0) for i in range(half, probe_bound)),
+    half = PROBE_BOUND // 2
+    return _probe(u, lambda ex: tuple(sorted(b.k for b in ex if b.l == j0)),
+                  ((i, i, j0) for i in range(half, PROBE_BOUND)),
                   f"column {j0} misses keep appearing", f"column {j0} misses stop before {half}")
 
 

@@ -39,7 +39,7 @@ from math import comb
 from operator import add
 from typing import Callable, NamedTuple
 
-from . import bicyclic
+from . import bicyclic, topology
 from .bicyclic import BicyclicElem, bmul, bmul_codes, binv, rho_table, tmul
 from .bruck_reilly import (
     BRElem,
@@ -66,7 +66,6 @@ from .topology import (
     BasicZeroNbhd,
     EXCLUDED_BOXES_BASE,
     ISOLATED_ZERO,
-    PROBE_BOUND,
     box_solve,
     classify_descriptor,
     compactness_remainder,
@@ -437,10 +436,11 @@ def suite_box_solver(system_name: str, max_index: int) -> SuiteResult:
                        2 * len(small) ** 2, bad)
 
 
-def continuity_samples(B: BRSystem, seed: int, a_window: int) -> tuple[SuiteResult, list[BRElem], list]:
+def continuity_samples(B: BRSystem, seed: int, window: int) -> tuple[SuiteResult, list[BRElem], list]:
     """continuity's record without violations, its multipliers (indices below
-    a_window) and its 100 seeded (target, side) samples, in draw order."""
-    rng, samples, multipliers = random.Random(seed), 100, window_elements(B, a_window)
+    min(window, 3)) and its 100 seeded (target, side) samples, in draw order."""
+    rng, samples, a_window = random.Random(seed), 100, min(window, 3)
+    multipliers = window_elements(B, a_window)
     drawn = [(BasicZeroNbhd.excluding((rng.randrange(11), rng.randrange(11)) for _ in range(rng.randint(0, 3))),
               "left" if rng.random() < 0.5 else "right") for _ in range(samples)]
     return (SuiteResult("continuity", B.name, {"seed": seed, "samples": samples, "a_window": a_window},
@@ -453,9 +453,9 @@ def continuity_violations(B: BRSystem, multipliers: list[BRElem], target: BasicZ
             for c in continuity_certs(B, multipliers, target, side) if not c.ok]
 
 
-def suite_continuity(B: BRSystem, seed: int, a_window: int = 3) -> SuiteResult:
+def suite_continuity(B: BRSystem, seed: int, window: int) -> SuiteResult:
     """continuity_violations of every sample of continuity_samples, in draw order."""
-    result, multipliers, samples = continuity_samples(B, seed, a_window)
+    result, multipliers, samples = continuity_samples(B, seed, window)
     result.violations = [v for target, side in samples for v in continuity_violations(B, multipliers, target, side)]
     return result
 
@@ -483,7 +483,7 @@ def suite_zero_nbhd_checks(B: BRSystem) -> SuiteResult:
         bad.append("untouched row flagged as infinite")
     if column_exceptions_finite(lambda i, j: j != 1, 1):
         bad.append("fully removed column not refuted")
-    return SuiteResult("zero_nbhd_checks", B.name, {"probe_bound": PROBE_BOUND}, 8, bad)
+    return SuiteResult("zero_nbhd_checks", B.name, {"probe_bound": topology.PROBE_BOUND}, 8, bad)
 
 
 def suite_descriptor_classification(B: BRSystem) -> SuiteResult:
@@ -554,7 +554,7 @@ class Suite(NamedTuple):
     """One suite of `verify --all`.  run(B, window, seed) calls it by its
     module-level name, so a rebound suite_* is the one run; checked(B, window)
     is its checked count in closed form; applies(B) says whether run_all runs
-    it on B; continuity's run(B, window, seed, part) calls part in its place."""
+    it on B."""
 
     name: str
     run: Callable[[BRSystem, int, int], SuiteResult]
@@ -580,8 +580,7 @@ SUITES = (
     Suite("bicyclic_oracle", lambda B, w, seed: suite_bicyclic_oracle(B.name, 4 * w),
           lambda B, w: (4 * w + 1) ** 4),
     Suite("box_solver", lambda B, w, seed: suite_box_solver(B.name, 2 * w), lambda B, w: 2 * (2 * w + 1) ** 4),
-    Suite("continuity", lambda B, w, seed, part=None: (part or suite_continuity)(B, seed, min(w, 3)),
-          lambda B, w: 100 * _w(B, min(w, 3))),
+    Suite("continuity", lambda B, w, seed: suite_continuity(B, seed, w), lambda B, w: 100 * _w(B, min(w, 3))),
     Suite("zero_nbhd_checks", lambda B, w, seed: suite_zero_nbhd_checks(B), lambda B, w: 8),
     Suite("descriptor_classification", lambda B, w, seed: suite_descriptor_classification(B), lambda B, w: 4),
     Suite("pushforward_roundtrip", lambda B, w, seed: suite_pushforward_roundtrip(B, seed), lambda B, w: 102),
@@ -622,7 +621,7 @@ def run_all(B: BRSystem, window: int, seed: int) -> list[SuiteResult]:
         return list(map(run, suites))
     shared, fds = next(s for s in suites if s.name == "continuity"), []
     try:  # a draw that raises, or EAGAIN, EMFILE, ENOMEM from os.pipe or os.fork: every suite runs here
-        result, multipliers, samples = shared.run(B, window, seed, continuity_samples)
+        result, multipliers, samples = continuity_samples(B, seed, window)
         fds += os.pipe()
         os.write(fds[1], bytes(range(len(samples))))  # one token per sample: its index
         os.close(fds.pop())

@@ -6,9 +6,21 @@ import pytest
 
 from brext.bruck_reilly import decode, encode, parse_elem
 from brext.config import data_path, load_system
+from brext.groups import GroupHom, GroupTable
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def cyclic_group(n: int) -> GroupTable:
+    """Z_n with addition mod n; element i is the residue i."""
+    rows = [[(a + b) % n for b in range(n)] for a in range(n)]
+    return GroupTable(rows, identity=0, labels=[str(i) for i in range(n)])
+
+
+def identity_hom(g: GroupTable) -> GroupHom:
+    """The identity map of g, as CliffordSystem.bond(a, a) gives it."""
+    return GroupHom(g, g, range(g.order))
 
 
 @pytest.fixture(scope="session")

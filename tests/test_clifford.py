@@ -18,9 +18,9 @@ from brext.clifford import (
 )
 from brext.config import load_system
 from brext.errors import IndexOutOfRange, MalformedMap, MissingBond, NotAGroup
-from brext.groups import cyclic_group, hom, identity_hom
+from brext.groups import GroupHom
 from brext.verify import SUITES, run_all
-from conftest import FIXTURES, plant
+from conftest import FIXTURES, cyclic_group, identity_hom, plant
 from test_groups import constant_hom
 
 
@@ -37,8 +37,8 @@ def make_t2():
     z2a, z2b = cyclic_group(2), cyclic_group(2)
     return CliffordSystem(
         groups=(z2a, z2b),
-        bonds={(0, 1): hom(z2a, z2b, [0, 1])},
-        theta=(identity_hom(z2a), hom(z2b, z2a, [0, 1])),
+        bonds={(0, 1): GroupHom(z2a, z2b, [0, 1])},
+        theta=(identity_hom(z2a), GroupHom(z2b, z2a, [0, 1])),
     )
 
 
@@ -47,8 +47,8 @@ def make_z4z2():
     z4, z2 = cyclic_group(4), cyclic_group(2)
     return CliffordSystem(
         groups=(z4, z2),
-        bonds={(0, 1): hom(z4, z2, [0, 1, 0, 1])},
-        theta=(hom(z4, z4, [0, 2, 0, 2]), hom(z2, z4, [0, 2])),
+        bonds={(0, 1): GroupHom(z4, z2, [0, 1, 0, 1])},
+        theta=(GroupHom(z4, z4, [0, 2, 0, 2]), GroupHom(z2, z4, [0, 2])),
     )
 
 
@@ -63,11 +63,11 @@ def make_c12_c6_c3():
     return CliffordSystem(
         groups=(c12, c6, c3),
         bonds={
-            (0, 1): hom(c12, c6, [x % 6 for x in range(12)]),
-            (0, 2): hom(c12, c3, [x % 3 for x in range(12)]),
-            (1, 2): hom(c6, c3, [x % 3 for x in range(6)]),
+            (0, 1): GroupHom(c12, c6, [x % 6 for x in range(12)]),
+            (0, 2): GroupHom(c12, c3, [x % 3 for x in range(12)]),
+            (1, 2): GroupHom(c6, c3, [x % 3 for x in range(6)]),
         },
-        theta=tuple(hom(g, c12, [8 * x % 12 for x in range(g.order)]) for g in (c12, c6, c3)),
+        theta=tuple(GroupHom(g, c12, [8 * x % 12 for x in range(g.order)]) for g in (c12, c6, c3)),
     )
 
 
@@ -77,8 +77,8 @@ def make_c4_twisted():
     top, low = cyclic_group(4), cyclic_group(4)
     return CliffordSystem(
         groups=(top, low),
-        bonds={(0, 1): hom(top, low, [0, 3, 2, 1])},
-        theta=(identity_hom(top), hom(low, top, [0, 3, 2, 1])),
+        bonds={(0, 1): GroupHom(top, low, [0, 3, 2, 1])},
+        theta=(identity_hom(top), GroupHom(low, top, [0, 3, 2, 1])),
     )
 
 
@@ -123,8 +123,8 @@ def test_swapped_bond_is_not_a_hom():
     z2 = cyclic_group(2)
     sys = CliffordSystem(
         groups=(z2, cyclic_group(2)),
-        bonds={(0, 1): hom(z2, cyclic_group(2), [1, 0])},
-        theta=(identity_hom(z2), hom(cyclic_group(2), z2, [0, 1])),
+        bonds={(0, 1): GroupHom(z2, cyclic_group(2), [1, 0])},
+        theta=(identity_hom(z2), GroupHom(cyclic_group(2), z2, [0, 1])),
     )
     rep = validate_system(sys)
     assert any("bond (0,1): not a homomorphism" in v for v in rep)
@@ -161,8 +161,8 @@ def test_missing_bond_reported_and_raised():
     groups = (z2, cyclic_group(2), cyclic_group(2))
     sys = CliffordSystem(
         groups=groups,
-        bonds={(0, 1): hom(groups[0], groups[1], [0, 1]), (1, 2): hom(groups[1], groups[2], [0, 1])},
-        theta=(identity_hom(z2), hom(groups[1], z2, [0, 1]), hom(groups[2], z2, [0, 1])),
+        bonds={(0, 1): GroupHom(groups[0], groups[1], [0, 1]), (1, 2): GroupHom(groups[1], groups[2], [0, 1])},
+        theta=(identity_hom(z2), GroupHom(groups[1], z2, [0, 1]), GroupHom(groups[2], z2, [0, 1])),
     )
     rep = validate_system(sys)
     assert any("missing bonding map for levels (0,2)" in v for v in rep)
@@ -178,11 +178,11 @@ def test_incoherent_bond_composition_reported():
     sys = CliffordSystem(
         groups=groups,
         bonds={
-            (0, 1): hom(groups[0], groups[1], [0, 1]),
-            (1, 2): hom(groups[1], groups[2], [0, 1]),
+            (0, 1): GroupHom(groups[0], groups[1], [0, 1]),
+            (1, 2): GroupHom(groups[1], groups[2], [0, 1]),
             (0, 2): constant_hom(groups[0], groups[2]),
         },
-        theta=(identity_hom(z2), hom(groups[1], z2, [0, 1]), hom(groups[2], z2, [0, 1])),
+        theta=(identity_hom(z2), GroupHom(groups[1], z2, [0, 1]), GroupHom(groups[2], z2, [0, 1])),
     )
     rep = validate_system(sys)
     assert any(
@@ -358,17 +358,17 @@ def test_theta_outside_the_top_group_is_refused_at_construction():
     # theta is one map per level into group 0 or no system is built, so
     # compiled always tables it
     c2, c4 = cyclic_group(2), cyclic_group(4)
-    groups, bonds = (c2, c4), {(0, 1): hom(c2, c4, [0, 2])}
+    groups, bonds = (c2, c4), {(0, 1): GroupHom(c2, c4, [0, 2])}
     for theta, msg in (
         ((), "0 theta maps for chain of size 2"),
         ((identity_hom(c2),), "1 theta maps for chain of size 2"),
         ((identity_hom(c2), identity_hom(c4)), "theta[1] endpoints must be group 1 -> group 0"),
-        ((hom(c2, c4, [0, 2]), hom(c4, c2, [0, 1, 0, 1])), "theta[0] endpoints must be group 0 -> group 0"),
+        ((GroupHom(c2, c4, [0, 2]), GroupHom(c4, c2, [0, 1, 0, 1])), "theta[0] endpoints must be group 0 -> group 0"),
     ):
         with pytest.raises(MalformedMap) as exc:
             CliffordSystem(groups=groups, bonds=bonds, theta=theta)
         assert str(exc.value) == msg
-    sys = CliffordSystem(groups=groups, bonds=bonds, theta=(identity_hom(c2), hom(c4, c2, [0, 1, 0, 1])))
+    sys = CliffordSystem(groups=groups, bonds=bonds, theta=(identity_hom(c2), GroupHom(c4, c2, [0, 1, 0, 1])))
     c = sys.compiled
     assert [c.elements[v] for v in c.theta] == [theta_pow_oracle(sys, a, 1) for a in sys.elements()]
 
@@ -376,12 +376,12 @@ def test_theta_outside_the_top_group_is_refused_at_construction():
 def test_misplaced_bonds_and_empty_chains_are_refused_at_construction():
     c2, c4 = cyclic_group(2), cyclic_group(4)
     groups = (c2, c2, c2)
-    theta = tuple(hom(g, c2, [0, 1]) for g in groups)
+    theta = tuple(GroupHom(g, c2, [0, 1]) for g in groups)
     good = {(0, 1): identity_hom(c2), (0, 2): identity_hom(c2), (1, 2): identity_hom(c2)}
     for bonds, msg in (
         # a bond into C4 on a chain of C2s: validation used to crash on it
-        ({**good, (0, 1): hom(c2, c4, [0, 2])}, "bond (0,1) endpoints disagree with chain groups"),
-        ({**good, (1, 2): hom(c4, c2, [0, 1, 0, 1])}, "bond (1,2) endpoints disagree with chain groups"),
+        ({**good, (0, 1): GroupHom(c2, c4, [0, 2])}, "bond (0,1) endpoints disagree with chain groups"),
+        ({**good, (1, 2): GroupHom(c4, c2, [0, 1, 0, 1])}, "bond (1,2) endpoints disagree with chain groups"),
         ({**good, (1, 0): identity_hom(c2)}, "bond (1,0) outside 0 <= upper <= lower < 3"),
         ({**good, (0, 3): identity_hom(c2)}, "bond (0,3) outside 0 <= upper <= lower < 3"),
     ):
@@ -500,8 +500,8 @@ def cyclic_chain(orders, mults, theta_mults) -> CliffordSystem:
     gs = tuple(cyclic_group(n) for n in orders)
     return CliffordSystem(
         groups=gs,
-        bonds={(a, b): hom(gs[a], gs[b], [c * x % orders[b] for x in range(orders[a])]) for (a, b), c in mults.items()},
-        theta=tuple(hom(g, gs[0], [t * x % orders[0] for x in range(g.order)]) for g, t in zip(gs, theta_mults)),
+        bonds={(a, b): GroupHom(gs[a], gs[b], [c * x % orders[b] for x in range(orders[a])]) for (a, b), c in mults.items()},
+        theta=tuple(GroupHom(g, gs[0], [t * x % orders[0] for x in range(g.order)]) for g, t in zip(gs, theta_mults)),
     )
 
 

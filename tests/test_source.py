@@ -13,6 +13,11 @@ lists and stay in the other.
 The Python floor, 3.10 in pyproject.toml, is checked by parsing: every
 source file of the package, the tests and the benchmark parses with the
 3.10 grammar, which refuses later syntax such as `except*`.
+
+Every public top-level name a package module defines has a caller: a read
+of it in its own module outside its definition, in another package module
+(`__init__.py` only re-exports, so it does not count) or in the benchmark.
+So a name that only tests use lives in the tests, not in the package.
 """
 
 import ast
@@ -59,3 +64,31 @@ def test_every_source_file_parses_with_the_python_3_10_grammar():
     assert {"cli.py", "test_source.py", "run.py"} <= {p.name for p in paths}
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def _reads(nodes) -> set[str]:
+    """Every name the nodes read: each loaded name and each attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for node in nodes for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)}
+
+
+def _defines(stmt) -> list[str]:
+    """The names a top-level statement binds by def, class or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_every_public_name_of_the_package_has_a_caller():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES if p.name != "__init__.py"}
+    bench = _reads(ast.parse(p.read_text(), filename=str(p)) for p in sorted((ROOT / "bench").glob("*.py")))
+    assert {"verify.py", "groups.py"} <= set(trees) and "suite_associativity" in bench
+    uncalled = []
+    for module, tree in trees.items():
+        elsewhere = bench.union(*(_reads([t]) for other, t in trees.items() if other != module))
+        for stmt in tree.body:
+            own = _reads(s for s in tree.body if s is not stmt)
+            uncalled += [f"{module}:{name}" for name in _defines(stmt)
+                         if not name.startswith("_") and name not in own and name not in elsewhere]
+    assert uncalled == []

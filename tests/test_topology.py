@@ -210,7 +210,7 @@ def test_continuity_checks_each_multiplier_once(c2c2, monkeypatch):
     calls = []
     check = topology._check_multiplier
     monkeypatch.setattr(topology, "_check_multiplier", lambda *args: calls.append(args) or check(*args))
-    result = suite_continuity(c2c2, 0)
+    result = suite_continuity(c2c2, 0, 3)
     assert result.ok and result.checked == len(calls) == 3600
 
 
@@ -263,7 +263,7 @@ def test_continuity_multiplies_by_each_multiplier_not_one_per_box(c2c2, monkeypa
     # only on multipliers of that part: none of their box-mates
     part = CE(1, 1)
     plant(monkeypatch, "brmul", lambda brmul: off_by_one_box(part, brmul))
-    result = suite_continuity(c2c2, 0)
+    result = suite_continuity(c2c2, 0, 3)
     assert not result.ok
     named = {re.match(r"certificate for a=(\S+), side=", v)[1] for v in result.violations}
     assert {parse_elem(a).s for a in named} == {part}
@@ -281,7 +281,7 @@ def test_continuity_takes_one_product_per_found_box_and_solves_once_per_box(c2c2
     monkeypatch.setattr(topology, "brmul", lambda *args: products.append(None) or brmul(*args))
     monkeypatch.setattr(topology, "box_solve", lambda *args: solves.append(None) or box_solve(*args))
     monkeypatch.setattr(verify, "continuity_certs", recorded)
-    assert suite_continuity(c2c2, 0).ok and suite_continuity(trivial, 0).ok
+    assert suite_continuity(c2c2, 0, 3).ok and suite_continuity(trivial, 0, 3).ok
     assert len(products) == sum(len(c.found.excluded) for certs in batches for c in certs) == 6435
     assert len(solves) == sum(len({box(c.a) for c in certs}) * len(certs[0].target.excluded) for certs in batches)
 
@@ -420,15 +420,15 @@ def test_row_and_column_exceptions():
 REFUTED_FAMILIES = [
     (meets_almost_all_boxes, lambda i, j: i == 0,
      lambda pred, pb: [Box(i, j) for i in range(pb) for j in range(pb) if max(i, j) >= pb // 2 and not pred(i, j)]),
-    (lambda u, pb: row_exceptions_finite(u, 4, pb), lambda i, j: i != 4,
+    (lambda u: row_exceptions_finite(u, 4), lambda i, j: i != 4,
      lambda pred, pb: [j for j in range(pb // 2, pb) if not pred(4, j)]),
-    (lambda u, pb: column_exceptions_finite(u, 1, pb), lambda i, j: j != 1,
+    (lambda u: column_exceptions_finite(u, 1), lambda i, j: j != 1,
      lambda pred, pb: [i for i in range(pb // 2, pb) if not pred(i, 1)]),
 ]
 
 
 @pytest.mark.parametrize("check, pred, scan", REFUTED_FAMILIES)
-def test_a_refuted_family_stops_at_its_eighth_witness(check, pred, scan):
+def test_a_refuted_family_stops_at_its_eighth_witness(monkeypatch, check, pred, scan):
     calls = []
 
     def counted(i, j):
@@ -437,9 +437,11 @@ def test_a_refuted_family_stops_at_its_eighth_witness(check, pred, scan):
             pytest.fail("more predicate calls than the probe bound")
         return pred(i, j)
 
-    assert not check(counted, 10**4)
-    result = check(pred, 64)
-    assert not result and result.witnesses == tuple(scan(pred, 64)[:8])
+    monkeypatch.setattr(topology, "PROBE_BOUND", 10**4)
+    assert not check(counted)
+    monkeypatch.undo()
+    result = check(pred)
+    assert not result and result.witnesses == tuple(scan(pred, 64)[:8]) and result.probe_bound == 64
     assert len(scan(pred, 64)) > 8
 
 

@@ -14,7 +14,8 @@ Schema (format_version "1"):
     }
 
 Inverse arrays are always derived from the tables at load time; an
-"inverse" key in a group object is ignored.  Structural damage (unreadable
+"inverse" key in a group object is ignored.  "labels" is optional, and when
+present a list of strings, one per element.  Structural damage (unreadable
 JSON, missing keys, ragged tables, out-of-range map entries) raises
 ParseError; a well-formed config that fails the algebraic axioms raises
 ValidationFailed carrying every violation validate_system lists.
@@ -49,6 +50,9 @@ def group_from_obj(obj) -> GroupTable:
     for key in ("order", "table", "identity"):
         if key not in obj:
             raise ParseError(f"group object lacks {key!r}")
+    labels = obj.get("labels", [])
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise ParseError(f"labels must be a list of strings, got {labels!r}")
     try:
         g = GroupTable(obj["table"], obj["identity"], obj.get("labels"))
     except (MalformedTable, OrderTooLarge, TypeError) as exc:

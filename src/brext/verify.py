@@ -18,23 +18,21 @@ their products as rows of integer codes from bmul_codes; continuity
 certifies a sample's multipliers in one continuity_certs call, solving and
 residuating once per box; a multiplier's own products with the found boxes
 decide its certificate, and only a failure is walked element by element.
-run_all runs the three suites that read only the system's name (FORKED:
-bicyclic_axioms, bicyclic_oracle, box_solver) in one forked child where it
-may fork (see run_all), the others here, then shares continuity's samples;
-the records are the same either way.
+run_all runs the FORKED suites in a forked child where it may (see run_all)
+and shares continuity's samples; the records are the same either way.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import random
 import signal
 import threading
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass, replace
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import comb
 from operator import add
 from typing import Callable, NamedTuple
@@ -589,7 +587,7 @@ SUITES = (
 )
 
 
-FORKED = ("bicyclic_axioms", "bicyclic_oracle", "box_solver")  # they read only the system's name
+FORKED = ("bicyclic_axioms", "bicyclic_oracle", "box_solver")  # name-only; fixed: a shared queue raised peak RSS
 
 
 def _finished(s: Suite, B: BRSystem, run: Callable[[], SuiteResult]) -> SuiteResult:
@@ -605,13 +603,14 @@ def run_all(B: BRSystem, window: int, seed: int) -> list[SuiteResult]:
     re-verification, or an exception out of a suite, is a violation, so all run.
 
     Where os.fork exists, no other thread runs and the process may run on two
-    CPUs, a forked child runs the FORKED suites while this process runs the
-    rest; then both claim continuity's samples one at a time, and the child
-    pipes its pickled results back.  Elsewhere, or when os.pipe or os.fork
-    fails, all run here, with the same results.  A result that never arrives
-    (the child died, or it could not be pickled) reads `<suite> could not
-    finish: ChildProcessError: ...`; the first sample that raised, in sample
-    order, reads as in-process."""
+    CPUs, a forked child runs the FORKED suites, so box_solver's transpose never
+    meets the compiled window, and this process the rest; then both claim
+    continuity's samples one at a time.  Each yields (suite name or sample
+    index, outcome) pairs; the child pipes each when ready into this process's
+    dict.  Elsewhere, or if os.pipe or os.fork fails, all run here, with the
+    same results.  A key that never arrives (the child died, or could not pickle
+    it) reads `<suite> could not finish: ChildProcessError: ...`; the first
+    sample that raised or never arrived gives continuity's record, as in-process."""
     suites = [s for s in SUITES if s.applies(B)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     alone = hasattr(os, "fork") and threading.active_count() == 1  # a fork under threads may deadlock the child
@@ -632,42 +631,37 @@ def run_all(B: BRSystem, window: int, seed: int) -> list[SuiteResult]:
             os.close(fd)
         return list(map(run, suites))
     tokens, r, w = fds
-    claim = lambda: {k: _finished(shared, B, lambda: continuity_violations(B, multipliers, *samples[k]))
-                     for (k,) in iter(lambda: os.read(tokens, 1), b"")}  # until no token is left
+    outcomes = lambda mine: chain(((s.name, run(s)) for s in mine),  # then each sample it claims, until none is left
+                                  ((k, _finished(shared, B, lambda: continuity_violations(B, multipliers, *samples[k])))
+                                   for (k,) in iter(lambda: os.read(tokens, 1), b"")))
     if pid == 0:
         try:
             os.close(r)
             with open(w, "wb") as pipe:
-                for s in forked:  # each result is sent as soon as it is ready
-                    pipe.write(pickle.dumps(run(s)))
+                for pair in outcomes(forked):
+                    pipe.write(pickle.dumps(pair))
                     pipe.flush()
-                pipe.write(pickle.dumps(claim()))
             os._exit(0)
         finally:
-            os._exit(1)  # a result could not be sent
+            os._exit(1)  # an outcome could not be sent
     os.close(w)
     with open(r, "rb") as pipe:
         try:
-            results, mine = {s.name: run(s) for s in suites if s not in forked and s is not shared}, claim()
-            sent = io.BytesIO(pipe.read())
+            done = dict(outcomes([s for s in suites if s not in forked and s is not shared]))
+            with suppress(Exception):  # until EOF, or a pickle cut short by the child's end
+                while True:
+                    done.update([pickle.load(pipe)])
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
             os.close(tokens)
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    lost = ChildProcessError(f"suite process exited with code {status}")
 
-    def received():
-        try:
-            return pickle.load(sent)
-        except Exception:
-            raise lost from None
+    def lost():
+        raise ChildProcessError(f"suite process exited with code {status}")
 
-    results.update((s.name, _finished(s, B, received)) for s in forked)
-    theirs = _finished(shared, B, received)  # the child's samples, or the record of their loss
-    done = {**theirs, **mine} if isinstance(theirs, dict) else mine
-    outcomes = [done.get(k, theirs) for k in range(len(samples))]  # violations, or a record that could not finish
-    failed = [o for o in outcomes if isinstance(o, SuiteResult)]
-    results[shared.name] = failed[0] if failed else replace(result, violations=[v for vs in outcomes for v in vs])
-    return [results[s.name] for s in suites]
+    drawn = [done[k] if k in done else _finished(shared, B, lost) for k in range(len(samples))]
+    failed = [o for o in drawn if isinstance(o, SuiteResult)]
+    done[shared.name] = failed[0] if failed else replace(result, violations=[v for vs in drawn for v in vs])
+    return [done[s.name] if s.name in done else _finished(s, B, lost) for s in suites]

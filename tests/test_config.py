@@ -166,6 +166,11 @@ def test_labels_optional_and_checked():
         group_from_obj(
             {"order": 2, "table": [[0, 1], [1, 0]], "identity": 0, "labels": ["u"]}
         )
+    # only a list of strings: a string is not split into characters, an
+    # object not read by its keys, and a number not printed as a label
+    for labels in "eg", {"a": 1, "b": 2}, [1, 2], ["u", 2], None:
+        with pytest.raises(ParseError, match="^labels must be a list of strings"):
+            group_from_obj({"order": 2, "table": [[0, 1], [1, 0]], "identity": 0, "labels": labels})
 
 
 def test_name_field_wins_filename_is_fallback(tmp_path, c2c2_obj):

@@ -832,6 +832,63 @@ def test_a_continuity_sample_the_child_claimed_and_never_sent_could_not_finish(c
     assert all(r.checked for r in results if r.suite in verify.FORKED)
 
 
+def test_a_continuity_sample_the_child_sent_still_arrives_when_it_dies_on_a_later_one(c2c2, monkeypatch,
+                                                                                      child_first):
+    # The parent's last own suite waits until the child has claimed sample 0.
+    # The child finishes it once the parent has checked a sample of its own,
+    # and dies on the next it claims, while the parent's first check waits for
+    # that claim.  So sample 0 arrives from the child, the parent's first
+    # sample comes before the lost one, and it gives the in-process record.
+    parent, (started, started_w), (checked, checked_w) = os.getpid(), os.pipe(), os.pipe()
+    armed, calls = [], []  # calls: the child's own copy counts its samples
+
+    def fault(certs):
+        def raised(*args):
+            if os.getpid() != parent:
+                return certs(*args)
+            if armed:
+                armed.clear()
+                os.write(checked_w, b".")
+                select.select([started], [], [], 60)
+            raise ValueError("planted in the parent")
+        return raised
+
+    def waits(suite):
+        def run(*args):
+            select.select([started], [], [], 60)
+            os.read(started, 1)
+            return suite(*args)
+        return run
+
+    def child(check):
+        def violations(*args):
+            os.write(started_w, b".")
+            calls.append(None)
+            if len(calls) == 2:
+                os._exit(5)
+            found = check(*args)
+            select.select([checked], [], [], 60)
+            return found
+        return violations
+
+    try:
+        plant(monkeypatch, "continuity_certs", fault)
+        _cpus(monkeypatch, 1)
+        in_process = next(r for r in run_all(c2c2, 2, 0) if r.suite == "continuity")
+        plant(monkeypatch, "suite_pushforward_roundtrip", waits)
+        forks, waited = _cpus(monkeypatch, 2), child_first(child)
+        armed.append(True)
+        results = run_all(c2c2, 2, 0)
+    finally:
+        for fd in started, started_w, checked, checked_w:
+            os.close(fd)
+    assert in_process.record() == SuiteResult("continuity", "c2c2", {}, 0, [
+        "continuity could not finish: ValueError: planted in the parent"]).record()
+    assert {r.suite: r.violations for r in results if not r.ok} == {"continuity": in_process.violations}
+    assert next(r for r in results if r.suite == "continuity").record() == in_process.record()
+    assert len(forks) == 1 and waited == [True] and not armed
+
+
 class Uncompiled(Exception):
     pass
 
